@@ -1,33 +1,27 @@
-// Pipelined-executor benchmark: serial vs pipelined wall time for the two
-// re-plumbed loops (in-context evaluation and episodic pretraining), plus
-// the bitwise-equality proof the speedup is only allowed to ride on.
+// Pipelined-executor benchmark: serial vs pipelined wall time for
+// episodic pretraining, plus the bitwise-equality proof the speedup is
+// only allowed to ride on.
 //
-// For each loop the harness runs the workload with the pipeline off
-// (deferred-inline, the serial schedule) and on (stage A of iteration i+1
-// on a background worker, overlapped with stage B of iteration i), takes
-// the best of --reps timed repetitions, and records:
+// The harness runs Pretrain with the pipeline off (deferred-inline, the
+// serial schedule) and on (episode construction for step i+1 on a
+// background worker, overlapped with the optimizer step for step i) on
+// fresh same-seed models, and records:
 //
-//   pipeline/eval/serial_seconds        best serial eval wall time
-//   pipeline/eval/pipelined_seconds     best pipelined eval wall time
-//   pipeline/eval/speedup               serial / pipelined
-//   pipeline/eval/bitwise_match         1 iff all trial accuracies, the
-//                                       mean/std, and the kept embedding
-//                                       bytes are identical
-//   pipeline/pretrain/...               same four, curves instead of
-//                                       accuracies
-//   pipeline/hardware_concurrency       what the machine can overlap
+//   pipeline/pretrain/serial_seconds     serial pretrain wall time
+//   pipeline/pretrain/pipelined_seconds  pipelined pretrain wall time
+//   pipeline/pretrain/speedup            serial / pipelined
+//   pipeline/pretrain/bitwise_match      1 iff the loss and accuracy
+//                                        curves are identical
+//   pipeline/hardware_concurrency        what the machine can overlap
 //
-// tools/check_pipeline gates on this report: the bitwise metrics must be
-// 1 everywhere, and on multi-core hardware the speedup must clear its
-// floor. Run with --trace=trace.json to see the overlap directly:
-// "eval/prepare_trial" spans land on the worker tid while "eval/predict"
-// spans run on the main tid.
+// tools/check_pipeline gates on this report: the bitwise metric must be
+// 1, and on multi-core hardware the speedup must clear its floor. Run
+// with --trace=trace.json to see the overlap directly: "pretrain/prepare"
+// spans land on the worker tid while "pretrain/step" spans run on the
+// main tid.
 
-#include <algorithm>
-#include <cstdint>
-#include <cstring>
+#include <cstdio>
 #include <thread>
-#include <vector>
 
 #include "bench_common.h"
 #include "data/datasets.h"
@@ -37,61 +31,18 @@ namespace gp {
 namespace bench {
 namespace {
 
-bool SameEval(const EvalResult& a, const EvalResult& b) {
-  if (a.trial_accuracy_percent != b.trial_accuracy_percent) return false;
-  if (a.accuracy_percent.mean != b.accuracy_percent.mean) return false;
-  if (a.accuracy_percent.std != b.accuracy_percent.std) return false;
-  if (a.completed_queries != b.completed_queries) return false;
-  if (a.embeddings.rows() != b.embeddings.rows() ||
-      a.embeddings.cols() != b.embeddings.cols()) {
-    return false;
-  }
-  return std::memcmp(a.embeddings.data().data(), b.embeddings.data().data(),
-                     static_cast<size_t>(a.embeddings.size()) *
-                         sizeof(float)) == 0;
-}
-
 bool SameCurves(const PretrainCurves& a, const PretrainCurves& b) {
   return a.step == b.step && a.loss == b.loss &&
          a.train_accuracy == b.train_accuracy;
 }
 
 void Run(const Env& env, BenchReporter* report) {
-  const int reps = 3;
   DatasetBundle downstream = MakeArxivSim(env.scale, env.seed + 21);
   GraphPrompterConfig config =
       FullGraphPrompterConfig(downstream.graph.feature_dim(), env.seed + 7);
-  GraphPrompterModel model(config);
 
-  EvalConfig eval = DefaultEval(env, /*ways=*/5);
-  eval.trials = std::max(4, env.trials);
-  eval.keep_embeddings = true;
-
-  // ---- Evaluation loop: serial reference, then pipelined.
+  // Fresh same-seed models, curve equality.
   const PipelineMode entry_mode = GetPipelineMode();
-  SetPipelineMode(PipelineMode::kOff);
-  EvalResult eval_serial;
-  double eval_serial_s = 0;
-  for (int r = 0; r < reps; ++r) {
-    Stopwatch timer;
-    EvalResult result = EvaluateInContext(model, downstream, eval);
-    const double s = timer.ElapsedSeconds();
-    if (r == 0 || s < eval_serial_s) eval_serial_s = s;
-    eval_serial = std::move(result);
-  }
-  SetPipelineMode(PipelineMode::kOn);
-  EvalResult eval_piped;
-  double eval_piped_s = 0;
-  for (int r = 0; r < reps; ++r) {
-    Stopwatch timer;
-    EvalResult result = EvaluateInContext(model, downstream, eval);
-    const double s = timer.ElapsedSeconds();
-    if (r == 0 || s < eval_piped_s) eval_piped_s = s;
-    eval_piped = std::move(result);
-  }
-  const bool eval_match = SameEval(eval_serial, eval_piped);
-
-  // ---- Pretraining loop: fresh same-seed models, curve equality.
   PretrainConfig pretrain = DefaultPretrain(env);
   SetPipelineMode(PipelineMode::kOff);
   GraphPrompterModel serial_model(config);
@@ -110,20 +61,12 @@ void Run(const Env& env, BenchReporter* report) {
   SetPipelineMode(entry_mode);
 
   const unsigned hw = std::thread::hardware_concurrency();
-  std::printf("eval:     serial %.3fs  pipelined %.3fs  speedup %.2fx  %s\n",
-              eval_serial_s, eval_piped_s, eval_serial_s / eval_piped_s,
-              eval_match ? "bitwise-identical" : "MISMATCH");
   std::printf("pretrain: serial %.3fs  pipelined %.3fs  speedup %.2fx  %s\n",
               pretrain_serial_s, pretrain_piped_s,
               pretrain_serial_s / pretrain_piped_s,
               pretrain_match ? "bitwise-identical" : "MISMATCH");
   std::printf("hardware concurrency: %u\n", hw);
 
-  report->AddMetric("pipeline/eval/serial_seconds", eval_serial_s, "s");
-  report->AddMetric("pipeline/eval/pipelined_seconds", eval_piped_s, "s");
-  report->AddMetric("pipeline/eval/speedup", eval_serial_s / eval_piped_s,
-                    "x");
-  report->AddMetric("pipeline/eval/bitwise_match", eval_match ? 1.0 : 0.0);
   report->AddMetric("pipeline/pretrain/serial_seconds", pretrain_serial_s,
                     "s");
   report->AddMetric("pipeline/pretrain/pipelined_seconds", pretrain_piped_s,
@@ -133,8 +76,6 @@ void Run(const Env& env, BenchReporter* report) {
   report->AddMetric("pipeline/pretrain/bitwise_match",
                     pretrain_match ? 1.0 : 0.0);
   report->AddMetric("pipeline/hardware_concurrency", static_cast<double>(hw));
-  report->AddMetric("pipeline/eval/accuracy_mean",
-                    eval_serial.accuracy_percent.mean, "%");
 }
 
 }  // namespace

@@ -1,37 +1,35 @@
-// Cross-request batched evaluation — the serving micro-batcher's core
-// entry point.
+// In-context evaluation (Algorithm 2), batched across requests — the one
+// evaluation path. EvaluateInContext runs as a batch of one; the serving
+// micro-batcher packs many requests.
 //
-// `BatchEvaluation` packs N independent `EvaluateInContext` calls so the
-// expensive shared stages run once per batch instead of once per request:
-// one disjoint-union subgraph encode (stage 1) over every request's
-// candidate and query subgraphs, one stacked selection-layer importance
-// pass, and one fused kNN scoring sweep (stage 2) across every request's
-// queries. Stage 3 (task-graph prediction) is consumed per request via
-// FinishRequest so the serving daemon can interleave per-tenant state
-// (circuit breaker, shared augmenter cache) between requests exactly as
-// the one-at-a-time path does; within a request, all query steps of all
-// trials stack into one TaskGraphNet::ForwardBatch call whenever the
-// augmenter stage is inactive (the augmenter's cache mutates between
-// steps, which forces the serial step loop).
+// `BatchEvaluation` runs N `EvalConfig` requests so the expensive shared
+// stages run once per batch instead of once per request. Prepare runs
+// stages 1-2: per trial index, one disjoint-union subgraph encode over
+// that trial of every request (packing across requests, not across a
+// request's trials, bounds peak memory by one trial's union), then one
+// stacked selection-layer importance pass and per-unit prompt selection.
+// Stage 3 (task-graph prediction, query batch by query batch with the
+// augmenter's cache updated between steps) is consumed per request via
+// FinishRequest, so the serving daemon can interleave per-tenant state
+// (circuit breaker, shared augmenter cache) between requests.
 //
-// Determinism contract (pinned by tests/serve_batch_test.cc): every
-// request's EvalResult is bitwise identical to a standalone
-// EvaluateInContext with the same EvalConfig — accuracy bit patterns,
-// trial accuracies, degradation counters, deadline flags, predictions.
+// Determinism contract (pinned by tests/serve_batch_test.cc and the eval
+// goldens in tests/golden_eval_test.cc): every request's EvalResult is
+// bitwise identical to evaluating it alone — accuracy bit patterns, trial
+// accuracies, degradation counters, deadline flags, predictions.
 // Wall-clock fields (ms_per_query) and deadline *cut points* under an
-// actively-expiring deadline are timing and excluded. The per-trial RNG
-// draw order is preserved by forking each request's trial RNGs from its
-// master seed upfront (the master is used for nothing else) and keeping
-// every draw inside the trial's own stream: episode sample, per-subgraph
-// walks, selection draws, the unconditional augmenter seed, prediction
-// fallbacks.
+// actively-expiring deadline are timing and excluded. Each request's
+// trial RNGs are forked from its master seed upfront (the master is used
+// for nothing else) and every draw stays inside the trial's own stream:
+// episode sample, per-subgraph walks, selection draws, the unconditional
+// augmenter seed, prediction fallbacks.
 //
-// Fault injection is order-dependent (a shared injector draws once per
-// probe site, so interleaving requests would reshuffle its stream): when
-// a fault injector is active at Prepare() time the whole batch falls back
-// to per-request EvaluateInContext inside FinishRequest, bit-identical by
-// construction. The serving batcher never batches fault-carrying
-// requests, so the fast path stays hot in production.
+// Fault injection draws from one shared stream in packed stage order:
+// CorruptRows on each unit's candidate and query slices after each trial
+// index's encode, MutatePromptSet per unit before prompt dedup, then the
+// per-step stage-3 sites in FinishRequest order. Interleaving requests
+// would therefore reshuffle a request's faults; the serving batcher
+// flushes fault-carrying requests as batches of one.
 
 #ifndef GRAPHPROMPTER_CORE_BATCH_EVAL_H_
 #define GRAPHPROMPTER_CORE_BATCH_EVAL_H_
@@ -87,12 +85,12 @@ class BatchEvaluation {
   std::vector<EvalConfig> configs_;
   std::vector<std::unique_ptr<RequestState>> requests_;
   bool prepared_ = false;
-  bool serial_fallback_ = false;
 };
 
-// Convenience wrapper: Prepare + FinishRequest for every config in order,
-// with each request's stage-3 options taken from its own EvalConfig.
-// Equivalent to calling EvaluateInContext once per config.
+// Prepare + FinishRequest for every config in order, with each request's
+// stage-3 options taken from its own EvalConfig, all under one PoolScope
+// (the pool drains once per call). On a clean run, equivalent to calling
+// EvaluateInContext once per config.
 std::vector<EvalResult> EvaluateInContextBatch(
     const GraphPrompterModel& model, const DatasetBundle& dataset,
     const std::vector<EvalConfig>& configs);

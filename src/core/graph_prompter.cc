@@ -1,21 +1,9 @@
 #include "core/graph_prompter.h"
 
-#include <algorithm>
 #include <cmath>
-#include <limits>
-#include <optional>
+#include <string>
 
-#include "core/eval_internal.h"
-#include "obs/telemetry.h"
-#include "obs/trace.h"
-#include "tensor/autograd.h"
-#include "tensor/buffer_pool.h"
-#include "tensor/ops.h"
-#include "util/fault.h"
 #include "util/logging.h"
-#include "util/parallel.h"
-#include "util/pipeline.h"
-#include "util/stopwatch.h"
 
 namespace gp {
 
@@ -92,555 +80,6 @@ GraphPrompterConfig FullGraphPrompterConfig(int feature_dim, uint64_t seed) {
   config.feature_dim = feature_dim;
   config.seed = seed;
   return config;
-}
-
-// Declared in core/eval_internal.h: shared with the batched evaluation
-// path (core/batch_eval.cc), which must reproduce this exact arithmetic.
-namespace eval_internal {
-
-// Row-wise max softmax probability of `scores` — prediction confidence.
-// Rows are independent, so the batch splits into parallel chunks with
-// disjoint writes; chunking is fixed, so results match a serial run.
-std::vector<float> SoftmaxConfidence(const Tensor& scores) {
-  const int rows = scores.rows();
-  const int cols = scores.cols();
-  std::vector<float> out(rows);
-  const float* data = scores.data().data();
-  const int64_t grain =
-      std::max<int64_t>(1, (int64_t{1} << 13) / std::max(cols, 1));
-  ParallelFor(0, rows, grain, [&](int64_t first, int64_t last) {
-    for (int r = static_cast<int>(first); r < last; ++r) {
-      const float* row = data + static_cast<size_t>(r) * cols;
-      float mx = row[0];
-      for (int c = 1; c < cols; ++c) mx = std::max(mx, row[c]);
-      float total = 0.0f, best = 0.0f;
-      for (int c = 0; c < cols; ++c) {
-        const float e = std::exp(row[c] - mx);
-        total += e;
-        best = std::max(best, e);
-      }
-      out[r] = best / total;
-    }
-  });
-  return out;
-}
-
-// Indices of rows containing any non-finite value. A read-only scan: on a
-// clean run it finds nothing and the pipeline below is byte-for-byte the
-// unvalidated one.
-std::vector<int> NonFiniteRows(const Tensor& t) {
-  std::vector<int> bad;
-  for (int r = 0; r < t.rows(); ++r) {
-    if (!t.RowFinite(r)) bad.push_back(r);
-  }
-  return bad;
-}
-
-// Zeroes the given rows in place (query sanitization: a query must still be
-// predicted, so it degrades to the origin instead of being dropped).
-void ZeroRows(Tensor* t, const std::vector<int>& rows) {
-  float* data = t->mutable_data().data();
-  const int cols = t->cols();
-  for (int r : rows) {
-    std::fill_n(data + static_cast<size_t>(r) * cols, cols, 0.0f);
-  }
-}
-
-// Prodigy-style selection: `shots` random candidates per class. Shared by
-// the random_prompt_selection config and the last rung of the degradation
-// ladder.
-std::vector<int> RandomSelection(const std::vector<int>& candidate_labels,
-                                 int ways, int shots, Rng* rng) {
-  std::vector<int> selected;
-  for (int cls = 0; cls < ways; ++cls) {
-    std::vector<int> members;
-    for (size_t p = 0; p < candidate_labels.size(); ++p) {
-      if (candidate_labels[p] == cls) {
-        members.push_back(static_cast<int>(p));
-      }
-    }
-    rng->Shuffle(&members);
-    const int keep = std::min<int>(shots, members.size());
-    for (int i = 0; i < keep; ++i) selected.push_back(members[i]);
-  }
-  return selected;
-}
-
-}  // namespace eval_internal
-
-namespace {
-
-using eval_internal::NonFiniteRows;
-using eval_internal::RandomSelection;
-using eval_internal::SoftmaxConfidence;
-using eval_internal::ZeroRows;
-
-// Stage-A output for one evaluation trial: everything that depends only on
-// the data graph and the trial's forked RNG. Stage A (PrepareTrial) runs on
-// the pipeline executor, overlapped with stage B (selection + prediction)
-// of the previous trial; it must not touch shared mutable state other than
-// the fault injector, which serializes internally.
-struct TrialData {
-  Rng rng{0};  // forked at submission; stage B continues this draw stream
-  FewShotTask task;
-  std::vector<int> candidate_items, candidate_labels;
-  Tensor candidate_emb;
-  std::vector<int> query_items, query_expected;
-  Tensor query_emb;
-  double query_embed_seconds = 0.0;
-  // The stage-A deadline probe (same boundary as the serial loop's check
-  // after the candidate embed) fired: the query embed was skipped and the
-  // consumer stops at this trial.
-  bool deadline_hit = false;
-};
-
-void PrepareTrial(const GraphPrompterModel& model, const DatasetBundle& dataset,
-                  const EpisodeSampler& sampler, const EpisodeConfig& episode,
-                  const Stopwatch& deadline_timer, int64_t deadline_us,
-                  TrialData* data) {
-  GP_TRACE_SPAN("eval/prepare_trial");
-  auto task_or = sampler.Sample(episode, &data->rng);
-  CHECK_OK(task_or.status());
-  data->task = std::move(*task_or);
-
-  // ---- Stage 1: generate data-graph embeddings for all candidates.
-  for (const auto& ex : data->task.candidates) {
-    data->candidate_items.push_back(ex.item);
-    data->candidate_labels.push_back(ex.label);
-  }
-  {
-    GP_TRACE_SPAN("eval/embed_candidates");
-    data->candidate_emb = model.generator().EmbedItems(
-        dataset, data->candidate_items, &data->rng);
-  }
-  if (FaultInjector* inj = ActiveFaultInjector()) {
-    inj->CorruptRows(&data->candidate_emb.mutable_data(),
-                     data->candidate_emb.rows(), data->candidate_emb.cols());
-  }
-  if (deadline_us > 0 && deadline_timer.ElapsedMicros() >= deadline_us) {
-    data->deadline_hit = true;
-    return;
-  }
-
-  // ---- Embed queries (timed: this is per-query inference work).
-  Stopwatch query_embed_timer;
-  for (const auto& ex : data->task.queries) {
-    data->query_items.push_back(ex.item);
-    data->query_expected.push_back(ex.label);
-  }
-  {
-    GP_TRACE_SPAN("eval/embed_queries");
-    data->query_emb =
-        model.generator().EmbedItems(dataset, data->query_items, &data->rng);
-  }
-  if (FaultInjector* inj = ActiveFaultInjector()) {
-    inj->CorruptRows(&data->query_emb.mutable_data(), data->query_emb.rows(),
-                     data->query_emb.cols());
-  }
-  data->query_embed_seconds = query_embed_timer.ElapsedSeconds();
-}
-
-}  // namespace
-
-EvalResult EvaluateInContext(const GraphPrompterModel& model,
-                             const DatasetBundle& dataset,
-                             const EvalConfig& eval_config) {
-  // Bound the buffer pool to this evaluation: trial-to-trial tensor churn
-  // recycles through the pool, and everything is drained (and the alloc/
-  // gauges published) when the outermost scope exits.
-  PoolScope pool_scope;
-  const GraphPrompterConfig& mc = model.config();
-  CHECK_EQ(mc.feature_dim, dataset.graph.feature_dim());
-
-  EvalResult result;
-  Rng rng(eval_config.seed);
-  EpisodeSampler sampler(&dataset);
-
-  EpisodeConfig episode;
-  episode.ways = eval_config.ways;
-  episode.candidates_per_class = eval_config.candidates_per_class;
-  episode.num_queries = eval_config.num_queries;
-  episode.queries_from_test = true;
-
-  double total_query_seconds = 0.0;
-  int64_t total_queries = 0;
-
-  // Deadline discipline: checked only at stage boundaries, so the checks
-  // cost one Stopwatch read each and a disabled deadline (the batch-eval
-  // default) short-circuits on the first comparison.
-  Stopwatch deadline_timer;
-  const int64_t deadline_us = eval_config.deadline_us;
-  auto past_deadline = [&]() {
-    return deadline_us > 0 &&
-           deadline_timer.ElapsedMicros() >= deadline_us;
-  };
-
-  static Counter* trials_done = Telemetry().GetCounter("eval/trials");
-  static Counter* queries_done = Telemetry().GetCounter("eval/queries");
-
-  // Pipelined schedule (DESIGN.md §13): stage A (PrepareTrial — sampling +
-  // embedding) for trial i+1 overlaps stage B (selection + prediction) for
-  // trial i. With pipelining off the executor runs deferred-inline, which
-  // is the serial schedule instruction for instruction; with it on, one
-  // background worker runs stage A while this thread consumes. Trial RNGs
-  // fork from the master at submission in trial order — the master is used
-  // for nothing else, so the fork values match the serial loop's.
-  FaultInjector* const entry_injector = ActiveFaultInjector();
-  std::vector<TrialData> slots(std::max(0, eval_config.trials));
-  std::vector<PipelineExecutor::TaskId> prep_ids(slots.size(), -1);
-  PipelineExecutor::Options exec_options;
-  exec_options.workers = PipelineActive() ? 1 : 0;
-  exec_options.max_in_flight = 2;
-  PipelineExecutor exec(exec_options);
-  auto submit_prepare = [&](int trial) {
-    TrialData* data = &slots[trial];
-    data->rng = rng.Fork();
-    prep_ids[trial] = exec.Submit([&, data] {
-      // Worker threads inherit no thread-locals from the submitter:
-      // re-establish inference mode and the caller's fault-injector scope
-      // (the serving daemon installs a per-tenant injector on its thread).
-      NoGradGuard prepare_no_grad;
-      ScopedThreadFaultInjector scoped_injector(entry_injector);
-      PrepareTrial(model, dataset, sampler, episode, deadline_timer,
-                   deadline_us, data);
-    });
-  };
-  if (!slots.empty()) submit_prepare(0);
-
-  for (int trial = 0; trial < eval_config.trials; ++trial) {
-    if (past_deadline()) {
-      result.deadline_expired = true;
-      exec.CancelPending();
-      break;
-    }
-    GP_TRACE_SPAN("eval/trial");
-    NoGradGuard no_grad;
-    if (trial + 1 < eval_config.trials) submit_prepare(trial + 1);
-    exec.Wait(prep_ids[trial]);
-    TrialData& data = slots[trial];
-    trials_done->Add(1);
-    Rng& trial_rng = data.rng;
-    const FewShotTask& task = data.task;
-    const int ways = task.ways();
-    std::vector<int>& candidate_items = data.candidate_items;
-    std::vector<int>& candidate_labels = data.candidate_labels;
-    Tensor& candidate_emb = data.candidate_emb;
-    if (data.deadline_hit || past_deadline()) {
-      result.deadline_expired = true;
-      exec.CancelPending();
-      break;
-    }
-
-    // Quarantine: a candidate with a non-finite embedding would poison
-    // every similarity and importance it touches, so it is removed from
-    // the candidate pool. If *every* row is damaged there is nothing left
-    // to select from — sanitize to zeros and fall through to the random
-    // rung of the ladder instead of returning an empty prompt set.
-    bool candidates_degenerate = false;
-    if (const std::vector<int> bad = NonFiniteRows(candidate_emb);
-        !bad.empty()) {
-      if (bad.size() == static_cast<size_t>(candidate_emb.rows())) {
-        ZeroRows(&candidate_emb, bad);
-        candidates_degenerate = true;
-      } else {
-        std::vector<int> keep;
-        std::vector<int> kept_items, kept_labels;
-        size_t next_bad = 0;
-        for (int r = 0; r < candidate_emb.rows(); ++r) {
-          if (next_bad < bad.size() && bad[next_bad] == r) {
-            ++next_bad;
-            continue;
-          }
-          keep.push_back(r);
-          kept_items.push_back(candidate_items[r]);
-          kept_labels.push_back(candidate_labels[r]);
-        }
-        candidate_emb = GatherRows(candidate_emb, keep);
-        candidate_items = std::move(kept_items);
-        candidate_labels = std::move(kept_labels);
-      }
-      result.degradation.quarantined_prompts += bad.size();
-      LOG(WARNING) << "trial " << trial << ": quarantined " << bad.size()
-                   << " candidate embedding rows with non-finite values";
-    }
-
-    Tensor candidate_importance;  // I_p (Eq. 5)
-    if (mc.use_selection_layer) {
-      candidate_importance = model.selection().Importance(candidate_emb);
-    }
-
-    // Queries were embedded (and embed-site faults injected) in stage A;
-    // the timer there covered the embed, this one covers the per-query
-    // sanitize + importance work that still runs on the consumer.
-    const std::vector<int>& query_items = data.query_items;
-    const std::vector<int>& query_expected = data.query_expected;
-    Tensor& query_emb = data.query_emb;
-    total_query_seconds += data.query_embed_seconds;
-    Stopwatch query_post_timer;
-    // Unlike candidates, a damaged query cannot be dropped — it still needs
-    // a prediction. Sanitize the row to zeros; the task graph then scores
-    // it from label-prototype structure alone.
-    if (const std::vector<int> bad = NonFiniteRows(query_emb); !bad.empty()) {
-      ZeroRows(&query_emb, bad);
-      result.degradation.sanitized_queries += bad.size();
-      LOG(WARNING) << "trial " << trial << ": sanitized " << bad.size()
-                   << " query embedding rows with non-finite values";
-    }
-    Tensor query_importance;
-    if (mc.use_selection_layer) {
-      query_importance = model.selection().Importance(query_emb);
-    }
-    total_query_seconds += query_post_timer.ElapsedSeconds();
-
-    // ---- Stage 2: prompt selection -> S-hat (k per class), with the
-    // degradation ladder kNN -> selection-layer-only -> random. Health
-    // checks are read-only; on a clean run the selector sees exactly the
-    // configured combination of terms.
-    const bool imp_healthy = mc.use_selection_layer &&
-                             candidate_importance.AllFinite() &&
-                             query_importance.AllFinite();
-    const bool sim_healthy = mc.use_knn && !candidates_degenerate;
-    Stopwatch select_timer;
-    // Explicit span object (not GP_TRACE_SPAN) so it can close right where
-    // the selection stage hands off to prediction, mid-scope.
-    std::optional<TraceSpan> select_span;
-    select_span.emplace("eval/select_prompts");
-    std::vector<int> selected;
-    if (mc.random_prompt_selection ||
-        (!mc.use_knn && !mc.use_selection_layer)) {
-      // Prodigy behaviour: k random candidates per class.
-      selected = RandomSelection(candidate_labels, ways, eval_config.shots,
-                                 &trial_rng);
-    } else if (!sim_healthy && !imp_healthy) {
-      // Bottom rung: neither the similarity nor the importance term can be
-      // trusted; a random per-class pick still yields a usable prompt set.
-      selected = RandomSelection(candidate_labels, ways, eval_config.shots,
-                                 &trial_rng);
-      ++result.degradation.selector_random;
-      LOG(WARNING) << "trial " << trial
-                   << ": prompt selector degraded to random selection";
-    } else {
-      KnnConfig knn;
-      knn.shots = eval_config.shots;
-      knn.metric = mc.metric;
-      knn.use_similarity = mc.use_knn && sim_healthy;
-      knn.use_importance = mc.use_selection_layer && imp_healthy;
-      if (mc.use_selection_layer && !knn.use_importance) {
-        ++result.degradation.selector_knn_only;
-        LOG(WARNING) << "trial " << trial
-                     << ": non-finite importance, selector degraded to "
-                        "kNN-only scoring";
-      }
-      if (mc.use_knn && !knn.use_similarity) {
-        ++result.degradation.selector_selection_only;
-        LOG(WARNING) << "trial " << trial
-                     << ": similarity unusable, selector degraded to "
-                        "selection-layer-only scoring";
-      }
-      const KnnSelection selection =
-          mc.selector == SelectorKind::kClustering
-              ? SelectPromptsByClustering(candidate_emb, candidate_importance,
-                                          candidate_labels, query_emb,
-                                          query_importance, ways, knn,
-                                          &trial_rng)
-              : SelectPrompts(candidate_emb, candidate_importance,
-                              candidate_labels, query_emb, query_importance,
-                              ways, knn);
-      selected = selection.selected;
-    }
-
-    // Prompt-set hygiene after optional fault injection: drop duplicate
-    // ids (a duplicated prompt would double-weight its class prototype)
-    // and account for classes that lost every prompt. SegmentMeanRows
-    // tolerates an empty class (prototype = label embedding only), so a
-    // missing class degrades accuracy but cannot produce NaN.
-    if (FaultInjector* inj = ActiveFaultInjector()) {
-      inj->MutatePromptSet(&selected);
-    }
-    {
-      std::vector<char> seen_prompt(candidate_labels.size(), 0);
-      std::vector<int> unique;
-      for (int p : selected) {
-        if (p >= 0 && p < static_cast<int>(candidate_labels.size()) &&
-            !seen_prompt[p]) {
-          seen_prompt[p] = 1;
-          unique.push_back(p);
-        }
-      }
-      if (unique.size() != selected.size()) {
-        result.degradation.deduped_prompts += selected.size() - unique.size();
-        selected = std::move(unique);
-      }
-      std::vector<char> class_covered(ways, 0);
-      for (int p : selected) class_covered[candidate_labels[p]] = 1;
-      for (int cls = 0; cls < ways; ++cls) {
-        if (!class_covered[cls]) ++result.degradation.missing_class_prompts;
-      }
-    }
-
-    // Refined prompt set S-hat. Note: the importance-weighted embeddings
-    // G'_p = G_p * I_p are a *pretraining* input (Sec. IV-C: "S_I in
-    // pretraining or S-hat' in testing"); at test time the selected
-    // prompts enter the task graph unscaled, with I_p contributing only
-    // to the selection score (Eq. 7).
-    Tensor prompt_emb = GatherRows(candidate_emb, selected);
-    std::vector<int> prompt_labels;
-    for (int p : selected) prompt_labels.push_back(candidate_labels[p]);
-    select_span.reset();
-    total_query_seconds += select_timer.ElapsedSeconds();
-    if (past_deadline()) {
-      result.deadline_expired = true;
-      exec.CancelPending();
-      break;
-    }
-
-    // ---- Stage 3 + prediction: stream query batches through the task
-    // graph with optional cache augmentation (Algorithm 2 lines 9-14).
-    PromptAugmenterConfig augmenter_config = mc.augmenter;
-    if (!augmenter_config.random_pseudo_labels) {
-      // Confidence gate relative to chance (1/ways): only predictions at
-      // least 1.5x more confident than chance become pseudo-prompts.
-      augmenter_config.min_confidence = std::max(
-          augmenter_config.min_confidence, 1.5f / static_cast<float>(ways));
-    }
-    // A caller-provided augmenter carries its cache (and health counters)
-    // across calls; otherwise a fresh per-trial instance is used. The RNG
-    // fork happens in both branches so downstream draws stay aligned with
-    // the local-augmenter pipeline.
-    std::optional<PromptAugmenter> local_augmenter;
-    const uint64_t augmenter_seed = trial_rng.NextUint64();
-    PromptAugmenter* augmenter = eval_config.shared_augmenter;
-    if (augmenter == nullptr) {
-      local_augmenter.emplace(augmenter_config, augmenter_seed);
-      augmenter = &*local_augmenter;
-    }
-    // Health counters accumulate for the augmenter's lifetime; with a
-    // shared instance that spans calls, so account in deltas from here.
-    const PromptAugmenter::Health base_health = augmenter->health();
-    const int breaker_capacity = eval_config.shared_augmenter != nullptr
-                                     ? augmenter->config().cache_capacity
-                                     : augmenter_config.cache_capacity;
-    std::vector<int> predictions(query_expected.size(), -1);
-    // Circuit breaker: once more entries have been evicted as poisoned than
-    // the cache even holds, the pseudo-prompt source is clearly unhealthy —
-    // skip the augmenter stage for the rest of the episode (Eq. 9 degrades
-    // to S-hat' = S-hat).
-    bool augmenter_enabled =
-        mc.use_augmenter && !eval_config.disable_augmenter;
-
-    Stopwatch predict_timer;
-    GP_TRACE_SPAN("eval/predict");
-    const int num_queries = static_cast<int>(query_items.size());
-    int predicted_this_trial = 0;
-    for (int start = 0; start < num_queries;
-         start += eval_config.query_batch) {
-      if (past_deadline()) {
-        result.deadline_expired = true;
-        break;
-      }
-      const int count =
-          std::min(eval_config.query_batch, num_queries - start);
-      Tensor batch_emb = SliceRows(query_emb, start, count);
-
-      if (FaultInjector* inj = ActiveFaultInjector()) {
-        if (inj->MaybeSlowBatch()) ++result.degradation.slow_batches;
-        if (augmenter_enabled) {
-          const auto entries = augmenter->cache().Entries();
-          const int victim =
-              inj->PickCacheEntryToPoison(static_cast<int>(entries.size()));
-          if (victim >= 0) {
-            CacheEntry* entry =
-                augmenter->mutable_cache().MutableEntry(entries[victim].first);
-            if (entry != nullptr && !entry->embedding.empty()) {
-              entry->embedding[0] =
-                  std::numeric_limits<float>::quiet_NaN();
-            }
-          }
-        }
-      }
-
-      Tensor step_prompts = prompt_emb;
-      std::vector<int> step_labels = prompt_labels;
-      if (augmenter_enabled) {
-        augmenter->EvictPoisoned(model.config().embedding_dim, ways);
-        if (augmenter->health().evicted_poisoned -
-                base_health.evicted_poisoned >
-            breaker_capacity) {
-          augmenter_enabled = false;
-          ++result.degradation.augmenter_stage_skips;
-          LOG(WARNING) << "trial " << trial
-                       << ": prompt cache repeatedly poisoned; augmenter "
-                          "stage disabled for the rest of the episode";
-        }
-      }
-      if (augmenter_enabled &&
-          augmenter->ValidateCache(model.config().embedding_dim, ways).ok()) {
-        const auto cached =
-            augmenter->GetCachedPrompts(model.config().embedding_dim);
-        if (cached.embeddings.rows() > 0) {
-          step_prompts = ConcatRows({step_prompts, cached.embeddings});
-          step_labels.insert(step_labels.end(), cached.labels.begin(),
-                             cached.labels.end());
-        }
-      }
-
-      const TaskGraphOutput out =
-          model.task_net().Forward(step_prompts, step_labels, batch_emb, ways);
-      std::vector<int> batch_pred = ArgmaxRows(out.query_scores);
-      std::vector<float> confidence = SoftmaxConfidence(out.query_scores);
-      // Prediction fallback: a row of non-finite scores (damaged weights or
-      // an injected fault that slipped past earlier rungs) gets a
-      // deterministic random vote instead of an argmax over NaN, and its
-      // confidence is floored so it can never enter the cache.
-      for (int i = 0; i < count; ++i) {
-        if (!out.query_scores.RowFinite(i)) {
-          batch_pred[i] = static_cast<int>(trial_rng.UniformInt(ways));
-          confidence[i] = 0.0f;
-          ++result.degradation.prediction_fallbacks;
-        }
-        predictions[start + i] = batch_pred[i];
-      }
-      if (augmenter_enabled) {
-        augmenter->ObserveQueries(batch_emb, batch_pred, confidence,
-                                  std::min(mc.cache_inserts_per_batch, ways));
-      }
-      predicted_this_trial += count;
-    }
-    total_query_seconds += predict_timer.ElapsedSeconds();
-    total_queries += predicted_this_trial;
-    result.degradation.augmenter_rejected_inserts +=
-        augmenter->health().rejected_nonfinite -
-        base_health.rejected_nonfinite;
-    result.degradation.augmenter_evicted_poisoned +=
-        augmenter->health().evicted_poisoned - base_health.evicted_poisoned;
-
-    // A deadline mid-trial leaves unpredicted queries; a partial trial's
-    // accuracy would be biased, so it is dropped rather than averaged. No
-    // in-flight prepare leaks work: unstarted ones are cancelled here, and
-    // a running one is joined by the executor's destructor on return.
-    if (result.deadline_expired) {
-      exec.CancelPending();
-      break;
-    }
-    result.trial_accuracy_percent.push_back(
-        100.0 * Accuracy(predictions, query_expected));
-
-    if (eval_config.keep_embeddings && trial == eval_config.trials - 1) {
-      result.embeddings = ConcatRows({candidate_emb, query_emb});
-      result.embedding_labels = candidate_labels;
-      result.embedding_labels.insert(result.embedding_labels.end(),
-                                     query_expected.begin(),
-                                     query_expected.end());
-    }
-  }
-
-  result.accuracy_percent = ComputeMeanStd(result.trial_accuracy_percent);
-  result.ms_per_query =
-      total_queries > 0 ? 1e3 * total_query_seconds / total_queries : 0.0;
-  result.completed_queries = total_queries;
-  queries_done->Add(total_queries);
-  result.degradation.PublishToTelemetry();
-  return result;
 }
 
 }  // namespace gp

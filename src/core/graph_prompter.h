@@ -101,10 +101,10 @@ struct EvalConfig {
   // bitwise identical to the pre-serving pipeline.
 
   // Wall-clock budget for the whole call, in microseconds; 0 disables the
-  // deadline. Checked at stage boundaries (trial start, after candidate
-  // embedding, after selection, per query batch): on expiry the evaluation
-  // stops early, sets EvalResult::deadline_expired, and reports only the
-  // trials that finished.
+  // deadline. Checked at stage boundaries (before sampling a trial, before
+  // and after selection, at trial start and per query batch in stage 3):
+  // on expiry the evaluation stops early, sets EvalResult::deadline_expired,
+  // and reports only the trials that finished.
   int64_t deadline_us = 0;
   // Skips the augmenter stage regardless of the model config. The serving
   // circuit breaker uses this as its safe degraded mode while open.
@@ -121,7 +121,9 @@ struct EvalConfig {
 struct EvalResult {
   MeanStd accuracy_percent;         // over trials
   std::vector<double> trial_accuracy_percent;
-  double ms_per_query = 0.0;        // Table VIII timing
+  // Table VIII timing: the query subgraphs' share of the packed encode
+  // plus stage-3 prediction, per completed query.
+  double ms_per_query = 0.0;
   // Populated when EvalConfig::keep_embeddings: prompts'+queries'
   // data-graph embeddings of the final trial with episode labels.
   Tensor embeddings;
@@ -140,7 +142,8 @@ struct EvalResult {
 // Runs Algorithm 2: per trial, samples an episode, embeds candidates and
 // queries, selects prompts (kNN + selection layer + voting, or random for
 // the Prodigy configuration), streams query batches through the task graph
-// with optional cache augmentation, and scores accuracy.
+// with optional cache augmentation, and scores accuracy. Runs as a batch
+// of one through BatchEvaluation (core/batch_eval.h).
 //
 // Fault tolerance: non-finite candidate embeddings are quarantined and the
 // selector degrades along kNN -> selection-layer-only -> random; non-finite

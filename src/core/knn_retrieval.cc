@@ -223,175 +223,6 @@ KnnSelection SelectPrompts(const Tensor& prompt_embeddings,
   return out;
 }
 
-std::vector<KnnSelection> SelectPromptsBatch(
-    const std::vector<KnnBatchUnit>& units) {
-  if (units.empty()) return {};
-  if (units.size() == 1) {
-    const KnnBatchUnit& u = units[0];
-    return {SelectPrompts(*u.prompt_embeddings, *u.prompt_importance,
-                          *u.prompt_labels, *u.query_embeddings,
-                          *u.query_importance, u.num_classes, u.config)};
-  }
-  GP_TRACE_SPAN("selector/knn_batch");
-  static Counter* pairs = Telemetry().GetCounter("selector/scored_pairs");
-
-  std::vector<KnnSelection> results(units.size());
-
-  // Per-unit scoring context for the fused exact pass. Units that score
-  // nothing (no score terms, or an empty pool) skip straight to the
-  // per-class keep; units whose index shards (IVF) delegate to
-  // SelectPrompts — the fused pass reproduces only the exact path.
-  struct UnitCtx {
-    bool fused = false;
-    bool delegated = false;
-    bool with_importance = false;
-    const float* pdata = nullptr;
-    const float* qdata = nullptr;
-    const float* pimp = nullptr;
-    const float* qimp = nullptr;
-    int dim = 0;
-    int num_prompts = 0;
-    int k = 0;
-    std::vector<double> prompt_norm, query_norm;
-    std::vector<std::vector<std::pair<double, int>>> topk;
-  };
-  std::vector<UnitCtx> ctx(units.size());
-  // Flattened (unit, local query) list driving the single ParallelFor.
-  std::vector<int> flat_unit, flat_query;
-  int64_t max_work_per_query = 1;
-
-  for (size_t u = 0; u < units.size(); ++u) {
-    const KnnBatchUnit& unit = units[u];
-    const int num_prompts = unit.prompt_embeddings->rows();
-    const int num_queries = unit.query_embeddings->rows();
-    CHECK_EQ(static_cast<size_t>(num_prompts), unit.prompt_labels->size());
-    CHECK_GE(unit.num_classes, 1);
-    results[u].votes.assign(num_prompts, 0.0);
-    results[u].hit_counts.assign(num_prompts, 0);
-    const KnnConfig& config = unit.config;
-    if (!(config.use_similarity || config.use_importance) ||
-        num_prompts == 0) {
-      pairs->Add(static_cast<int64_t>(num_prompts) * num_queries);
-      continue;
-    }
-    PromptIndex index(config.index, config.metric);
-    if (config.use_similarity) index.Build(*unit.prompt_embeddings);
-    if (index.ivf()) {
-      results[u] = SelectPrompts(*unit.prompt_embeddings,
-                                 *unit.prompt_importance, *unit.prompt_labels,
-                                 *unit.query_embeddings, *unit.query_importance,
-                                 unit.num_classes, config);
-      ctx[u].delegated = true;
-      continue;
-    }
-    pairs->Add(static_cast<int64_t>(num_prompts) * num_queries);
-    UnitCtx& c = ctx[u];
-    c.fused = true;
-    c.dim = unit.prompt_embeddings->cols();
-    c.num_prompts = num_prompts;
-    c.k = std::min(config.shots, num_prompts);
-    c.pdata = unit.prompt_embeddings->data().data();
-    c.qdata = unit.query_embeddings->data().data();
-    c.with_importance = config.use_importance &&
-                        unit.prompt_importance->defined() &&
-                        unit.query_importance->defined();
-    if (c.with_importance) {
-      c.pimp = unit.prompt_importance->data().data();
-      c.qimp = unit.query_importance->data().data();
-    }
-    if (config.use_similarity && config.metric == DistanceMetric::kCosine) {
-      c.prompt_norm = RowNorms(*unit.prompt_embeddings);
-      c.query_norm = RowNorms(*unit.query_embeddings);
-    }
-    c.topk.resize(num_queries);
-    for (int q = 0; q < num_queries; ++q) {
-      flat_unit.push_back(static_cast<int>(u));
-      flat_query.push_back(q);
-    }
-    max_work_per_query = std::max(
-        max_work_per_query, static_cast<int64_t>(num_prompts) * c.dim);
-  }
-
-  // Same Eq. 7 per-pair arithmetic and per-query top-k as the exact path in
-  // SelectPrompts; queries write only their own topk slot, so the fused
-  // ParallelFor is bitwise independent of chunking and of which other
-  // units share the pass.
-  const int64_t grain =
-      std::max<int64_t>(1, (int64_t{1} << 15) / max_work_per_query);
-  ParallelFor(
-      0, static_cast<int64_t>(flat_unit.size()), grain,
-      [&](int64_t first, int64_t last) {
-        std::vector<std::pair<double, int>> scored;
-        for (int64_t f = first; f < last; ++f) {
-          const int u = flat_unit[f];
-          const int q = flat_query[f];
-          const UnitCtx& c = ctx[u];
-          const KnnConfig& config = units[u].config;
-          const float* qrow = c.qdata + static_cast<size_t>(q) * c.dim;
-          scored.resize(c.num_prompts);
-          for (int p = 0; p < c.num_prompts; ++p) {
-            double score = 0.0;
-            if (config.use_similarity) {
-              const float* prow = c.pdata + static_cast<size_t>(p) * c.dim;
-              switch (config.metric) {
-                case DistanceMetric::kCosine:
-                  score += CosineFromParts(DotRaw(prow, qrow, c.dim),
-                                           c.prompt_norm[p], c.query_norm[q]);
-                  break;
-                case DistanceMetric::kEuclidean:
-                  score += NegEuclideanRaw(prow, qrow, c.dim);
-                  break;
-                case DistanceMetric::kManhattan:
-                  score += NegManhattanRaw(prow, qrow, c.dim);
-                  break;
-              }
-            }
-            if (c.with_importance) {
-              score += static_cast<double>(c.pimp[p]) * c.qimp[q];
-            }
-            scored[p] = {score, p};
-          }
-          std::partial_sort(scored.begin(), scored.begin() + c.k, scored.end(),
-                            [](const auto& a, const auto& b) {
-                              return a.first > b.first;
-                            });
-          ctx[u].topk[q].assign(scored.begin(), scored.begin() + c.k);
-        }
-      });
-
-  for (size_t u = 0; u < units.size(); ++u) {
-    const KnnBatchUnit& unit = units[u];
-    KnnSelection& out = results[u];
-    if (ctx[u].fused) {
-      // Serial vote merge in query order, exactly as SelectPrompts.
-      for (auto& qk : ctx[u].topk) {
-        for (const auto& [score, p] : qk) {
-          out.votes[p] += score;
-          out.hit_counts[p] += 1;
-        }
-      }
-    } else if (ctx[u].delegated) {
-      continue;  // IVF unit: SelectPrompts already produced the keep list.
-    }
-    const int num_prompts = unit.prompt_embeddings->rows();
-    for (int cls = 0; cls < unit.num_classes; ++cls) {
-      std::vector<int> members;
-      for (int p = 0; p < num_prompts; ++p) {
-        if ((*unit.prompt_labels)[p] == cls) members.push_back(p);
-      }
-      std::stable_sort(members.begin(), members.end(), [&](int a, int b) {
-        const bool voted_a = out.hit_counts[a] > 0;
-        const bool voted_b = out.hit_counts[b] > 0;
-        if (voted_a != voted_b) return voted_a;
-        return out.votes[a] > out.votes[b];
-      });
-      const int keep = std::min<int>(unit.config.shots, members.size());
-      for (int i = 0; i < keep; ++i) out.selected.push_back(members[i]);
-    }
-  }
-  return results;
-}
-
 const char* SelectorKindName(SelectorKind kind) {
   switch (kind) {
     case SelectorKind::kKnnVoting:

@@ -57,29 +57,6 @@ KnnSelection SelectPrompts(const Tensor& prompt_embeddings,
                            const Tensor& query_importance, int num_classes,
                            const KnnConfig& config);
 
-// One independent selection problem inside a SelectPromptsBatch call (the
-// serving micro-batcher's fused stage-2 pass). Pointers must outlive the
-// call; importance tensors may point at undefined tensors when unused.
-struct KnnBatchUnit {
-  const Tensor* prompt_embeddings = nullptr;   // (P_i x d)
-  const Tensor* prompt_importance = nullptr;   // (P_i x 1) or undefined
-  const std::vector<int>* prompt_labels = nullptr;
-  const Tensor* query_embeddings = nullptr;    // (Q_i x d)
-  const Tensor* query_importance = nullptr;    // (Q_i x 1) or undefined
-  int num_classes = 0;
-  KnnConfig config;
-};
-
-// Fused multi-request selection: one candidate-scoring pass (a single
-// ParallelFor over every unit's queries) instead of one pass per unit, so
-// cross-request batches amortise thread-pool fan-out. Each unit's result is
-// bitwise identical to a standalone SelectPrompts call on the same inputs:
-// the per-pair Eq. 7 arithmetic, per-query partial_sort, serial per-unit
-// vote merge, and per-class keep are the exact-path code, and units whose
-// index resolves to IVF are delegated to SelectPrompts wholesale.
-std::vector<KnnSelection> SelectPromptsBatch(
-    const std::vector<KnnBatchUnit>& units);
-
 // How the Prompt Selector retrieves prompts at inference. kKnnVoting is
 // the paper's method (Eqs. 6-8); kClustering is the Further-Discussion
 // alternative that clusters the queries with k-means and picks, per class,

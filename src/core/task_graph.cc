@@ -31,126 +31,6 @@ TaskGraphNet::TaskGraphNet(const TaskGraphConfig& config, Rng* rng)
   }
 }
 
-std::vector<TaskGraphOutput> TaskGraphNet::ForwardBatch(
-    const std::vector<TaskGraphUnit>& units) const {
-  if (units.empty()) return {};
-  if (units.size() == 1) {
-    return {Forward(*units[0].prompt_embeddings, *units[0].prompt_labels,
-                    *units[0].query_embeddings, units[0].num_classes)};
-  }
-  GP_TRACE_SPAN("task_graph/forward_batch");
-  const int dim = config_.embedding_dim;
-
-  // Node layout: per unit [prompts | queries | labels], units concatenated.
-  // Label-node initialisation uses the same per-unit expression as
-  // Forward (SegmentMeanRows over that unit's prompts + label_init_), so
-  // the stacked initial features match the standalone ones row for row.
-  struct UnitLayout {
-    int base = 0;        // first node of the unit
-    int num_prompts = 0;
-    int num_queries = 0;
-    int num_classes = 0;
-  };
-  std::vector<UnitLayout> layout(units.size());
-  std::vector<Tensor> feature_parts;
-  feature_parts.reserve(units.size() * 3);
-  int total_nodes = 0;
-  for (size_t u = 0; u < units.size(); ++u) {
-    const TaskGraphUnit& unit = units[u];
-    CHECK_EQ(unit.prompt_embeddings->cols(), dim);
-    CHECK_EQ(unit.query_embeddings->cols(), dim);
-    CHECK_EQ(static_cast<size_t>(unit.prompt_embeddings->rows()),
-             unit.prompt_labels->size());
-    CHECK_GE(unit.num_classes, 1);
-    UnitLayout& l = layout[u];
-    l.base = total_nodes;
-    l.num_prompts = unit.prompt_embeddings->rows();
-    l.num_queries = unit.query_embeddings->rows();
-    l.num_classes = unit.num_classes;
-    total_nodes += l.num_prompts + l.num_queries + l.num_classes;
-    feature_parts.push_back(*unit.prompt_embeddings);
-    feature_parts.push_back(*unit.query_embeddings);
-    feature_parts.push_back(
-        Add(SegmentMeanRows(*unit.prompt_embeddings, *unit.prompt_labels,
-                            unit.num_classes),
-            label_init_));
-  }
-  Tensor h = ConcatRows(feature_parts);
-
-  // Edges are emitted unit by unit in exactly Forward's order, so every
-  // destination node sees its incoming edges in the same sequence as a
-  // standalone run — SegmentSoftmax and RowScaleScatterAdd then reduce in
-  // the same order and reproduce the standalone values bitwise.
-  std::vector<int> src, dst;
-  std::vector<float> edge_feat;
-  auto add_edge = [&](int from, int to, bool is_true, bool is_false,
-                      bool is_query, bool reverse) {
-    src.push_back(from);
-    dst.push_back(to);
-    edge_feat.push_back(is_true ? 1.0f : 0.0f);
-    edge_feat.push_back(is_false ? 1.0f : 0.0f);
-    edge_feat.push_back(is_query ? 1.0f : 0.0f);
-    edge_feat.push_back(reverse ? 1.0f : 0.0f);
-  };
-  for (size_t u = 0; u < units.size(); ++u) {
-    const UnitLayout& l = layout[u];
-    const std::vector<int>& labels = *units[u].prompt_labels;
-    const int label_base = l.base + l.num_prompts + l.num_queries;
-    for (int p = 0; p < l.num_prompts; ++p) {
-      for (int c = 0; c < l.num_classes; ++c) {
-        const bool is_true = labels[p] == c;
-        add_edge(l.base + p, label_base + c, is_true, !is_true, false, false);
-        add_edge(label_base + c, l.base + p, is_true, !is_true, false, true);
-      }
-    }
-    for (int q = 0; q < l.num_queries; ++q) {
-      for (int c = 0; c < l.num_classes; ++c) {
-        add_edge(l.base + l.num_prompts + q, label_base + c, false, false,
-                 true, false);
-        add_edge(label_base + c, l.base + l.num_prompts + q, false, false,
-                 true, true);
-      }
-    }
-  }
-  const int num_edges = static_cast<int>(src.size());
-  Tensor efeat =
-      Tensor::FromData(num_edges, kEdgeFeatDim, std::move(edge_feat));
-
-  for (size_t li = 0; li < layers_.size(); ++li) {
-    const auto& layer = *layers_[li];
-    Tensor h_src = GatherRows(h, src);
-    Tensor messages = layer.message->Forward(ConcatCols(h_src, efeat));
-    Tensor logits = LeakyRelu(
-        Add(Add(GatherRows(MatMul(h, layer.attn_src), src),
-                GatherRows(MatMul(h, layer.attn_dst), dst)),
-            MatMul(efeat, layer.attn_edge)),
-        config_.leaky_slope);
-    Tensor alpha = SegmentSoftmax(logits, dst, total_nodes);
-    Tensor aggregated =
-        RowScaleScatterAdd(messages, alpha, dst, total_nodes);
-    Tensor update = Add(layer.self->Forward(h), aggregated);
-    if (li + 1 < layers_.size()) update = Relu(update);
-    h = Add(h, Mul(update, layer.gate));
-  }
-
-  // Per-unit score heads: slice the unit's query/label rows out of the
-  // stacked state and apply exactly Forward's tail (row-wise L2 normalise,
-  // per-unit (Q_i x m_i) MatMul) so no cross-unit pair is ever scored.
-  std::vector<TaskGraphOutput> outputs(units.size());
-  for (size_t u = 0; u < units.size(); ++u) {
-    const UnitLayout& l = layout[u];
-    TaskGraphOutput& out = outputs[u];
-    out.query_embeddings = SliceRows(h, l.base + l.num_prompts, l.num_queries);
-    out.label_embeddings =
-        SliceRows(h, l.base + l.num_prompts + l.num_queries, l.num_classes);
-    Tensor qn = RowL2Normalize(out.query_embeddings);
-    Tensor ln = RowL2Normalize(out.label_embeddings);
-    out.query_scores =
-        Scale(MatMul(qn, Transpose(ln)), config_.score_temperature);
-  }
-  return outputs;
-}
-
 TaskGraphOutput TaskGraphNet::Forward(const Tensor& prompt_embeddings,
                                       const std::vector<int>& prompt_labels,
                                       const Tensor& query_embeddings,

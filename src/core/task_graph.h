@@ -37,15 +37,6 @@ struct TaskGraphOutput {
   Tensor label_embeddings;
 };
 
-// One independent task graph inside a stacked ForwardBatch call. The
-// referenced tensors must outlive the call.
-struct TaskGraphUnit {
-  const Tensor* prompt_embeddings = nullptr;   // (P_i x d)
-  const std::vector<int>* prompt_labels = nullptr;
-  const Tensor* query_embeddings = nullptr;    // (Q_i x d)
-  int num_classes = 0;                         // m_i
-};
-
 // The attention network over the task graph.
 class TaskGraphNet : public Module {
  public:
@@ -58,19 +49,6 @@ class TaskGraphNet : public Module {
                           const std::vector<int>& prompt_labels,
                           const Tensor& query_embeddings,
                           int num_classes) const;
-
-  // Stacked forward over independent task graphs: the units are packed
-  // into one block-diagonal graph (disjoint node ranges, no cross-unit
-  // edges) so every Linear/attention kernel runs once per layer for the
-  // whole batch instead of once per unit. Every kernel involved is
-  // row- or segment-independent (the GEMM per-element order matches the
-  // naive loop, SegmentSoftmax/RowScaleScatterAdd reduce per destination
-  // node over that node's edges in emission order), so each unit's output
-  // is bitwise identical to a standalone Forward on the same inputs — the
-  // contract the batched serving path relies on, pinned by
-  // tests/serve_batch_test.cc.
-  std::vector<TaskGraphOutput> ForwardBatch(
-      const std::vector<TaskGraphUnit>& units) const;
 
   const TaskGraphConfig& config() const { return config_; }
 

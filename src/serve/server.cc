@@ -507,7 +507,7 @@ std::unique_ptr<PromptServer::BatchInFlight> PromptServer::AssembleBatch(
     work->prepare_task = exec->Submit([eval] {
       // Clean batches only (fault requests are barriers): pin a null
       // injector so a process-global injector cannot leak into the packed
-      // pass from the pipeline thread and force the serial fallback.
+      // pass from the pipeline thread.
       ScopedThreadFaultInjector scoped(nullptr);
       eval->Prepare();
     });

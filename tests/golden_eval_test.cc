@@ -1,12 +1,16 @@
 // Golden regression tests for the retrieval/scoring pipeline.
 //
-// Pins (a) the quickstart-style in-context trial accuracies and (b) the
-// prompt selector's top-k selections, vote totals, and hit counts for
-// fixed seeds into tests/golden/. Values are rendered with %.17g, so any
-// change to retrieval or scoring that shifts predictions by even one ULP
-// fails loudly. The golden files were generated from the pre-index
-// brute-force pipeline; the default (auto) index configuration and
-// --index=exact must keep matching them bitwise.
+// Pins (a) the quickstart-style in-context trial accuracies, (b) the
+// same run's variants — Prodigy, clustering selector, augmenter disabled,
+// 3-query task-graph steps, kept-embedding bytes — and (c) the prompt
+// selector's top-k selections, vote totals, and hit counts for fixed
+// seeds into tests/golden/. Values are rendered with %.17g, so any change
+// to retrieval or scoring that shifts predictions by even one ULP fails
+// loudly. The golden files were generated from the pre-index brute-force
+// pipeline, and the eval variants from the per-trial serial evaluation
+// loop that predated the single batched path; the default (auto) index
+// configuration, --index=exact, and packed multi-request batches must
+// keep matching them bitwise.
 //
 // Regenerate (after an *intentional* numeric change, reviewed in the PR):
 //   scripts/update_golden.sh
@@ -16,15 +20,19 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "baselines/prodigy.h"
+#include "core/batch_eval.h"
 #include "core/graph_prompter.h"
 #include "core/knn_retrieval.h"
 #ifndef GP_GOLDEN_SEED_BOOTSTRAP
 #include "core/prompt_index.h"
 #endif
 #include "data/datasets.h"
+#include "util/checksum.h"
 #include "util/parallel.h"
 #include "util/pipeline.h"
 #include "util/rng.h"
@@ -46,13 +54,10 @@ std::string Fmt(double value) {
 
 // Quickstart-shaped evaluation: deterministically initialised model (no
 // pretraining, so the test stays fast), synthetic downstream graph, three
-// trials. Pins per-trial accuracy plus the mean/std.
-std::string RenderEvalGolden() {
-  DatasetBundle downstream = MakeArxivSim(0.4, 21);
-  GraphPrompterConfig config =
-      FullGraphPrompterConfig(downstream.graph.feature_dim(), 7);
-  GraphPrompterModel model(config);
+// trials.
+DatasetBundle GoldenDownstream() { return MakeArxivSim(0.4, 21); }
 
+EvalConfig QuickstartEval() {
   EvalConfig eval;
   eval.ways = 5;
   eval.shots = 3;
@@ -60,8 +65,14 @@ std::string RenderEvalGolden() {
   eval.num_queries = 40;
   eval.trials = 3;
   eval.seed = 99;
-  const EvalResult result = EvaluateInContext(model, downstream, eval);
+  return eval;
+}
 
+// Pins per-trial accuracy plus the mean/std and, when the run kept its
+// final trial's embeddings, their shape, a CRC-32 of their bytes and the
+// episode labels.
+std::string RenderEvalResult(const DatasetBundle& downstream,
+                             const EvalResult& result) {
   std::ostringstream out;
   out << "dataset " << downstream.name << "\n";
   for (size_t t = 0; t < result.trial_accuracy_percent.size(); ++t) {
@@ -70,7 +81,61 @@ std::string RenderEvalGolden() {
   }
   out << "mean " << Fmt(result.accuracy_percent.mean) << "\n";
   out << "std " << Fmt(result.accuracy_percent.std) << "\n";
+  if (result.embeddings.defined()) {
+    out << "embeddings " << result.embeddings.rows() << "x"
+        << result.embeddings.cols() << " crc32 "
+        << Crc32(result.embeddings.data().data(),
+                 static_cast<size_t>(result.embeddings.size()) *
+                     sizeof(float))
+        << "\n";
+    out << "embedding_labels";
+    for (int label : result.embedding_labels) out << " " << label;
+    out << "\n";
+  }
   return out.str();
+}
+
+std::string RenderEvalGolden() {
+  DatasetBundle downstream = GoldenDownstream();
+  GraphPrompterModel model(
+      FullGraphPrompterConfig(downstream.graph.feature_dim(), 7));
+  return RenderEvalResult(
+      downstream, EvaluateInContext(model, downstream, QuickstartEval()));
+}
+
+// Variants of the quickstart evaluation, one golden file each, covering
+// the stage-3 and selector branches the quickstart run does not take.
+// Request-side variants run on the quickstart model; model-side variants
+// run the quickstart request.
+struct RequestVariant {
+  std::string golden;
+  EvalConfig eval;
+};
+
+std::vector<RequestVariant> RequestVariants() {
+  const EvalConfig eval = QuickstartEval();
+  EvalConfig no_augmenter = eval;
+  no_augmenter.disable_augmenter = true;
+  EvalConfig batch3 = eval;
+  batch3.query_batch = 3;
+  EvalConfig keep = eval;
+  keep.keep_embeddings = true;
+  return {{"disable_augmenter_eval.golden", no_augmenter},
+          {"query_batch3_eval.golden", batch3},
+          {"keep_embeddings_eval.golden", keep}};
+}
+
+struct ModelVariant {
+  std::string golden;
+  GraphPrompterConfig model;
+};
+
+std::vector<ModelVariant> ModelVariants(int feature_dim) {
+  GraphPrompterConfig clustering = FullGraphPrompterConfig(feature_dim, 7);
+  clustering.selector = SelectorKind::kClustering;
+  // Prodigy: random prompts, augmenter off.
+  return {{"prodigy_eval.golden", ProdigyConfig(feature_dim, 7)},
+          {"clustering_eval.golden", clustering}};
 }
 
 // Raw selector outputs on fixed random embeddings, one block per distance
@@ -145,10 +210,52 @@ TEST(GoldenEvalTest, SelectorTopKPerMetric) {
   CheckGolden("selector_topk.golden", RenderSelectionGolden());
 }
 
-// The pipelined executor path (stage A of trial i+1 overlapped with stage
-// B of trial i) must reproduce the pinned serial goldens bitwise — the
-// determinism contract of DESIGN.md §13, checked here against the same
-// files the serial run pins, at several ParallelFor widths.
+TEST(GoldenEvalTest, EvalVariantsMatchGolden) {
+  const DatasetBundle downstream = GoldenDownstream();
+  const int feature_dim = downstream.graph.feature_dim();
+  GraphPrompterModel full(FullGraphPrompterConfig(feature_dim, 7));
+  for (const RequestVariant& v : RequestVariants()) {
+    SCOPED_TRACE(v.golden);
+    CheckGolden(v.golden,
+                RenderEvalResult(downstream,
+                                 EvaluateInContext(full, downstream, v.eval)));
+  }
+  for (const ModelVariant& v : ModelVariants(feature_dim)) {
+    SCOPED_TRACE(v.golden);
+    GraphPrompterModel model(v.model);
+    CheckGolden(v.golden, RenderEvalResult(downstream,
+                                           EvaluateInContext(
+                                               model, downstream,
+                                               QuickstartEval())));
+  }
+}
+
+// The quickstart request and its request-side variants, packed as one
+// multi-request batch, must each reproduce their standalone golden:
+// packing across requests cannot change any request's result.
+TEST(GoldenEvalTest, PackedBatchMatchesGoldens) {
+  if (UpdateRequested()) GTEST_SKIP() << "goldens come from standalone runs";
+  const DatasetBundle downstream = GoldenDownstream();
+  std::vector<std::string> goldens = {"quickstart_eval.golden"};
+  std::vector<EvalConfig> configs = {QuickstartEval()};
+  for (const RequestVariant& v : RequestVariants()) {
+    goldens.push_back(v.golden);
+    configs.push_back(v.eval);
+  }
+  GraphPrompterModel model(
+      FullGraphPrompterConfig(downstream.graph.feature_dim(), 7));
+  const std::vector<EvalResult> results =
+      EvaluateInContextBatch(model, downstream, configs);
+  ASSERT_EQ(results.size(), configs.size());
+  for (size_t i = 0; i < results.size(); ++i) {
+    SCOPED_TRACE(goldens[i]);
+    CheckGolden(goldens[i], RenderEvalResult(downstream, results[i]));
+  }
+}
+
+// Evaluation has no pipelined schedule: with the pipeline mode on, at
+// several ParallelFor widths, it must still reproduce the pinned golden
+// bitwise.
 TEST(GoldenEvalTest, PipelinedExecutorMatchesGolden) {
   const PipelineMode saved_mode = GetPipelineMode();
   const int saved_threads = NumThreads();

@@ -3,14 +3,13 @@
 //
 // Two layers: raw executor stress (contended workers, jittered task
 // durations, dependency chains, cancellation racing completion) and a
-// seed-driven chaos soak that runs the pipelined evaluation loop under
-// fault injection — NaN embeddings, dropped prompts, slow batches — and
+// seed-driven chaos soak that runs in-context evaluation on a 2-thread
+// pool with the pipeline mode on (evaluation ignores it) under fault
+// injection — NaN embeddings, dropped prompts, slow batches — and
 // asserts graceful degradation: the run terminates (no deadlock), every
-// query receives a prediction in submission order, and the degradation
-// ledger accounts for the damage. Fault *placement* under pipelining is
-// scheduling-dependent (the injector serializes but interleaves across
-// stages), so the soak pins invariants, not bitwise outputs; the bitwise
-// pins live in pipeline_determinism_test.
+// query receives a prediction, and the degradation ledger accounts for
+// the damage. The soak pins invariants, not bitwise outputs; the bitwise
+// pins live in pipeline_determinism_test and serve_batch_test.
 //
 // ctest runs this binary with a timeout, which doubles as the deadlock
 // detector for every soak below.
@@ -188,9 +187,9 @@ TEST(PipelineConcurrencyTest, ChaosSoakDegradesGracefullyWithoutDeadlock) {
       ASSERT_GE(acc, 0.0);
       ASSERT_LE(acc, 100.0);
     }
-    // The ledger must show the chaos was actually exercised across the
-    // overlapped stages: embed faults land in stage A, prompt drops and
-    // slow batches in stage B.
+    // The ledger must show the chaos was actually exercised: embed faults
+    // land after the packed encode, prompt drops in selection and slow
+    // batches in stage 3.
     const DegradationStats& d = result.degradation;
     EXPECT_GT(d.quarantined_prompts + d.sanitized_queries, 0) << seed;
     EXPECT_GT(d.slow_batches, 0) << seed;
@@ -198,8 +197,7 @@ TEST(PipelineConcurrencyTest, ChaosSoakDegradesGracefullyWithoutDeadlock) {
 }
 
 // The soak again with a deadline: expiry mid-chaos must still terminate
-// promptly with partial results and a joined pipeline (no leaked worker —
-// TSan would report a thread leak at exit).
+// promptly with partial results.
 TEST(PipelineConcurrencyTest, ChaosWithDeadlineTerminatesWithPartialResults) {
   PipelineEnvGuard guard;
   SetPipelineMode(PipelineMode::kOn);

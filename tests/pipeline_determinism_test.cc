@@ -1,13 +1,13 @@
 // Determinism pins for the pipelined stage executor (DESIGN.md §13).
 //
 // The contract under test: pipelining grants *scheduling* freedom only.
-// With GP_PIPELINE on, stage A (episode sampling + embedding) of trial
-// i+1 overlaps stage B (selection + prediction) of trial i on a
-// background worker, and pretraining episode construction overlaps the
-// optimizer step — yet every prediction, accuracy, loss value, and kept
-// embedding byte must equal the serial run exactly, at any ParallelFor
-// width, over every GraphView backend (in-memory Graph, GraphAdapter
-// view, mmap-backed CsrStore shards).
+// With GP_PIPELINE on, pretraining episode construction overlaps the
+// optimizer step on a background worker — yet every loss value must
+// equal the serial run exactly, at any ParallelFor width, over every
+// GraphView backend (in-memory Graph, GraphAdapter view, mmap-backed
+// CsrStore shards). In-context evaluation has no pipelined schedule; its
+// pins check that neither the pipeline mode nor the ParallelFor width
+// changes any prediction, accuracy, or kept embedding byte.
 //
 // The executor's own scheduling semantics (deferred-inline replay,
 // dependency edges, bounded admission, cancellation, exception transport)
@@ -353,11 +353,8 @@ TEST(PipelineDeterminismTest, PretrainCurvesBitwiseIdenticalOverViews) {
 
 // ------------------------------------------- deadline at stage boundaries
 
-// An expiring deadline mid-pipeline must yield partial results with
-// deadline_expired set, and no in-flight prepare may leak work: the
-// executor cancels unstarted stages and joins before EvaluateInContext
-// returns (verified implicitly — ASan/TSan would flag a leaked thread or
-// a use-after-return of the trial slots).
+// An expiring deadline must yield partial results with deadline_expired
+// set, in either pipeline mode.
 TEST(PipelineDeterminismTest, DeadlineMidPipelineYieldsPartialResults) {
   PipelineEnvGuard guard;
   const DatasetBundle dataset = MakeBundleFromGraph(

@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -29,6 +30,8 @@
 #include "serve/frame.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
+#include "tensor/buffer_pool.h"
+#include "util/fault.h"
 
 namespace gp {
 namespace {
@@ -149,6 +152,62 @@ TEST_F(BatchEvalTest, PerRequestAugmenterDisableMatchesStandalone) {
       EvaluateInContext(model_, dataset_, disabled_cfg);
   ExpectBitwiseEqual(batched0, serial0, "augmenter on");
   ExpectBitwiseEqual(batched1, serial1, "augmenter off");
+}
+
+// Fault injection in a packed batch draws from one shared stream in
+// packed stage order (core/batch_eval.h), so a seeded multi-request batch
+// must replay bit for bit — and every injection site must actually fire:
+// corrupted rows reach quarantine, duplicated prompts reach dedup.
+TEST_F(BatchEvalTest, PackedFaultInjectionReplaysBitwise) {
+  FaultSpec spec;
+  spec.embed_nan_prob = 0.3;
+  spec.prompt_drop_prob = 0.3;
+  spec.prompt_dup_prob = 0.5;
+  spec.cache_poison_prob = 0.5;
+  spec.seed = 29;
+  const std::vector<EvalConfig> configs = {TinyEval(41), TinyEval(42),
+                                           TinyEval(43)};
+  std::vector<std::vector<EvalResult>> runs;
+  for (int run = 0; run < 2; ++run) {
+    ScopedFaultInjection scoped(spec);
+    runs.push_back(EvaluateInContextBatch(model_, dataset_, configs));
+  }
+  DegradationStats total;
+  for (size_t i = 0; i < configs.size(); ++i) {
+    const std::string what = "request " + std::to_string(i);
+    ExpectBitwiseEqual(runs[1][i], runs[0][i], what);
+    EXPECT_EQ(runs[1][i].degradation.ToString(),
+              runs[0][i].degradation.ToString())
+        << what;
+    EXPECT_EQ(runs[0][i].trial_accuracy_percent.size(), 2u) << what;
+    total.Merge(runs[0][i].degradation);
+  }
+  EXPECT_GT(total.quarantined_prompts, 0);
+  EXPECT_GT(total.deduped_prompts, 0);
+}
+
+// EvaluateInContextBatch drains the buffer pool once, after both phases,
+// so stage 3 takes its task-graph buffers from those the packed encode
+// released. Driving the phases without that outer scope drains the pool
+// between them, and the same evaluation goes to the heap more often.
+TEST_F(BatchEvalTest, StageThreeReusesPackedEncodeBuffers) {
+  const std::vector<EvalConfig> configs = {TinyEval(31)};
+  auto pool_misses = [](const std::function<void()>& run) {
+    const int64_t before = PoolStatsSnapshot().misses;
+    run();
+    return PoolStatsSnapshot().misses - before;
+  };
+  // A first evaluation also misses on one-time set-up, so both measured
+  // runs follow a warm-up run.
+  EvaluateInContextBatch(model_, dataset_, configs);
+  const int64_t one_drain = pool_misses(
+      [&] { EvaluateInContextBatch(model_, dataset_, configs); });
+  const int64_t drain_per_phase = pool_misses([&] {
+    BatchEvaluation batch(model_, dataset_, configs);
+    batch.Prepare();
+    batch.FinishRequest(0, BatchStage3Options());
+  });
+  EXPECT_LT(one_drain, drain_per_phase);
 }
 
 BatchItem Item(const std::string& tenant, uint64_t id,

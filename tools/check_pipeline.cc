@@ -1,19 +1,17 @@
 // Pipelined-executor gate for scripts/check.sh: reads the bench_pipeline
 // report (results/BENCH_pipeline.json) and fails unless:
-//   - both re-plumbed loops produced bitwise-identical results with the
-//     pipeline on vs off (eval accuracies + kept embedding bytes, pretrain
-//     loss/accuracy curves) — this gate is unconditional, determinism is
-//     the contract (DESIGN.md §13);
+//   - pretraining produced bitwise-identical loss/accuracy curves with the
+//     pipeline on vs off — this gate is unconditional, determinism is the
+//     contract (DESIGN.md §13);
 //   - on multi-core hardware (recorded hardware_concurrency >= 2), the
-//     better of the two speedups clears --min-speedup (default 1.05x).
-//     Single-core machines skip the throughput gate: there is nothing to
-//     overlap with, and the pipeline only has to not corrupt results.
+//     pretrain speedup clears --min-speedup (default 1.05x). Single-core
+//     machines skip the throughput gate: there is nothing to overlap
+//     with, and the pipeline only has to not corrupt results.
 //
 //   ./tools/check_pipeline <BENCH_pipeline.json> [--min-speedup=1.05]
 //
 // Exits 0 when the gate passes, 1 otherwise.
 
-#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -61,17 +59,14 @@ int Run(const std::string& path, double min_speedup) {
   const JsonValue& root = *root_or;
 
   bool pass = true;
-  for (const char* loop : {"eval", "pretrain"}) {
-    const std::string label =
-        std::string("pipeline/") + loop + "/bitwise_match";
-    double match = 0;
-    if (!ReadResult(root, label, &match) || match != 1.0) {
-      std::fprintf(stderr,
-                   "check_pipeline: FAIL %s: pipelined %s diverged from the "
-                   "serial schedule (or metric missing) — results must be "
-                   "bitwise identical\n", label.c_str(), loop);
-      pass = false;
-    }
+  double match = 0;
+  if (!ReadResult(root, "pipeline/pretrain/bitwise_match", &match) ||
+      match != 1.0) {
+    std::fprintf(stderr,
+                 "check_pipeline: FAIL pipeline/pretrain/bitwise_match: "
+                 "pipelined pretrain diverged from the serial schedule (or "
+                 "metric missing) — results must be bitwise identical\n");
+    pass = false;
   }
 
   double hw = 0;
@@ -81,32 +76,26 @@ int Run(const std::string& path, double min_speedup) {
                  "\n");
     return 1;
   }
-  double eval_speedup = 0, pretrain_speedup = 0;
-  const bool have_speedups =
-      ReadResult(root, "pipeline/eval/speedup", &eval_speedup) &&
-      ReadResult(root, "pipeline/pretrain/speedup", &pretrain_speedup);
-  if (!have_speedups) {
-    std::fprintf(stderr, "check_pipeline: FAIL missing speedup metrics\n");
+  double speedup = 0;
+  if (!ReadResult(root, "pipeline/pretrain/speedup", &speedup)) {
+    std::fprintf(stderr, "check_pipeline: FAIL missing speedup metric\n");
     return 1;
   }
-  const double best = std::max(eval_speedup, pretrain_speedup);
   if (hw >= 2.0) {
-    if (best < min_speedup) {
+    if (speedup < min_speedup) {
       std::fprintf(stderr,
-                   "check_pipeline: FAIL best speedup %.3fx (eval %.3fx, "
-                   "pretrain %.3fx) under the %.2fx floor on %g-way "
-                   "hardware\n", best, eval_speedup, pretrain_speedup,
-                   min_speedup, hw);
+                   "check_pipeline: FAIL pretrain speedup %.3fx under the "
+                   "%.2fx floor on %g-way hardware\n",
+                   speedup, min_speedup, hw);
       pass = false;
     } else {
-      std::printf("check_pipeline: best speedup %.3fx (eval %.3fx, pretrain "
-                  "%.3fx) clears the %.2fx floor\n", best, eval_speedup,
-                  pretrain_speedup, min_speedup);
+      std::printf("check_pipeline: pretrain speedup %.3fx clears the %.2fx "
+                  "floor\n", speedup, min_speedup);
     }
   } else {
     std::printf("check_pipeline: single-core host (hw=%g) — throughput gate "
-                "skipped, bitwise gate still applies (eval %.3fx, pretrain "
-                "%.3fx)\n", hw, eval_speedup, pretrain_speedup);
+                "skipped, bitwise gate still applies (pretrain %.3fx)\n",
+                hw, speedup);
   }
   if (pass) std::printf("check_pipeline: PASS (%s)\n", path.c_str());
   return pass ? 0 : 1;
