@@ -2,9 +2,10 @@
 //
 // Pins (a) the quickstart-style in-context trial accuracies, (b) the
 // same run's variants — Prodigy, clustering selector, augmenter disabled,
-// 3-query task-graph steps, kept-embedding bytes — and (c) the prompt
-// selector's top-k selections, vote totals, and hit counts for fixed
-// seeds into tests/golden/. Values are rendered with %.17g, so any change
+// 3-query task-graph steps, kept-embedding bytes — (c) the prompt
+// selector's top-k selections, vote totals, and hit counts, and (d) a
+// short pretraining run's per-step losses and final parameter bytes for
+// fixed seeds into tests/golden/. Values are rendered with %.17g, so any change
 // to retrieval or scoring that shifts predictions by even one ULP fails
 // loudly. The golden files were generated from the pre-index brute-force
 // pipeline, and the eval variants from the per-trial serial evaluation
@@ -28,6 +29,7 @@
 #include "core/batch_eval.h"
 #include "core/graph_prompter.h"
 #include "core/knn_retrieval.h"
+#include "core/pretrain.h"
 #ifndef GP_GOLDEN_SEED_BOOTSTRAP
 #include "core/prompt_index.h"
 #endif
@@ -173,6 +175,43 @@ std::string RenderSelectionGolden() {
   return out.str();
 }
 
+// Ten pretraining steps of a small model (the pretrain_test size): every
+// step's loss and train accuracy, then a CRC-32 of each named parameter's
+// bytes. This is the only golden that runs autograd backward and AdamW,
+// so it pins every gradient kernel the pretraining graph reaches.
+std::string RenderPretrainGolden() {
+  const DatasetBundle ds = MakeMagSim(0.08, 3);
+  GraphPrompterConfig config;
+  config.feature_dim = ds.graph.feature_dim();
+  config.embedding_dim = 16;
+  config.recon_hidden = 16;
+  config.selection_hidden = 16;
+  config.sampler.max_nodes = 10;
+  config.seed = 1;
+  GraphPrompterModel model(config);
+  PretrainConfig pretrain;
+  pretrain.steps = 10;
+  pretrain.ways = 3;
+  pretrain.shots = 2;
+  pretrain.queries_per_task = 3;
+  pretrain.log_every = 1;
+  const PretrainCurves curves = Pretrain(&model, ds, pretrain);
+
+  std::ostringstream out;
+  for (size_t i = 0; i < curves.step.size(); ++i) {
+    out << "step " << curves.step[i] << " loss " << Fmt(curves.loss[i])
+        << " train_accuracy " << Fmt(curves.train_accuracy[i]) << "\n";
+  }
+  for (const auto& [name, param] : model.NamedParameters()) {
+    out << "param " << name << " " << param.rows() << "x" << param.cols()
+        << " crc32 "
+        << Crc32(param.data().data(),
+                 static_cast<size_t>(param.size()) * sizeof(float))
+        << "\n";
+  }
+  return out.str();
+}
+
 // ---- harness: compare against (or regenerate) tests/golden/<name>.
 
 bool UpdateRequested() {
@@ -208,6 +247,10 @@ TEST(GoldenEvalTest, QuickstartTrialAccuracies) {
 
 TEST(GoldenEvalTest, SelectorTopKPerMetric) {
   CheckGolden("selector_topk.golden", RenderSelectionGolden());
+}
+
+TEST(GoldenEvalTest, PretrainLossesAndParametersMatchGolden) {
+  CheckGolden("pretrain.golden", RenderPretrainGolden());
 }
 
 TEST(GoldenEvalTest, EvalVariantsMatchGolden) {
