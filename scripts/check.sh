@@ -109,8 +109,10 @@ fi
 
 # `index` rides along so the sanitizers cover the quantized candidate
 # pass (uint8 code arithmetic, sidecar insert/erase bookkeeping); `store`
-# puts the mmap shard readers and the streaming sampler under ASan/UBSan.
-label_args=(-L 'robustness|fuzz|index|store')
+# puts the mmap shard readers and the streaming sampler under ASan/UBSan;
+# `kernels` covers the fused ops' index arithmetic into projections and
+# gradients.
+label_args=(-L 'robustness|fuzz|index|store|kernels')
 if [[ "${CHECK_ALL:-0}" == "1" ]]; then
   label_args=()
 fi

@@ -1,6 +1,7 @@
 #include "core/task_graph.h"
 
 #include "obs/trace.h"
+#include "tensor/buffer_pool.h"
 #include "tensor/ops.h"
 #include "util/logging.h"
 
@@ -57,17 +58,23 @@ TaskGraphOutput TaskGraphNet::Forward(const Tensor& prompt_embeddings,
           label_init_);
   Tensor h = ConcatRows({prompt_embeddings, query_embeddings, label_rows});
 
-  // Bipartite edges, both directions, with edge attributes.
+  // Bipartite edges, both directions, with edge attributes. The attribute
+  // buffer comes from the pool because `efeat` releases it there.
+  const int num_edges = 2 * (num_prompts + num_queries) * num_classes;
   std::vector<int> src, dst;
-  std::vector<float> edge_feat;  // flattened (E x kEdgeFeatDim)
+  src.reserve(num_edges);
+  dst.reserve(num_edges);
+  std::vector<float> edge_feat =  // flattened (E x kEdgeFeatDim)
+      AcquireBuffer(static_cast<size_t>(num_edges) * kEdgeFeatDim);
   auto add_edge = [&](int from, int to, bool is_true, bool is_false,
                       bool is_query, bool reverse) {
+    float* f = edge_feat.data() + src.size() * kEdgeFeatDim;
+    f[0] = is_true ? 1.0f : 0.0f;
+    f[1] = is_false ? 1.0f : 0.0f;
+    f[2] = is_query ? 1.0f : 0.0f;
+    f[3] = reverse ? 1.0f : 0.0f;
     src.push_back(from);
     dst.push_back(to);
-    edge_feat.push_back(is_true ? 1.0f : 0.0f);
-    edge_feat.push_back(is_false ? 1.0f : 0.0f);
-    edge_feat.push_back(is_query ? 1.0f : 0.0f);
-    edge_feat.push_back(reverse ? 1.0f : 0.0f);
   };
   for (int p = 0; p < num_prompts; ++p) {
     for (int c = 0; c < num_classes; ++c) {
@@ -82,16 +89,17 @@ TaskGraphOutput TaskGraphNet::Forward(const Tensor& prompt_embeddings,
       add_edge(label_base + c, num_prompts + q, false, false, true, true);
     }
   }
-  const int num_edges = static_cast<int>(src.size());
+  CHECK_EQ(static_cast<int>(src.size()), num_edges);
   Tensor efeat =
       Tensor::FromData(num_edges, kEdgeFeatDim, std::move(edge_feat));
 
   // Attention message passing (GNN_T).
   for (size_t li = 0; li < layers_.size(); ++li) {
     const auto& layer = *layers_[li];
-    Tensor h_src = GatherRows(h, src);
+    // message([h_src | efeat]), projected once per node (E x d).
     Tensor messages =
-        layer.message->Forward(ConcatCols(h_src, efeat));  // (E x d)
+        GatherConcatLinear(h, src, efeat, layer.message->weight(),
+                           layer.message->bias());
     // Attention logits combine source, destination, and edge attributes.
     Tensor logits = LeakyRelu(
         Add(Add(GatherRows(MatMul(h, layer.attn_src), src),

@@ -119,6 +119,49 @@ inline void GemmRowsDispatch(const float* a, const float* b, float* out,
   GemmRows<kSkipZeros>(a, b, out, row_begin, row_end, inner, cols);
 }
 
+// dA += G * B^T for G (rows x cols) and B (inner x cols): MatMul
+// backward's dA loops, shared by every op whose backward contains a
+// MatMul. dA rows are disjoint across row chunks, and each element sums
+// its products in ascending j from zero before the one add into dA.
+void GemmGradA(const float* g, const float* b, float* da, int rows,
+               int inner, int cols) {
+  ParallelRange(rows, static_cast<int64_t>(inner) * cols,
+                [&](int64_t first, int64_t last) {
+                  for (int i = static_cast<int>(first); i < last; ++i) {
+                    const float* grow = g + static_cast<size_t>(i) * cols;
+                    float* darow = da + static_cast<size_t>(i) * inner;
+                    for (int k = 0; k < inner; ++k) {
+                      const float* brow = b + static_cast<size_t>(k) * cols;
+                      float acc = 0.0f;
+                      for (int j = 0; j < cols; ++j) acc += grow[j] * brow[j];
+                      darow[k] += acc;
+                    }
+                  }
+                });
+}
+
+// dB += A^T * G with A's element (i, k) read as a_at(i, k): MatMul
+// backward's dB loops, iterated k-outer so each chunk owns a disjoint band
+// of dB rows. Per dB element the accumulation still runs in ascending i
+// with the zero-operand skip, matching the serial i-outer order bit for
+// bit.
+template <typename AAt>
+void GemmGradB(const AAt& a_at, const float* g, float* db, int rows,
+               int inner, int cols) {
+  ParallelRange(inner, static_cast<int64_t>(rows) * cols,
+                [&](int64_t first, int64_t last) {
+                  for (int k = static_cast<int>(first); k < last; ++k) {
+                    float* dbrow = db + static_cast<size_t>(k) * cols;
+                    for (int i = 0; i < rows; ++i) {
+                      const float av = a_at(i, k);
+                      if (av == 0.0f) continue;
+                      const float* grow = g + static_cast<size_t>(i) * cols;
+                      for (int j = 0; j < cols; ++j) dbrow[j] += av * grow[j];
+                    }
+                  }
+                });
+}
+
 // Builds the result tensor; records the backward function only when autograd
 // is enabled and some parent needs a gradient.
 Tensor FinishOp(int rows, int cols, std::vector<float> data,
@@ -425,47 +468,18 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
       rows, cols, std::move(out), {pa, pb},
       [pa, pb, rows, inner, cols](TensorImpl& node) {
         if (WantsGrad(pa)) {
-          // dA = G * B^T — dA rows are disjoint across row chunks.
           pa->EnsureGrad();
-          ParallelRange(
-              rows, static_cast<int64_t>(inner) * cols,
-              [&](int64_t first, int64_t last) {
-                for (int i = static_cast<int>(first); i < last; ++i) {
-                  const float* grow =
-                      node.grad.data() + static_cast<size_t>(i) * cols;
-                  float* darow =
-                      pa->grad.data() + static_cast<size_t>(i) * inner;
-                  for (int k = 0; k < inner; ++k) {
-                    const float* brow =
-                        pb->data.data() + static_cast<size_t>(k) * cols;
-                    float acc = 0.0f;
-                    for (int j = 0; j < cols; ++j) acc += grow[j] * brow[j];
-                    darow[k] += acc;
-                  }
-                }
-              });
+          GemmGradA(node.grad.data(), pb->data.data(), pa->grad.data(), rows,
+                    inner, cols);
         }
         if (WantsGrad(pb)) {
-          // dB = A^T * G, iterated k-outer so each chunk owns a disjoint
-          // band of dB rows. Per dB element the accumulation still runs in
-          // ascending i, matching the serial i-outer order bit for bit.
           pb->EnsureGrad();
-          ParallelRange(
-              inner, static_cast<int64_t>(rows) * cols,
-              [&](int64_t first, int64_t last) {
-                for (int k = static_cast<int>(first); k < last; ++k) {
-                  float* dbrow =
-                      pb->grad.data() + static_cast<size_t>(k) * cols;
-                  for (int i = 0; i < rows; ++i) {
-                    const float av =
-                        pa->data[static_cast<size_t>(i) * inner + k];
-                    if (av == 0.0f) continue;
-                    const float* grow =
-                        node.grad.data() + static_cast<size_t>(i) * cols;
-                    for (int j = 0; j < cols; ++j) dbrow[j] += av * grow[j];
-                  }
-                }
-              });
+          const float* ad = pa->data.data();
+          GemmGradB(
+              [ad, inner](int i, int k) {
+                return ad[static_cast<size_t>(i) * inner + k];
+              },
+              node.grad.data(), pb->grad.data(), rows, inner, cols);
         }
       });
 }
@@ -1175,48 +1189,135 @@ Tensor LinearRelu(const Tensor& x, const Tensor& weight, const Tensor& bias) {
           }
         }
         if (want_x) {
-          // dX = Gm * W^T — same loops as MatMul backward.
           px->EnsureGrad();
-          ParallelRange(
-              rows, static_cast<int64_t>(inner) * cols,
-              [&](int64_t first, int64_t last) {
-                for (int i = static_cast<int>(first); i < last; ++i) {
-                  const float* grow =
-                      gm.data() + static_cast<size_t>(i) * cols;
-                  float* darow =
-                      px->grad.data() + static_cast<size_t>(i) * inner;
-                  for (int k = 0; k < inner; ++k) {
-                    const float* brow =
-                        pw->data.data() + static_cast<size_t>(k) * cols;
-                    float acc = 0.0f;
-                    for (int j = 0; j < cols; ++j) acc += grow[j] * brow[j];
-                    darow[k] += acc;
-                  }
-                }
-              });
+          GemmGradA(gm.data(), pw->data.data(), px->grad.data(), rows, inner,
+                    cols);
         }
         if (want_w) {
-          // dW = X^T * Gm, k-outer with the zero-operand skip — same loops
-          // as MatMul backward.
           pw->EnsureGrad();
-          ParallelRange(
-              inner, static_cast<int64_t>(rows) * cols,
-              [&](int64_t first, int64_t last) {
-                for (int k = static_cast<int>(first); k < last; ++k) {
-                  float* dwrow =
-                      pw->grad.data() + static_cast<size_t>(k) * cols;
-                  for (int i = 0; i < rows; ++i) {
-                    const float av =
-                        px->data[static_cast<size_t>(i) * inner + k];
-                    if (av == 0.0f) continue;
-                    const float* grow =
-                        gm.data() + static_cast<size_t>(i) * cols;
-                    for (int j = 0; j < cols; ++j) dwrow[j] += av * grow[j];
-                  }
-                }
-              });
+          const float* xd = px->data.data();
+          GemmGradB(
+              [xd, inner](int i, int k) {
+                return xd[static_cast<size_t>(i) * inner + k];
+              },
+              gm.data(), pw->grad.data(), rows, inner, cols);
         }
         ReleaseBuffer(std::move(gm));
+      });
+}
+
+Tensor GatherConcatLinear(const Tensor& x, const std::vector<int>& index,
+                          const Tensor& feat, const Tensor& weight,
+                          const Tensor& bias) {
+  const int rows = static_cast<int>(index.size());
+  const int x_rows = x.rows();
+  const int x_cols = x.cols();
+  const int feat_cols = feat.cols();
+  const int inner = x_cols + feat_cols;
+  const int cols = weight.cols();
+  CHECK_EQ(feat.rows(), rows);
+  CHECK_EQ(weight.rows(), inner);
+  CHECK(bias.defined());
+  CHECK_EQ(bias.rows(), 1);
+  CHECK_EQ(bias.cols(), cols);
+  const float* wd = weight.data().data();
+  // The chain's first x.cols() k steps depend only on the gathered row,
+  // so run them once per row of x.
+  std::vector<float> proj =
+      AcquireZeroedBuffer(static_cast<size_t>(x_rows) * cols);
+  const float* xd = x.data().data();
+  ParallelRange(x_rows, static_cast<int64_t>(x_cols) * cols,
+                [&](int64_t first, int64_t last) {
+                  GemmRowsDispatch<true>(xd, wd, proj.data(), first, last,
+                                         x_cols, cols);
+                });
+  std::vector<float> out = AcquireBuffer(static_cast<size_t>(rows) * cols);
+  const float* fd = feat.data().data();
+  const float* bd = bias.data().data();
+  ParallelRange(
+      rows, static_cast<int64_t>(feat_cols + 2) * cols,
+      [&](int64_t first, int64_t last) {
+        for (int64_t e = first; e < last; ++e) {
+          DCHECK_GE(index[e], 0);
+          DCHECK_LT(index[e], x_rows);
+          std::copy_n(proj.data() + static_cast<size_t>(index[e]) * cols,
+                      cols, out.data() + static_cast<size_t>(e) * cols);
+        }
+        // Each row's accumulation resumes at k = x.cols() from the stored
+        // partial, in the same ascending-k, zero-skipping order.
+        GemmRowsDispatch<true>(fd, wd + static_cast<size_t>(x_cols) * cols,
+                               out.data(), first, last, feat_cols, cols);
+        for (int64_t e = first; e < last; ++e) {
+          float* o = out.data() + static_cast<size_t>(e) * cols;
+          for (int j = 0; j < cols; ++j) o[j] += bd[j];
+        }
+      });
+  ReleaseBuffer(std::move(proj));
+  auto px = x.impl();
+  auto pf = feat.impl();
+  auto pw = weight.impl();
+  auto pb = bias.impl();
+  auto index_copy = std::make_shared<std::vector<int>>(index);
+  // Parents in the order the chain's graph search reaches them, so this
+  // node's backward runs in the chain's reverse-topological slot.
+  return FinishOp(
+      rows, cols, std::move(out), {px, pf, pw, pb},
+      [px, pf, pw, pb, index_copy, rows, x_cols, feat_cols, inner,
+       cols](TensorImpl& node) {
+        const std::vector<int>& idx = *index_copy;
+        const bool want_x = WantsGrad(px);
+        const bool want_f = WantsGrad(pf);
+        const float* g = node.grad.data();
+        // The chain's backward order: Add (bias reduce), MatMul (dA, dW),
+        // ConcatCols, GatherRows.
+        if (WantsGrad(pb)) {
+          pb->EnsureGrad();
+          for (int r = 0; r < rows; ++r) {
+            for (int c = 0; c < cols; ++c) {
+              pb->grad[c] += g[static_cast<size_t>(r) * cols + c];
+            }
+          }
+        }
+        // dA into zero-initialised scratch standing in for the concat's
+        // grad.
+        std::vector<float> d_cat;
+        if (want_x || want_f) {
+          d_cat = AcquireZeroedBuffer(static_cast<size_t>(rows) * inner);
+          GemmGradA(g, pw->data.data(), d_cat.data(), rows, inner, cols);
+        }
+        if (WantsGrad(pw)) {
+          // dW reads the concat's columns in place.
+          pw->EnsureGrad();
+          const float* xd = px->data.data();
+          const float* fd = pf->data.data();
+          GemmGradB(
+              [&idx, xd, fd, x_cols, feat_cols](int i, int k) {
+                return k < x_cols
+                           ? xd[static_cast<size_t>(idx[i]) * x_cols + k]
+                           : fd[static_cast<size_t>(i) * feat_cols +
+                                (k - x_cols)];
+              },
+              g, pw->grad.data(), rows, inner, cols);
+        }
+        if (want_f) {
+          pf->EnsureGrad();
+          for (int r = 0; r < rows; ++r) {
+            for (int c = 0; c < feat_cols; ++c) {
+              pf->grad[static_cast<size_t>(r) * feat_cols + c] +=
+                  d_cat[static_cast<size_t>(r) * inner + x_cols + c];
+            }
+          }
+        }
+        if (want_x) {
+          // GatherRows backward: scatter-add in row order.
+          px->EnsureGrad();
+          for (int r = 0; r < rows; ++r) {
+            const float* s = d_cat.data() + static_cast<size_t>(r) * inner;
+            float* d = px->grad.data() + static_cast<size_t>(idx[r]) * x_cols;
+            for (int c = 0; c < x_cols; ++c) d[c] += s[c];
+          }
+        }
+        ReleaseBuffer(std::move(d_cat));
       });
 }
 

@@ -106,6 +106,19 @@ Tensor RowScaleScatterAdd(const Tensor& src_rows, const Tensor& weights,
 // MatMul, so the result is bitwise identical to the unfused chain.
 Tensor LinearRelu(const Tensor& x, const Tensor& weight, const Tensor& bias);
 
+// Fuses Add(MatMul(ConcatCols(GatherRows(x, index), feat), weight), bias):
+// row e is [x[index[e]] | feat[e]] * weight + bias, with `weight` of
+// (x.cols() + feat.cols()) x C and `bias` 1 x C. The x half is projected
+// once per row of x by the blocked GEMM; each output row copies its
+// projected row and resumes the same ascending-k accumulation over feat,
+// so the GEMM runs over x.rows() rows instead of index.size(). Forward
+// values and gradients are bitwise identical to the chain, as long as
+// feat's autograd history does not reach x: x.grad then receives its
+// contribution in the slot where the chain's GatherRows would add it.
+Tensor GatherConcatLinear(const Tensor& x, const std::vector<int>& index,
+                          const Tensor& feat, const Tensor& weight,
+                          const Tensor& bias);
+
 // Fuses Div(a, AddScalar(b, s)): out = a / (b + s), same broadcast rules
 // as Div.
 Tensor AddScalarDiv(const Tensor& a, const Tensor& b, float s);

@@ -191,6 +191,127 @@ TEST(FusedOpsTest, LinearReluWithoutBiasMatches) {
   ExpectBitwiseEqual(w_b.grad(), w_a.grad());
 }
 
+// GatherConcatLinear against Add(MatMul(ConcatCols(GatherRows(x, index),
+// feat), weight), bias). The loss also sends x through a second op, so
+// x.grad sums contributions from two nodes and the slot where the fused
+// node adds its share is pinned along with the values.
+struct GatherConcatInputs {
+  Tensor x, feat, weight, bias, other;
+  std::vector<int> index;
+
+  GatherConcatInputs Clone() const {
+    GatherConcatInputs c;
+    c.x = x.Clone();
+    c.feat = feat.Clone();
+    c.weight = weight.Clone();
+    c.bias = bias.Clone();
+    c.other = other.Clone();
+    c.index = index;
+    for (Tensor* t : {&c.x, &c.feat, &c.weight, &c.bias, &c.other}) {
+      t->set_requires_grad(true);
+    }
+    return c;
+  }
+};
+
+// Random inputs with exact zeros and -0 in x and feat and a non-zero bias
+// (Linear biases start at zero, which would hide where the bias is added).
+GatherConcatInputs MakeGatherConcatInputs(int x_rows, int x_cols,
+                                          int feat_cols, int cols,
+                                          std::vector<int> index,
+                                          uint64_t seed) {
+  Rng rng(seed);
+  const int rows = static_cast<int>(index.size());
+  GatherConcatInputs in;
+  in.index = std::move(index);
+  in.x = Tensor::Randn(x_rows, x_cols, &rng);
+  in.feat = Tensor::Randn(rows, feat_cols, &rng);
+  for (Tensor* t : {&in.x, &in.feat}) {
+    std::vector<float>& d = t->mutable_data();
+    for (size_t i = 0; i < d.size(); i += 5) d[i] = i % 2 ? -0.0f : 0.0f;
+  }
+  in.weight = Tensor::Randn(x_cols + feat_cols, cols, &rng);
+  in.bias = Tensor::Randn(1, cols, &rng);
+  in.other = Tensor::Randn(x_cols, 3, &rng);
+  return in;
+}
+
+void ExpectGatherConcatLinearMatchesChain(const GatherConcatInputs& base) {
+  auto loss = [](const GatherConcatInputs& in, const Tensor& out) {
+    Tensor side = MatMul(in.x, in.other);
+    return Add(SumAll(Mul(out, out)), SumAll(Mul(side, side)));
+  };
+  GatherConcatInputs a = base.Clone();
+  Tensor ref_fwd;
+  {
+    Tensor out = Add(
+        MatMul(ConcatCols(GatherRows(a.x, a.index), a.feat), a.weight),
+        a.bias);
+    ref_fwd = out.Detach();
+    Backward(loss(a, out));
+  }
+  GatherConcatInputs b = base.Clone();
+  {
+    Tensor out = GatherConcatLinear(b.x, b.index, b.feat, b.weight, b.bias);
+    ExpectBitwiseEqual(out.data(), ref_fwd.data());
+    Backward(loss(b, out));
+  }
+  ExpectBitwiseEqual(b.x.grad(), a.x.grad());
+  ExpectBitwiseEqual(b.feat.grad(), a.feat.grad());
+  ExpectBitwiseEqual(b.weight.grad(), a.weight.grad());
+  ExpectBitwiseEqual(b.bias.grad(), a.bias.grad());
+  ExpectBitwiseEqual(b.other.grad(), a.other.grad());
+}
+
+TEST(FusedOpsTest, GatherConcatLinearRepeatedAndUnreferencedRows) {
+  // Rows 1 and 3 of x are never gathered; 0, 2 and 4 repeat.
+  ExpectGatherConcatLinearMatchesChain(MakeGatherConcatInputs(
+      5, 3, 2, 4, {0, 2, 2, 4, 0, 4, 2}, 31));
+}
+
+TEST(FusedOpsTest, GatherConcatLinearTaskGraphShape) {
+  // eval_manyway's task graph: 123 prompts, 4 queries, 40 label nodes
+  // (N = 167), both edge directions (E = 10,160), d = 64, one-hot edge
+  // attributes with 4 columns.
+  const int prompts = 123, queries = 4, ways = 40, dim = 64;
+  const int label_base = prompts + queries;
+  std::vector<int> index;
+  std::vector<float> onehot;
+  for (int n = 0; n < label_base; ++n) {
+    for (int c = 0; c < ways; ++c) {
+      const bool is_query = n >= prompts;
+      const bool is_true = !is_query && n % ways == c;
+      for (const bool reverse : {false, true}) {
+        index.push_back(reverse ? label_base + c : n);
+        onehot.insert(onehot.end(),
+                      {is_true ? 1.0f : 0.0f,
+                       !is_query && !is_true ? 1.0f : 0.0f,
+                       is_query ? 1.0f : 0.0f, reverse ? 1.0f : 0.0f});
+      }
+    }
+  }
+  ASSERT_EQ(index.size(), 10160u);
+  GatherConcatInputs in = MakeGatherConcatInputs(label_base + ways, dim, 4,
+                                                 dim, index, 37);
+  in.feat = Tensor::FromData(static_cast<int>(index.size()), 4, onehot);
+  ExpectGatherConcatLinearMatchesChain(in);
+}
+
+TEST(FusedOpsTest, GatherConcatLinearSpansTwoOutputPanels) {
+  // 200 output columns: a full 128-wide GEMM panel and a partial one.
+  ExpectGatherConcatLinearMatchesChain(MakeGatherConcatInputs(
+      6, 10, 3, 200, {5, 0, 3, 3, 1, 0, 5, 2}, 41));
+}
+
+TEST(FusedOpsTest, GatherConcatLinearCrossesKBlockBoundary) {
+  // 270 and 304 inner columns: the 256-wide k-block boundary falls in the
+  // feat half, then in the x half.
+  ExpectGatherConcatLinearMatchesChain(MakeGatherConcatInputs(
+      4, 250, 20, 9, {1, 3, 1, 0, 2, 3}, 43));
+  ExpectGatherConcatLinearMatchesChain(MakeGatherConcatInputs(
+      4, 300, 4, 9, {2, 2, 0, 3, 1}, 47));
+}
+
 TEST(FusedOpsTest, AddScalarDivMatchesUnfusedAllBroadcastModes) {
   Rng rng(17);
   struct Case {

@@ -6,6 +6,7 @@
 
 #include "nn/optimizer.h"
 #include "tensor/autograd.h"
+#include "tensor/buffer_pool.h"
 #include "tensor/ops.h"
 
 namespace gp {
@@ -139,6 +140,29 @@ TEST(TaskGraphTest, ManyWaysShape) {
   Tensor queries = Tensor::Randn(5, 4, &rng);
   const auto out = net.Forward(prompts, labels, queries, ways);
   EXPECT_EQ(out.query_scores.cols(), ways);
+}
+
+// Every buffer Forward frees must be one the pool issued: releasing a
+// foreign buffer subtracts bytes that were never added to
+// alloc/live_bytes, so the counter drifts below what live tensors hold.
+TEST(TaskGraphTest, ForwardLeavesPoolLiveBytesUnchanged) {
+  Rng rng(10);
+  TaskGraphNet net(SmallConfig(64), &rng);
+  const int ways = 40;
+  Tensor prompts = Tensor::Randn(ways * 3, 64, &rng);
+  std::vector<int> labels;
+  for (int c = 0; c < ways; ++c) {
+    for (int k = 0; k < 3; ++k) labels.push_back(c);
+  }
+  Tensor queries = Tensor::Randn(4, 64, &rng);
+  const int64_t before = PoolStatsSnapshot().live_bytes;
+  ASSERT_GT(before, 0);  // the inputs and parameters are alive
+  {
+    NoGradGuard no_grad;
+    const auto out = net.Forward(prompts, labels, queries, ways);
+    EXPECT_EQ(out.query_scores.cols(), ways);
+  }
+  EXPECT_EQ(PoolStatsSnapshot().live_bytes, before);
 }
 
 TEST(TaskGraphTest, MismatchedLabelSizeDies) {
