@@ -3,8 +3,9 @@
 // Pins (a) the quickstart-style in-context trial accuracies, (b) the
 // same run's variants — Prodigy, clustering selector, augmenter disabled,
 // 3-query task-graph steps, kept-embedding bytes — (c) the prompt
-// selector's top-k selections, vote totals, and hit counts, and (d) a
-// short pretraining run's per-step losses and final parameter bytes for
+// selector's top-k selections, vote totals, and hit counts, (d) a short
+// pretraining run's per-step losses and final parameter bytes, and (e)
+// the random-walk sampler's data graphs for node and edge items, for
 // fixed seeds into tests/golden/. Values are rendered with %.17g, so any change
 // to retrieval or scoring that shifts predictions by even one ULP fails
 // loudly. The golden files were generated from the pre-index brute-force
@@ -30,10 +31,12 @@
 #include "core/graph_prompter.h"
 #include "core/knn_retrieval.h"
 #include "core/pretrain.h"
+#include "core/prompt_generator.h"
 #ifndef GP_GOLDEN_SEED_BOOTSTRAP
 #include "core/prompt_index.h"
 #endif
 #include "data/datasets.h"
+#include "graph/sampler.h"
 #include "util/checksum.h"
 #include "util/parallel.h"
 #include "util/pipeline.h"
@@ -212,6 +215,54 @@ std::string RenderPretrainGolden() {
   return out.str();
 }
 
+// Data graphs (Eq. 1) sampled by SampleForItem for node items of a MagSim
+// graph and edge items of an FB15K-sim graph, then one multi-center call
+// with a duplicated center. Every call draws from one RNG stream, so the
+// golden also pins how many draws each sample consumes.
+void RenderSubgraph(const Subgraph& sg, std::ostringstream* out) {
+  auto line = [out](const char* name, const std::vector<int>& values) {
+    *out << name;
+    for (int v : values) *out << " " << v;
+    *out << "\n";
+  };
+  line("nodes", sg.nodes);
+  line("center_local", sg.center_local);
+  line("edge_src", sg.edge_src);
+  line("edge_dst", sg.edge_dst);
+  line("edge_rel", sg.edge_rel);
+  line("edge_ids", sg.edge_ids);
+}
+
+std::string RenderSamplerGolden() {
+  SamplerConfig walk;
+  walk.num_hops = 2;
+  walk.max_nodes = 16;
+  walk.num_walks = 2;
+  const DatasetBundle mag = MakeMagSim(0.08, 3);
+  const DatasetBundle fb = MakeFb15kSim(0.1, 5);
+  Rng rng(41);
+  std::ostringstream out;
+  for (const DatasetBundle* ds : {&mag, &fb}) {
+    PromptGeneratorConfig config;
+    config.gnn.in_dim = ds->graph.feature_dim();
+    config.sampler = walk;
+    Rng init_rng(1);
+    const PromptGenerator generator(config, &init_rng);
+    out << "dataset " << ds->name << "\n";
+    for (size_t c = 0; c < ds->train_items_by_class.size() && c < 6; ++c) {
+      const std::vector<int>& items = ds->train_items_by_class[c];
+      for (size_t i = 0; i < items.size() && i < 2; ++i) {
+        out << "item " << items[i] << "\n";
+        RenderSubgraph(generator.SampleForItem(*ds, items[i], &rng), &out);
+      }
+    }
+  }
+  const RandomWalkSampler sampler(&mag.graph, walk);
+  out << "centers 5 9 5 120\n";
+  RenderSubgraph(sampler.SampleAroundNodes({5, 9, 5, 120}, &rng), &out);
+  return out.str();
+}
+
 // ---- harness: compare against (or regenerate) tests/golden/<name>.
 
 bool UpdateRequested() {
@@ -251,6 +302,10 @@ TEST(GoldenEvalTest, SelectorTopKPerMetric) {
 
 TEST(GoldenEvalTest, PretrainLossesAndParametersMatchGolden) {
   CheckGolden("pretrain.golden", RenderPretrainGolden());
+}
+
+TEST(GoldenEvalTest, SamplerOutputsMatchGolden) {
+  CheckGolden("sampler.golden", RenderSamplerGolden());
 }
 
 TEST(GoldenEvalTest, EvalVariantsMatchGolden) {
