@@ -218,7 +218,8 @@ void BM_RandomWalkSampling(benchmark::State& state) {
   SamplerConfig config;
   config.num_hops = static_cast<int>(state.range(0));
   config.max_nodes = 30;
-  RandomWalkSampler sampler(&ds.graph, config);
+  const GraphAdapter view(ds.graph);
+  const Sampler sampler(&view, config);
   Rng rng(4);
   for (auto _ : state) {
     const int node = static_cast<int>(rng.UniformInt(ds.graph.num_nodes()));

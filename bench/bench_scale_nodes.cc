@@ -2,7 +2,7 @@
 // the prompt-generation pipeline over growing MagSim graphs, comparing the
 // flat in-memory CSR backend (ReadCsrShards -> CsrGraph) against the
 // memory-mapped shard backend (CsrStore). Both run the identical
-// StreamSampler + PromptGenerator stack over the GraphView seam, so their
+// Sampler + PromptGenerator stack over the GraphView seam, so their
 // embeddings must agree bitwise — the benchmark checksums the embedding
 // bytes of each backend and reports the match as a verdict metric.
 //
@@ -36,8 +36,8 @@
 #endif
 
 #include "data/stream_synthetic.h"
+#include "graph/sampler.h"
 #include "graph/store/csr_store.h"
-#include "graph/store/stream_sampler.h"
 #include "util/checksum.h"
 #include "util/proc_stats.h"
 
@@ -134,10 +134,8 @@ void SampleAndEncode(const GraphView& view, const std::vector<int>& centers,
                                  centers.begin() + end);
     // Per-item seeding: element i of the batch is always sampled from
     // Rng(mix(seed, i)), so the split into batches does not matter.
-    std::vector<Subgraph> subgraphs =
-        SampleBatch(view, generator.config().sampler,
-                    StreamSampler::Kind::kRandomWalk, chunk,
-                    seed + 0x5eed + begin);
+    std::vector<Subgraph> subgraphs = SampleBatch(
+        view, generator.config().sampler, chunk, seed + 0x5eed + begin);
     const Tensor embeddings = generator.EmbedSubgraphs(view, subgraphs);
     crc = Crc32(embeddings.data().data(),
                 static_cast<size_t>(embeddings.size()) * sizeof(float),

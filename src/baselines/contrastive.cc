@@ -31,7 +31,8 @@ Tensor ContrastiveEncoder::EmbedItems(const DatasetBundle& dataset,
   for (int item : items) {
     subgraphs.push_back(generator_->SampleForItem(dataset, item, rng));
   }
-  return generator_->EmbedSubgraphs(dataset.graph, subgraphs, feature_offset);
+  return generator_->EmbedSubgraphs(GraphAdapter(dataset.graph), subgraphs,
+                                    feature_offset);
 }
 
 double PretrainContrastive(ContrastiveEncoder* encoder,

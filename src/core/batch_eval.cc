@@ -220,7 +220,8 @@ void BatchEvaluation::Prepare() {
     Stopwatch embed_timer;
     {
       GP_TRACE_SPAN("eval/batch_embed");
-      all_emb = model_.generator().EmbedSubgraphs(dataset_.graph, subgraphs);
+      all_emb = model_.generator().EmbedSubgraphs(
+          GraphAdapter(dataset_.graph), subgraphs);
     }
     // ms_per_query attribution (wall-clock, outside the bitwise contract):
     // the packed encode's cost is split by subgraph count.

@@ -18,55 +18,28 @@
 namespace gp {
 namespace {
 
-// One episodic forward pass: embeds prompts and queries (jointly, as one
-// packed batch), applies selection-layer weighting, runs the task graph,
-// and returns the CE loss plus the number of correctly predicted queries.
+// The prompts and queries of one episode with their episode labels.
+struct Episode {
+  std::vector<Subgraph> prompts, queries;
+  std::vector<int> prompt_labels, query_labels;
+};
+
 struct EpisodeLoss {
   Tensor loss;
   int correct = 0;
   int total = 0;
 };
 
-EpisodeLoss FinishEpisode(const GraphPrompterModel& model,
-                          Tensor embeddings, int num_prompts,
-                          const std::vector<int>& prompt_labels,
-                          const std::vector<int>& query_labels, int ways);
-
+// One episodic forward pass: embeds prompts and queries (jointly, as one
+// packed batch), applies selection-layer weighting, runs the task graph,
+// and returns the CE loss plus the number of correctly predicted queries.
 EpisodeLoss ForwardEpisode(const GraphPrompterModel& model,
-                           const Graph& graph,
-                           const std::vector<Subgraph>& prompt_subgraphs,
-                           const std::vector<int>& prompt_labels,
-                           const std::vector<Subgraph>& query_subgraphs,
-                           const std::vector<int>& query_labels, int ways) {
-  // Pack prompts + queries into one generator batch.
-  std::vector<Subgraph> all = prompt_subgraphs;
-  all.insert(all.end(), query_subgraphs.begin(), query_subgraphs.end());
-  Tensor embeddings = model.generator().EmbedSubgraphs(graph, all);
-  const int num_prompts = static_cast<int>(prompt_subgraphs.size());
-  return FinishEpisode(model, std::move(embeddings), num_prompts,
-                       prompt_labels, query_labels, ways);
-}
-
-// Out-of-core twin: identical episode math, embeddings gathered off a
-// GraphView backend instead of an in-memory Graph.
-EpisodeLoss ForwardEpisode(const GraphPrompterModel& model,
-                           const GraphView& view,
-                           const std::vector<Subgraph>& prompt_subgraphs,
-                           const std::vector<int>& prompt_labels,
-                           const std::vector<Subgraph>& query_subgraphs,
-                           const std::vector<int>& query_labels, int ways) {
-  std::vector<Subgraph> all = prompt_subgraphs;
-  all.insert(all.end(), query_subgraphs.begin(), query_subgraphs.end());
-  Tensor embeddings = model.generator().EmbedSubgraphs(view, all);
-  const int num_prompts = static_cast<int>(prompt_subgraphs.size());
-  return FinishEpisode(model, std::move(embeddings), num_prompts,
-                       prompt_labels, query_labels, ways);
-}
-
-EpisodeLoss FinishEpisode(const GraphPrompterModel& model,
-                          Tensor embeddings, int num_prompts,
-                          const std::vector<int>& prompt_labels,
-                          const std::vector<int>& query_labels, int ways) {
+                           const GraphView& view, const Episode& episode,
+                           int ways) {
+  std::vector<Subgraph> all = episode.prompts;
+  all.insert(all.end(), episode.queries.begin(), episode.queries.end());
+  const Tensor embeddings = model.generator().EmbedSubgraphs(view, all);
+  const int num_prompts = static_cast<int>(episode.prompts.size());
   const int num_queries = embeddings.rows() - num_prompts;
   Tensor prompt_emb = SliceRows(embeddings, 0, num_prompts);
   Tensor query_emb = SliceRows(embeddings, num_prompts, num_queries);
@@ -76,15 +49,15 @@ EpisodeLoss FinishEpisode(const GraphPrompterModel& model,
     prompt_emb = model.selection().WeightedEmbeddings(prompt_emb);
   }
 
-  const TaskGraphOutput out =
-      model.task_net().Forward(prompt_emb, prompt_labels, query_emb, ways);
+  const TaskGraphOutput out = model.task_net().Forward(
+      prompt_emb, episode.prompt_labels, query_emb, ways);
   EpisodeLoss result;
-  result.loss = CrossEntropyWithLogits(out.query_scores, query_labels);
+  result.loss = CrossEntropyWithLogits(out.query_scores, episode.query_labels);
   const std::vector<int> pred = ArgmaxRows(out.query_scores);
-  for (size_t i = 0; i < query_labels.size(); ++i) {
-    if (pred[i] == query_labels[i]) ++result.correct;
+  for (size_t i = 0; i < episode.query_labels.size(); ++i) {
+    if (pred[i] == episode.query_labels[i]) ++result.correct;
   }
-  result.total = static_cast<int>(query_labels.size());
+  result.total = static_cast<int>(episode.query_labels.size());
   return result;
 }
 
@@ -93,10 +66,7 @@ EpisodeLoss FinishEpisode(const GraphPrompterModel& model,
 bool BuildMultiTaskEpisode(const GraphPrompterModel& model,
                            const DatasetBundle& dataset,
                            const PretrainConfig& config, Rng* rng,
-                           std::vector<Subgraph>* prompts,
-                           std::vector<int>* prompt_labels,
-                           std::vector<Subgraph>* queries,
-                           std::vector<int>* query_labels) {
+                           Episode* out) {
   EpisodeSampler sampler(&dataset);
   EpisodeConfig episode;
   episode.ways = config.ways;
@@ -107,12 +77,14 @@ bool BuildMultiTaskEpisode(const GraphPrompterModel& model,
   if (!task_or.ok()) return false;
   const FewShotTask& task = *task_or;
   for (const auto& ex : task.candidates) {
-    prompts->push_back(model.generator().SampleForItem(dataset, ex.item, rng));
-    prompt_labels->push_back(ex.label);
+    out->prompts.push_back(
+        model.generator().SampleForItem(dataset, ex.item, rng));
+    out->prompt_labels.push_back(ex.label);
   }
   for (const auto& ex : task.queries) {
-    queries->push_back(model.generator().SampleForItem(dataset, ex.item, rng));
-    query_labels->push_back(ex.label);
+    out->queries.push_back(
+        model.generator().SampleForItem(dataset, ex.item, rng));
+    out->query_labels.push_back(ex.label);
   }
   return true;
 }
@@ -121,80 +93,12 @@ bool BuildMultiTaskEpisode(const GraphPrompterModel& model,
 // neighborhoods of m sampled anchor nodes; examples/queries are nodes
 // drawn from those neighborhoods.
 bool BuildNeighborMatchingEpisode(const GraphPrompterModel& model,
-                                  const Graph& graph,
+                                  const GraphView& view,
                                   const PretrainConfig& config, Rng* rng,
-                                  std::vector<Subgraph>* prompts,
-                                  std::vector<int>* prompt_labels,
-                                  std::vector<Subgraph>* queries,
-                                  std::vector<int>* query_labels) {
+                                  Episode* out) {
   const int needed_neighbors = config.shots + 1;  // k prompts + 1 query
   std::vector<int> anchors;
   // Rejection-sample anchors with enough distinct neighbors.
-  for (int attempt = 0; attempt < 50 * config.ways &&
-                        static_cast<int>(anchors.size()) < config.ways;
-       ++attempt) {
-    const int candidate = static_cast<int>(rng->UniformInt(graph.num_nodes()));
-    if (graph.Degree(candidate) < needed_neighbors) continue;
-    if (std::find(anchors.begin(), anchors.end(), candidate) !=
-        anchors.end()) {
-      continue;
-    }
-    anchors.push_back(candidate);
-  }
-  if (static_cast<int>(anchors.size()) < config.ways) return false;
-
-  for (int label = 0; label < config.ways; ++label) {
-    const int anchor = anchors[label];
-    // Distinct neighbor sample.
-    std::vector<int> unique_neighbors;
-    {
-      const AdjEntry* adj = graph.NeighborsBegin(anchor);
-      const int deg = graph.NeighborsCount(anchor);
-      std::vector<int> all(deg);
-      for (int i = 0; i < deg; ++i) all[i] = adj[i].neighbor;
-      std::sort(all.begin(), all.end());
-      all.erase(std::unique(all.begin(), all.end()), all.end());
-      rng->Shuffle(&all);
-      unique_neighbors = std::move(all);
-    }
-    if (static_cast<int>(unique_neighbors.size()) < needed_neighbors) {
-      return false;
-    }
-    for (int s = 0; s < config.shots; ++s) {
-      prompts->push_back(
-          model.generator().SampleForNode(graph, unique_neighbors[s], rng));
-      prompt_labels->push_back(label);
-    }
-    queries->push_back(model.generator().SampleForNode(
-        graph, unique_neighbors[config.shots], rng));
-    query_labels->push_back(label);
-  }
-  // Shuffle queries jointly so label order carries no signal.
-  std::vector<int> perm(queries->size());
-  for (size_t i = 0; i < perm.size(); ++i) perm[i] = static_cast<int>(i);
-  rng->Shuffle(&perm);
-  std::vector<Subgraph> shuffled_queries;
-  std::vector<int> shuffled_labels;
-  for (int i : perm) {
-    shuffled_queries.push_back((*queries)[i]);
-    shuffled_labels.push_back((*query_labels)[i]);
-  }
-  *queries = std::move(shuffled_queries);
-  *query_labels = std::move(shuffled_labels);
-  return true;
-}
-
-// Neighbor Matching over a GraphView backend — same algorithm as above,
-// expressed through the view accessors and the streaming sampler.
-bool BuildNeighborMatchingEpisode(const GraphPrompterModel& model,
-                                  const GraphView& view,
-                                  const PretrainConfig& config, Rng* rng,
-                                  std::vector<Subgraph>* prompts,
-                                  std::vector<int>* prompt_labels,
-                                  std::vector<Subgraph>* queries,
-                                  std::vector<int>* query_labels) {
-  const int needed_neighbors = config.shots + 1;  // k prompts + 1 query
-  std::vector<int> anchors;
   for (int attempt = 0; attempt < 50 * config.ways &&
                         static_cast<int>(anchors.size()) < config.ways;
        ++attempt) {
@@ -208,8 +112,11 @@ bool BuildNeighborMatchingEpisode(const GraphPrompterModel& model,
   }
   if (static_cast<int>(anchors.size()) < config.ways) return false;
 
+  std::vector<Subgraph> queries;
+  std::vector<int> query_labels;
   for (int label = 0; label < config.ways; ++label) {
     const int anchor = anchors[label];
+    // Distinct neighbor sample.
     std::vector<int> unique_neighbors;
     {
       const AdjEntry* adj = view.NeighborsBegin(anchor);
@@ -225,25 +132,22 @@ bool BuildNeighborMatchingEpisode(const GraphPrompterModel& model,
       return false;
     }
     for (int s = 0; s < config.shots; ++s) {
-      prompts->push_back(
+      out->prompts.push_back(
           model.generator().SampleForNode(view, unique_neighbors[s], rng));
-      prompt_labels->push_back(label);
+      out->prompt_labels.push_back(label);
     }
-    queries->push_back(model.generator().SampleForNode(
+    queries.push_back(model.generator().SampleForNode(
         view, unique_neighbors[config.shots], rng));
-    query_labels->push_back(label);
+    query_labels.push_back(label);
   }
-  std::vector<int> perm(queries->size());
+  // Shuffle queries jointly so label order carries no signal.
+  std::vector<int> perm(queries.size());
   for (size_t i = 0; i < perm.size(); ++i) perm[i] = static_cast<int>(i);
   rng->Shuffle(&perm);
-  std::vector<Subgraph> shuffled_queries;
-  std::vector<int> shuffled_labels;
   for (int i : perm) {
-    shuffled_queries.push_back((*queries)[i]);
-    shuffled_labels.push_back((*query_labels)[i]);
+    out->queries.push_back(std::move(queries[i]));
+    out->query_labels.push_back(query_labels[i]);
   }
-  *queries = std::move(shuffled_queries);
-  *query_labels = std::move(shuffled_labels);
   return true;
 }
 
@@ -255,10 +159,7 @@ bool BuildNeighborMatchingEpisode(const GraphPrompterModel& model,
 bool BuildMultiTaskEpisode(const GraphPrompterModel& model,
                            const GraphView& view,
                            const PretrainConfig& config, Rng* rng,
-                           std::vector<Subgraph>* prompts,
-                           std::vector<int>* prompt_labels,
-                           std::vector<Subgraph>* queries,
-                           std::vector<int>* query_labels) {
+                           Episode* out) {
   if (view.num_node_classes() < config.ways) return false;
   std::unordered_map<int, int> episode_label;  // class -> slot
   std::vector<std::vector<int>> members(config.ways);
@@ -289,8 +190,8 @@ bool BuildMultiTaskEpisode(const GraphPrompterModel& model,
   if (filled < config.ways) return false;
   for (int slot = 0; slot < config.ways; ++slot) {
     for (int node : members[slot]) {
-      prompts->push_back(model.generator().SampleForNode(view, node, rng));
-      prompt_labels->push_back(slot);
+      out->prompts.push_back(model.generator().SampleForNode(view, node, rng));
+      out->prompt_labels.push_back(slot);
     }
   }
   int found = 0;
@@ -301,29 +202,23 @@ bool BuildMultiTaskEpisode(const GraphPrompterModel& model,
     auto it = episode_label.find(view.NodeLabel(node));
     if (it == episode_label.end()) continue;
     used.insert(node);
-    queries->push_back(model.generator().SampleForNode(view, node, rng));
-    query_labels->push_back(it->second);
+    out->queries.push_back(model.generator().SampleForNode(view, node, rng));
+    out->query_labels.push_back(it->second);
     ++found;
   }
   return found > 0;
 }
 
-// Episode builder signature shared by the in-memory and view loops.
-using EpisodeBuilder = std::function<bool(
-    Rng*, std::vector<Subgraph>*, std::vector<int>*, std::vector<Subgraph>*,
-    std::vector<int>*)>;
-using EpisodeForward = std::function<EpisodeLoss(
-    const std::vector<Subgraph>&, const std::vector<int>&,
-    const std::vector<Subgraph>&, const std::vector<int>&)>;
+// The Multi-Task builder is the one part of an episode that depends on
+// whether the caller holds a DatasetBundle (train split) or only a view.
+using MultiTaskBuilder = std::function<bool(Rng*, Episode*)>;
 
-// The optimisation loop itself, independent of the graph backend. Both
-// Pretrain overloads delegate here; the in-memory path's behavior (RNG
-// stream, op order, telemetry) is unchanged by the indirection.
+// The optimisation loop shared by both Pretrain overloads. Neighbor
+// Matching episodes and every forward pass read the graph through `view`.
 PretrainCurves RunPretrainLoop(GraphPrompterModel* model,
+                               const GraphView& view,
                                const PretrainConfig& config,
-                               const EpisodeBuilder& build_multi_task,
-                               const EpisodeBuilder& build_neighbor_matching,
-                               const EpisodeForward& forward) {
+                               const MultiTaskBuilder& build_multi_task) {
   CHECK(model != nullptr);
   CHECK(config.neighbor_matching || config.multi_task);
   // Step-to-step forward/backward tensors recycle through the buffer pool
@@ -349,11 +244,9 @@ PretrainCurves RunPretrainLoop(GraphPrompterModel* model,
   // accuracy curves bitwise identical at any worker count.
   struct PreparedStep {
     bool mt_ok = false;
-    std::vector<Subgraph> mt_prompts, mt_queries;
-    std::vector<int> mt_prompt_labels, mt_query_labels;
+    Episode mt;
     bool nm_ok = false;
-    std::vector<Subgraph> nm_prompts, nm_queries;
-    std::vector<int> nm_prompt_labels, nm_query_labels;
+    Episode nm;
   };
   FaultInjector* const entry_injector = ActiveFaultInjector();
   std::vector<PreparedStep> prepared_steps(std::max(0, config.steps));
@@ -373,16 +266,11 @@ PretrainCurves RunPretrainLoop(GraphPrompterModel* model,
           // fault-injector scope in effect inside the task body.
           ScopedThreadFaultInjector scoped_injector(entry_injector);
           if (config.multi_task) {
-            data->mt_ok = build_multi_task(&rng, &data->mt_prompts,
-                                           &data->mt_prompt_labels,
-                                           &data->mt_queries,
-                                           &data->mt_query_labels);
+            data->mt_ok = build_multi_task(&rng, &data->mt);
           }
           if (config.neighbor_matching) {
-            data->nm_ok = build_neighbor_matching(&rng, &data->nm_prompts,
-                                                  &data->nm_prompt_labels,
-                                                  &data->nm_queries,
-                                                  &data->nm_query_labels);
+            data->nm_ok = BuildNeighborMatchingEpisode(*model, view, config,
+                                                       &rng, &data->nm);
           }
         },
         std::move(deps));
@@ -402,15 +290,13 @@ PretrainCurves RunPretrainLoop(GraphPrompterModel* model,
     int correct = 0, total = 0;
 
     if (prepared.mt_ok) {
-      EpisodeLoss mt = forward(prepared.mt_prompts, prepared.mt_prompt_labels,
-                               prepared.mt_queries, prepared.mt_query_labels);
+      EpisodeLoss mt = ForwardEpisode(*model, view, prepared.mt, config.ways);
       total_loss = mt.loss;
       correct += mt.correct;
       total += mt.total;
     }
     if (prepared.nm_ok) {
-      EpisodeLoss nm = forward(prepared.nm_prompts, prepared.nm_prompt_labels,
-                               prepared.nm_queries, prepared.nm_query_labels);
+      EpisodeLoss nm = ForwardEpisode(*model, view, prepared.nm, config.ways);
       total_loss = total_loss.defined() ? Add(total_loss, nm.loss) : nm.loss;
       correct += nm.correct;
       total += nm.total;
@@ -454,60 +340,17 @@ PretrainCurves RunPretrainLoop(GraphPrompterModel* model,
 PretrainCurves Pretrain(GraphPrompterModel* model,
                         const DatasetBundle& dataset,
                         const PretrainConfig& config) {
-  CHECK(model != nullptr);
-  auto multi_task = [&](Rng* rng, std::vector<Subgraph>* prompts,
-                        std::vector<int>* prompt_labels,
-                        std::vector<Subgraph>* queries,
-                        std::vector<int>* query_labels) {
-    return BuildMultiTaskEpisode(*model, dataset, config, rng, prompts,
-                                 prompt_labels, queries, query_labels);
-  };
-  auto neighbor_matching = [&](Rng* rng, std::vector<Subgraph>* prompts,
-                               std::vector<int>* prompt_labels,
-                               std::vector<Subgraph>* queries,
-                               std::vector<int>* query_labels) {
-    return BuildNeighborMatchingEpisode(*model, dataset.graph, config, rng,
-                                        prompts, prompt_labels, queries,
-                                        query_labels);
-  };
-  auto forward = [&](const std::vector<Subgraph>& prompts,
-                     const std::vector<int>& prompt_labels,
-                     const std::vector<Subgraph>& queries,
-                     const std::vector<int>& query_labels) {
-    return ForwardEpisode(*model, dataset.graph, prompts, prompt_labels,
-                          queries, query_labels, config.ways);
-  };
-  return RunPretrainLoop(model, config, multi_task, neighbor_matching,
-                         forward);
+  const GraphAdapter view(dataset.graph);
+  return RunPretrainLoop(model, view, config, [&](Rng* rng, Episode* out) {
+    return BuildMultiTaskEpisode(*model, dataset, config, rng, out);
+  });
 }
 
 PretrainCurves Pretrain(GraphPrompterModel* model, const GraphView& view,
                         const PretrainConfig& config) {
-  CHECK(model != nullptr);
-  auto multi_task = [&](Rng* rng, std::vector<Subgraph>* prompts,
-                        std::vector<int>* prompt_labels,
-                        std::vector<Subgraph>* queries,
-                        std::vector<int>* query_labels) {
-    return BuildMultiTaskEpisode(*model, view, config, rng, prompts,
-                                 prompt_labels, queries, query_labels);
-  };
-  auto neighbor_matching = [&](Rng* rng, std::vector<Subgraph>* prompts,
-                               std::vector<int>* prompt_labels,
-                               std::vector<Subgraph>* queries,
-                               std::vector<int>* query_labels) {
-    return BuildNeighborMatchingEpisode(*model, view, config, rng, prompts,
-                                        prompt_labels, queries,
-                                        query_labels);
-  };
-  auto forward = [&](const std::vector<Subgraph>& prompts,
-                     const std::vector<int>& prompt_labels,
-                     const std::vector<Subgraph>& queries,
-                     const std::vector<int>& query_labels) {
-    return ForwardEpisode(*model, view, prompts, prompt_labels, queries,
-                          query_labels, config.ways);
-  };
-  return RunPretrainLoop(model, config, multi_task, neighbor_matching,
-                         forward);
+  return RunPretrainLoop(model, view, config, [&](Rng* rng, Episode* out) {
+    return BuildMultiTaskEpisode(*model, view, config, rng, out);
+  });
 }
 
 }  // namespace gp

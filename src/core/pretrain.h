@@ -37,17 +37,19 @@ struct PretrainCurves {
 };
 
 // Trains `model` in place on `dataset` and returns the loss/accuracy
-// trajectory. The dataset's task type decides whether Multi-Task episodes
-// classify nodes or edges; Neighbor Matching always operates on nodes.
+// trajectory. Multi-Task episodes come from the dataset's train split, so
+// its task type decides whether they classify nodes or edges; Neighbor
+// Matching always operates on nodes, through a GraphAdapter over the
+// dataset's graph.
 PretrainCurves Pretrain(GraphPrompterModel* model,
                         const DatasetBundle& dataset,
                         const PretrainConfig& config);
 
-// Out-of-core variant: episodic pretraining directly against a GraphView
-// backend (CsrStore shards or CsrGraph). Multi-Task episodes rejection-
-// sample class-balanced node sets from the view's labels; Neighbor
-// Matching mirrors the in-memory algorithm over the view's adjacency.
-// Memory stays proportional to episode size, never to the graph.
+// Episodic pretraining directly against a GraphView backend (CsrStore
+// shards or CsrGraph), which has no splits: Multi-Task episodes
+// rejection-sample class-balanced node sets from the view's labels.
+// Neighbor Matching and the training loop are the ones above. Memory stays
+// proportional to episode size, never to the graph.
 PretrainCurves Pretrain(GraphPrompterModel* model, const GraphView& view,
                         const PretrainConfig& config);
 

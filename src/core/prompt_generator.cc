@@ -46,35 +46,16 @@ PromptGenerator::PromptGenerator(const PromptGeneratorConfig& config, Rng* rng)
 
 Subgraph PromptGenerator::SampleForItem(const DatasetBundle& dataset,
                                         int item, Rng* rng) const {
-  if (config_.use_random_walk) {
-    RandomWalkSampler sampler(&dataset.graph, config_.sampler);
-    return dataset.task == TaskType::kNodeClassification
-               ? sampler.SampleAroundNode(item, rng)
-               : sampler.SampleAroundEdge(item, rng);
-  }
-  NeighborSampler sampler(&dataset.graph, config_.sampler);
+  const GraphAdapter view(dataset.graph);
+  const Sampler sampler(&view, config_.sampler);
   return dataset.task == TaskType::kNodeClassification
              ? sampler.SampleAroundNode(item, rng)
              : sampler.SampleAroundEdge(item, rng);
 }
 
-Subgraph PromptGenerator::SampleForNode(const Graph& graph, int node,
-                                        Rng* rng) const {
-  if (config_.use_random_walk) {
-    RandomWalkSampler sampler(&graph, config_.sampler);
-    return sampler.SampleAroundNode(node, rng);
-  }
-  NeighborSampler sampler(&graph, config_.sampler);
-  return sampler.SampleAroundNode(node, rng);
-}
-
 Subgraph PromptGenerator::SampleForNode(const GraphView& view, int node,
                                         Rng* rng) const {
-  StreamSampler sampler(&view, config_.sampler,
-                        config_.use_random_walk
-                            ? StreamSampler::Kind::kRandomWalk
-                            : StreamSampler::Kind::kNeighbor);
-  return sampler.SampleAroundNode(node, rng);
+  return Sampler(&view, config_.sampler).SampleAroundNode(node, rng);
 }
 
 Tensor PromptGenerator::EdgeWeightsFor(const Tensor& features,
@@ -100,21 +81,21 @@ Tensor PromptGenerator::EdgeWeightsFor(const Tensor& features,
   return Sigmoid(logits);
 }
 
-Tensor PromptGenerator::ReconstructEdgeWeights(const Graph& graph,
+Tensor PromptGenerator::ReconstructEdgeWeights(const GraphView& view,
                                                const Subgraph& sg) const {
   if (sg.edge_src.empty()) return Tensor::Zeros(0, 1);
-  Tensor features = GatherRows(graph.node_features(), sg.nodes);
   if (!config_.use_reconstruction) {
     // Shared read-only ones column; avoids a fresh allocation per subgraph.
     return CachedOnesColumn(sg.num_edges());
   }
   GP_TRACE_SPAN("generator/reconstruct");
-  return EdgeWeightsFor(features, sg.edge_src, sg.edge_dst);
+  return EdgeWeightsFor(GatherFeatureRows(view, sg.nodes), sg.edge_src,
+                        sg.edge_dst);
 }
 
 namespace {
 
-// Disjoint-union packing shared by both EmbedSubgraphs overloads.
+// Disjoint-union packing of a batch of subgraphs.
 struct PackedUnion {
   std::vector<int> nodes;           // original node ids
   std::vector<int> src, dst;        // packed edge endpoints
@@ -145,22 +126,21 @@ PackedUnion PackSubgraphs(const std::vector<Subgraph>& subgraphs) {
 
 }  // namespace
 
-Tensor PromptGenerator::EncodeUnion(Tensor features,
-                                    const std::vector<int>& union_nodes,
-                                    const std::vector<int>& union_src,
-                                    const std::vector<int>& union_dst,
-                                    const std::vector<int>& center_rows,
-                                    const std::vector<int>& center_segment,
-                                    int num_subgraphs,
-                                    const Tensor& feature_offset) const {
+Tensor PromptGenerator::EmbedSubgraphs(const GraphView& view,
+                                       const std::vector<Subgraph>& subgraphs,
+                                       const Tensor& feature_offset) const {
+  CHECK(!subgraphs.empty());
+  const PackedUnion packed = PackSubgraphs(subgraphs);
+  const int num_subgraphs = static_cast<int>(subgraphs.size());
   static Counter* embedded = Telemetry().GetCounter("generator/subgraphs");
   embedded->Add(num_subgraphs);
 
+  Tensor features = GatherFeatureRows(view, packed.nodes);
   if (feature_offset.defined()) {
     features = Add(features, feature_offset);  // broadcast row
   }
   Tensor edge_weight;  // undefined = unit weights
-  if (config_.use_reconstruction && !union_src.empty()) {
+  if (config_.use_reconstruction && !packed.src.empty()) {
     GP_TRACE_SPAN("generator/reconstruct");
     if (!GradEnabled()) {
       // Inference: the Eq. 2-3 weight of an edge is a pure function of its
@@ -177,7 +157,7 @@ Tensor PromptGenerator::EncodeUnion(Tensor features,
           Telemetry().GetCounter("generator/recon_edges");
       static Counter* recon_unique =
           Telemetry().GetCounter("generator/recon_unique_edges");
-      const size_t num_edges = union_src.size();
+      const size_t num_edges = packed.src.size();
       std::vector<int> rep_src, rep_dst;  // first-occurrence union rows
       std::vector<int> occurrence(num_edges);
       std::unordered_map<uint64_t, int> unique_index;
@@ -185,14 +165,14 @@ Tensor PromptGenerator::EncodeUnion(Tensor features,
       for (size_t e = 0; e < num_edges; ++e) {
         const uint64_t key =
             (static_cast<uint64_t>(
-                 static_cast<uint32_t>(union_nodes[union_src[e]]))
+                 static_cast<uint32_t>(packed.nodes[packed.src[e]]))
              << 32) |
-            static_cast<uint32_t>(union_nodes[union_dst[e]]);
+            static_cast<uint32_t>(packed.nodes[packed.dst[e]]);
         const auto [it, inserted] =
             unique_index.emplace(key, static_cast<int>(rep_src.size()));
         if (inserted) {
-          rep_src.push_back(union_src[e]);
-          rep_dst.push_back(union_dst[e]);
+          rep_src.push_back(packed.src[e]);
+          rep_dst.push_back(packed.dst[e]);
         }
         occurrence[e] = it->second;
       }
@@ -203,42 +183,19 @@ Tensor PromptGenerator::EncodeUnion(Tensor features,
                         ? std::move(unique_weights)
                         : GatherRows(unique_weights, occurrence);
     } else {
-      edge_weight = EdgeWeightsFor(features, union_src, union_dst);
+      edge_weight = EdgeWeightsFor(features, packed.src, packed.dst);
     }
   }
   Tensor node_embeddings;
   {
     GP_TRACE_SPAN("generator/encode");
     node_embeddings =
-        encoder_->Forward(features, union_src, union_dst, edge_weight);
+        encoder_->Forward(features, packed.src, packed.dst, edge_weight);
   }
 
   // Readout: mean of each subgraph's center-node embeddings.
-  Tensor centers = GatherRows(node_embeddings, center_rows);
-  return SegmentMeanRows(centers, center_segment, num_subgraphs);
-}
-
-Tensor PromptGenerator::EmbedSubgraphs(const Graph& graph,
-                                       const std::vector<Subgraph>& subgraphs,
-                                       const Tensor& feature_offset) const {
-  CHECK(!subgraphs.empty());
-  PackedUnion packed = PackSubgraphs(subgraphs);
-  Tensor features = GatherRows(graph.node_features(), packed.nodes);
-  return EncodeUnion(std::move(features), packed.nodes, packed.src,
-                     packed.dst, packed.center_rows, packed.center_segment,
-                     static_cast<int>(subgraphs.size()), feature_offset);
-}
-
-Tensor PromptGenerator::EmbedSubgraphs(const GraphView& view,
-                                       const std::vector<Subgraph>& subgraphs,
-                                       const Tensor& feature_offset) const {
-  CHECK(!subgraphs.empty());
-  PackedUnion packed = PackSubgraphs(subgraphs);
-  // Bytewise row gather => identical floats to the in-memory path.
-  Tensor features = GatherFeatureRows(view, packed.nodes);
-  return EncodeUnion(std::move(features), packed.nodes, packed.src,
-                     packed.dst, packed.center_rows, packed.center_segment,
-                     static_cast<int>(subgraphs.size()), feature_offset);
+  Tensor centers = GatherRows(node_embeddings, packed.center_rows);
+  return SegmentMeanRows(centers, packed.center_segment, num_subgraphs);
 }
 
 Tensor PromptGenerator::EmbedItems(const DatasetBundle& dataset,
@@ -252,7 +209,7 @@ Tensor PromptGenerator::EmbedItems(const DatasetBundle& dataset,
       subgraphs.push_back(SampleForItem(dataset, item, rng));
     }
   }
-  return EmbedSubgraphs(dataset.graph, subgraphs);
+  return EmbedSubgraphs(GraphAdapter(dataset.graph), subgraphs);
 }
 
 }  // namespace gp

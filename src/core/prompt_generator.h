@@ -16,7 +16,6 @@
 #include "gnn/encoder.h"
 #include "graph/graph_view.h"
 #include "graph/sampler.h"
-#include "graph/store/stream_sampler.h"
 #include "nn/mlp.h"
 #include "nn/module.h"
 
@@ -36,12 +35,13 @@ struct PromptGeneratorConfig {
   int recon_hidden = 64;       // hidden width of MLP_phi (two-layer, Sec. V-F)
   ReconArch recon_arch = ReconArch::kMlp;
   bool use_reconstruction = true;  // ablation "w/o Generator" sets false
-  bool use_random_walk = true;     // false = exact BFS neighborhoods
 };
 
 // Embeds batches of dataset items into data-graph embeddings. All
 // subgraphs of one call are packed into a disjoint union so the GNN and
-// the reconstruction MLP run once per batch.
+// the reconstruction MLP run once per batch. Every graph read goes through
+// a GraphView; the DatasetBundle entry points wrap the bundle's Graph in a
+// GraphAdapter.
 class PromptGenerator : public Module {
  public:
   PromptGenerator(const PromptGeneratorConfig& config, Rng* rng);
@@ -49,24 +49,14 @@ class PromptGenerator : public Module {
   // Samples a data graph for one dataset item (node id or edge id).
   Subgraph SampleForItem(const DatasetBundle& dataset, int item,
                          Rng* rng) const;
-  // Samples a data graph around a bare node of `graph` (used by the
+  // Samples a data graph around a bare node of `view` (used by the
   // Neighbor-Matching pretraining task).
-  Subgraph SampleForNode(const Graph& graph, int node, Rng* rng) const;
-  // Out-of-core variant: same algorithm via StreamSampler over any
-  // GraphView backend; bitwise-identical to the Graph form on equivalent
-  // backends given the same RNG state.
   Subgraph SampleForNode(const GraphView& view, int node, Rng* rng) const;
 
-  // Embeds pre-sampled subgraphs of `graph`: returns (B x out_dim).
+  // Embeds pre-sampled subgraphs of `view`: returns (B x out_dim).
   // `feature_offset`, when defined, is a (1 x in_dim) row added to every
   // node feature before encoding — the hook used by the prompt-token
   // baseline (ProG) to inject its learnable prompt vector.
-  Tensor EmbedSubgraphs(const Graph& graph,
-                        const std::vector<Subgraph>& subgraphs,
-                        const Tensor& feature_offset = Tensor()) const;
-  // Out-of-core variant: gathers the union's feature rows off the view
-  // (bytewise-identical rows => numerically identical embeddings for
-  // equivalent backends) and runs the same packed encode.
   Tensor EmbedSubgraphs(const GraphView& view,
                         const std::vector<Subgraph>& subgraphs,
                         const Tensor& feature_offset = Tensor()) const;
@@ -76,9 +66,9 @@ class PromptGenerator : public Module {
                     const std::vector<int>& items, Rng* rng) const;
 
   // Reconstructed edge weights for a single subgraph (E x 1); exposes the
-  // Eq. 3 weights for inspection/tests. All ones when reconstruction is
-  // disabled.
-  Tensor ReconstructEdgeWeights(const Graph& graph,
+  // Eq. 3 weights for inspection/tests. All ones, and no feature row read,
+  // when reconstruction is disabled.
+  Tensor ReconstructEdgeWeights(const GraphView& view,
                                 const Subgraph& subgraph) const;
 
   int out_dim() const { return config_.gnn.out_dim; }
@@ -88,22 +78,6 @@ class PromptGenerator : public Module {
   // Computes Eq. 2-3 weights for a packed edge list over `features`.
   Tensor EdgeWeightsFor(const Tensor& features, const std::vector<int>& src,
                         const std::vector<int>& dst) const;
-
-  // Shared tail of both EmbedSubgraphs overloads: reconstruction weights,
-  // GNN_D encode, and center-mean readout over an already-packed union.
-  // `union_nodes` carries the original node id of every union row so the
-  // inference path can run MLP_phi once per unique graph edge (overlapping
-  // subgraphs — and cross-request micro-batches — repeat edges heavily)
-  // and scatter the weight to every occurrence. Bitwise identical to the
-  // per-occurrence computation because row results of Linear/Mlp are
-  // independent of which other rows share the matrix; skipped under
-  // autograd, where the reordered gradient accumulation would not be.
-  Tensor EncodeUnion(Tensor features, const std::vector<int>& union_nodes,
-                     const std::vector<int>& union_src,
-                     const std::vector<int>& union_dst,
-                     const std::vector<int>& center_rows,
-                     const std::vector<int>& center_segment,
-                     int num_subgraphs, const Tensor& feature_offset) const;
 
   PromptGeneratorConfig config_;
   std::unique_ptr<Mlp> recon_mlp_;      // MLP_phi: [x_u || x_v] -> logit

@@ -63,7 +63,7 @@ StatusOr<DatasetBundle> MaterializeViewBundle(const GraphView& view,
 
   // Union of the seed items' ego-nets: the only rows of the view this
   // function ever touches.
-  StreamSampler sampler(&view, config.sampler, config.sampler_kind);
+  const Sampler sampler(&view, config.sampler);
   std::unordered_set<int> union_set;
   for (int item : items) {
     const Subgraph sg = node_task ? sampler.SampleAroundNode(item, &rng)

@@ -19,7 +19,6 @@
 #include "data/datasets.h"
 #include "graph/graph_view.h"
 #include "graph/sampler.h"
-#include "graph/store/stream_sampler.h"
 #include "util/status.h"
 
 namespace gp {
@@ -30,7 +29,6 @@ struct ViewBundleConfig {
   int items_per_class = 12;
   // Ego-net sampling around each seed item; max_nodes bounds the union.
   SamplerConfig sampler{/*num_hops=*/2, /*max_nodes=*/40, /*num_walks=*/2};
-  StreamSampler::Kind sampler_kind = StreamSampler::Kind::kRandomWalk;
   double train_fraction = 0.6;
   uint64_t seed = 17;
 };

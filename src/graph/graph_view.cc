@@ -2,6 +2,7 @@
 
 #include <cstring>
 
+#include "tensor/buffer_pool.h"
 #include "util/logging.h"
 
 namespace gp {
@@ -10,7 +11,9 @@ Tensor GatherFeatureRows(const GraphView& view,
                          const std::vector<int>& nodes) {
   const int d = view.feature_dim();
   const int n = static_cast<int>(nodes.size());
-  std::vector<float> data(static_cast<size_t>(n) * d);
+  // Pooled like every op output, so an episode's packed feature block
+  // recycles through the buffer pool instead of the heap.
+  std::vector<float> data = AcquireBuffer(static_cast<size_t>(n) * d);
   for (int i = 0; i < n; ++i) {
     const float* row = view.FeatureRow(nodes[i]);
     CHECK(row != nullptr);

@@ -1,4 +1,4 @@
-// GraphView: the read-only seam between graph consumers (samplers, the
+// GraphView: the read-only seam between graph consumers (the sampler, the
 // prompt generator, episodic pretraining) and graph storage backends.
 //
 // Three backends implement it:
@@ -14,8 +14,8 @@
 //
 // NeighborsBegin returns a pointer to a *contiguous* AdjEntry run of
 // length Degree(node): one virtual call per visited node, not per
-// neighbor, which keeps out-of-core sampling within a few percent of the
-// in-memory path. Pointers returned by NeighborsBegin / FeatureRow are
+// neighbor, which keeps sampling through the seam as fast as walking a
+// Graph directly. Pointers returned by NeighborsBegin / FeatureRow are
 // valid for the lifetime of the view object (for CsrStore, as long as its
 // mappings are alive).
 
@@ -82,10 +82,9 @@ class GraphAdapter final : public GraphView {
   const Graph& graph_;
 };
 
-// Packs the feature rows of `nodes` (in order) into a dense Tensor —
-// the view-backend analogue of GatherRows(graph.node_features(), nodes).
-// Rows are copied bytewise, so the result is bit-identical to the
-// in-memory gather for equivalent backends.
+// Packs the feature rows of `nodes` (in order) into a dense Tensor with
+// no autograd history. Rows are copied bytewise, so equivalent backends
+// give bit-identical tensors.
 Tensor GatherFeatureRows(const GraphView& view, const std::vector<int>& nodes);
 
 }  // namespace gp

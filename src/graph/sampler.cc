@@ -4,10 +4,11 @@
 #include <unordered_set>
 
 #include "util/logging.h"
+#include "util/parallel.h"
 
 namespace gp {
 
-void InduceEdges(const Graph& graph, Subgraph* subgraph) {
+void InduceEdges(const GraphView& view, Subgraph* subgraph) {
   std::unordered_map<int, int> local_of;
   local_of.reserve(subgraph->nodes.size());
   for (size_t i = 0; i < subgraph->nodes.size(); ++i) {
@@ -15,8 +16,8 @@ void InduceEdges(const Graph& graph, Subgraph* subgraph) {
   }
   for (size_t i = 0; i < subgraph->nodes.size(); ++i) {
     const int u = subgraph->nodes[i];
-    const AdjEntry* adj = graph.NeighborsBegin(u);
-    const int deg = graph.NeighborsCount(u);
+    const AdjEntry* adj = view.NeighborsBegin(u);
+    const int deg = view.Degree(u);
     for (int k = 0; k < deg; ++k) {
       auto it = local_of.find(adj[k].neighbor);
       if (it == local_of.end()) continue;
@@ -28,10 +29,26 @@ void InduceEdges(const Graph& graph, Subgraph* subgraph) {
   }
 }
 
-namespace {
+Sampler::Sampler(const GraphView* view, SamplerConfig config)
+    : view_(view), config_(config) {
+  CHECK(view != nullptr);
+  CHECK_GE(config.num_hops, 0);
+  CHECK_GE(config.max_nodes, 1);
+  CHECK_GE(config.num_walks, 1);
+}
 
-// Shared helper: seeds `nodes` with centers and records their local indices.
-Subgraph SeedCenters(const std::vector<int>& centers) {
+Subgraph Sampler::SampleAroundNode(int node, Rng* rng) const {
+  return SampleAroundNodes({node}, rng);
+}
+
+Subgraph Sampler::SampleAroundEdge(int edge_id, Rng* rng) const {
+  const Edge e = view_->EdgeRecord(edge_id);
+  return SampleAroundNodes({e.src, e.dst}, rng);
+}
+
+Subgraph Sampler::SampleAroundNodes(const std::vector<int>& centers,
+                                    Rng* rng) const {
+  CHECK(rng != nullptr);
   Subgraph sg;
   std::unordered_set<int> seen;
   for (int c : centers) {
@@ -48,87 +65,11 @@ Subgraph SeedCenters(const std::vector<int>& centers) {
       }
     }
   }
-  return sg;
-}
-
-}  // namespace
-
-NeighborSampler::NeighborSampler(const Graph* graph, SamplerConfig config)
-    : graph_(graph), config_(config) {
-  CHECK(graph != nullptr);
-  CHECK_GE(config.num_hops, 0);
-  CHECK_GE(config.max_nodes, 1);
-}
-
-Subgraph NeighborSampler::SampleAroundNode(int node, Rng* rng) const {
-  return SampleAroundNodes({node}, rng);
-}
-
-Subgraph NeighborSampler::SampleAroundEdge(int edge_id, Rng* rng) const {
-  const Edge& e = graph_->edge(edge_id);
-  return SampleAroundNodes({e.src, e.dst}, rng);
-}
-
-Subgraph NeighborSampler::SampleAroundNodes(const std::vector<int>& centers,
-                                            Rng* rng) const {
-  Subgraph sg = SeedCenters(centers);
-  std::unordered_set<int> seen(sg.nodes.begin(), sg.nodes.end());
-
-  // BFS frontier expansion, hop by hop. When a hop would exceed the node
-  // cap, a random subset of that hop's candidates is kept.
-  std::vector<int> frontier = sg.nodes;
-  for (int hop = 0; hop < config_.num_hops; ++hop) {
-    std::vector<int> next;
-    for (int u : frontier) {
-      const AdjEntry* adj = graph_->NeighborsBegin(u);
-      const int deg = graph_->NeighborsCount(u);
-      for (int k = 0; k < deg; ++k) {
-        const int v = adj[k].neighbor;
-        if (seen.insert(v).second) next.push_back(v);
-      }
-    }
-    const int room = config_.max_nodes - static_cast<int>(sg.nodes.size());
-    if (room <= 0) break;
-    if (static_cast<int>(next.size()) > room) {
-      CHECK(rng != nullptr);
-      rng->Shuffle(&next);
-      next.resize(room);
-    }
-    sg.nodes.insert(sg.nodes.end(), next.begin(), next.end());
-    frontier = std::move(next);
-    if (static_cast<int>(sg.nodes.size()) >= config_.max_nodes) break;
-  }
-  InduceEdges(*graph_, &sg);
-  return sg;
-}
-
-RandomWalkSampler::RandomWalkSampler(const Graph* graph, SamplerConfig config)
-    : graph_(graph), config_(config) {
-  CHECK(graph != nullptr);
-  CHECK_GE(config.num_hops, 0);
-  CHECK_GE(config.max_nodes, 1);
-  CHECK_GE(config.num_walks, 1);
-}
-
-Subgraph RandomWalkSampler::SampleAroundNode(int node, Rng* rng) const {
-  return SampleAroundNodes({node}, rng);
-}
-
-Subgraph RandomWalkSampler::SampleAroundEdge(int edge_id, Rng* rng) const {
-  const Edge& e = graph_->edge(edge_id);
-  return SampleAroundNodes({e.src, e.dst}, rng);
-}
-
-Subgraph RandomWalkSampler::SampleAroundNodes(const std::vector<int>& centers,
-                                              Rng* rng) const {
-  CHECK(rng != nullptr);
-  Subgraph sg = SeedCenters(centers);
-  std::unordered_set<int> seen(sg.nodes.begin(), sg.nodes.end());
 
   // Adds the neighbors of `u` (deduplicated) until the cap is hit.
   auto add_neighbors = [&](int u) {
-    const AdjEntry* adj = graph_->NeighborsBegin(u);
-    const int deg = graph_->NeighborsCount(u);
+    const AdjEntry* adj = view_->NeighborsBegin(u);
+    const int deg = view_->Degree(u);
     for (int k = 0; k < deg; ++k) {
       if (static_cast<int>(sg.nodes.size()) >= config_.max_nodes) return;
       const int v = adj[k].neighbor;
@@ -146,17 +87,35 @@ Subgraph RandomWalkSampler::SampleAroundNodes(const std::vector<int>& centers,
       // times; terminate if the subgraph reaches the preset limit."
       for (int step = 0; step < config_.num_hops; ++step) {
         if (static_cast<int>(sg.nodes.size()) >= config_.max_nodes) break;
-        const int deg = graph_->NeighborsCount(current);
+        const int deg = view_->Degree(current);
         if (deg == 0) break;
-        const AdjEntry* adj = graph_->NeighborsBegin(current);
+        const AdjEntry* adj = view_->NeighborsBegin(current);
         current = adj[rng->UniformInt(deg)].neighbor;
         add_neighbors(current);
       }
       if (static_cast<int>(sg.nodes.size()) >= config_.max_nodes) break;
     }
   }
-  InduceEdges(*graph_, &sg);
+  InduceEdges(*view_, &sg);
   return sg;
+}
+
+std::vector<Subgraph> SampleBatch(const GraphView& view,
+                                  const SamplerConfig& config,
+                                  const std::vector<int>& centers,
+                                  uint64_t seed) {
+  Sampler sampler(&view, config);
+  std::vector<Subgraph> out(centers.size());
+  ParallelFor(0, static_cast<int64_t>(centers.size()), /*grain=*/8,
+              [&](int64_t begin, int64_t end) {
+                for (int64_t i = begin; i < end; ++i) {
+                  // Per-item stream: output depends only on (seed, i).
+                  Rng rng(seed ^
+                          (0x9e3779b97f4a7c15ull * static_cast<uint64_t>(i + 1)));
+                  out[i] = sampler.SampleAroundNode(centers[i], &rng);
+                }
+              });
+  return out;
 }
 
 }  // namespace gp

@@ -1,14 +1,17 @@
 // Data-graph construction (Eq. 1): contextualises an input node or edge by
-// sampling its l-hop neighborhood from the source graph, either exactly
-// (NeighborSampler) or with the paper's random-walk procedure
-// (RandomWalkSampler, Sec. IV-A1).
+// sampling its neighborhood with the paper's random-walk procedure
+// (Sec. IV-A1) over any GraphView backend. The sampler reads only the CSR
+// rows of visited nodes, so on a CsrStore backend the resident working set
+// is the sampled neighborhood, not the graph. Callers holding an in-memory
+// Graph wrap it in a GraphAdapter.
 
 #ifndef GRAPHPROMPTER_GRAPH_SAMPLER_H_
 #define GRAPHPROMPTER_GRAPH_SAMPLER_H_
 
+#include <cstdint>
 #include <vector>
 
-#include "graph/graph.h"
+#include "graph/graph_view.h"
 #include "util/rng.h"
 
 namespace gp {
@@ -29,51 +32,49 @@ struct Subgraph {
 };
 
 struct SamplerConfig {
-  // l — the neighborhood radius (walk length for the random-walk sampler).
+  // l — the walk length.
   int num_hops = 1;
   // Hard cap on subgraph size; sampling stops once reached (paper's "preset
   // limit").
   int max_nodes = 30;
-  // Number of walk restarts per center node (random-walk sampler only).
+  // Number of walk restarts per center node.
   int num_walks = 2;
-};
-
-// Exact l-hop BFS neighborhood with a node cap.
-class NeighborSampler {
- public:
-  NeighborSampler(const Graph* graph, SamplerConfig config);
-
-  // Samples the neighborhood of one node (node classification input).
-  Subgraph SampleAroundNode(int node, Rng* rng) const;
-  // Samples around both endpoints of an edge (edge classification input).
-  Subgraph SampleAroundEdge(int edge_id, Rng* rng) const;
-  // General form: centers are included and expanded jointly.
-  Subgraph SampleAroundNodes(const std::vector<int>& centers, Rng* rng) const;
-
- private:
-  const Graph* graph_;
-  SamplerConfig config_;
 };
 
 // The paper's sampler: starting from each center, add its neighbors, take a
 // random step, add that node's neighbors (duplicates removed), repeat l
 // times; stop early at the node cap.
-class RandomWalkSampler {
+class Sampler {
  public:
-  RandomWalkSampler(const Graph* graph, SamplerConfig config);
+  Sampler(const GraphView* view, SamplerConfig config);
 
+  // Samples around one node (node classification input).
   Subgraph SampleAroundNode(int node, Rng* rng) const;
+  // Samples around both endpoints of an edge (edge classification input).
   Subgraph SampleAroundEdge(int edge_id, Rng* rng) const;
+  // General form: centers come first; a duplicated center reuses its local
+  // index.
   Subgraph SampleAroundNodes(const std::vector<int>& centers, Rng* rng) const;
 
+  const SamplerConfig& config() const { return config_; }
+
  private:
-  const Graph* graph_;
+  const GraphView* view_;
   SamplerConfig config_;
 };
 
 // Fills a Subgraph's edge arrays with the induced adjacency among
-// `subgraph->nodes` (shared by both samplers; exposed for testing).
-void InduceEdges(const Graph& graph, Subgraph* subgraph);
+// `subgraph->nodes`, in each node's CSR order (exposed for testing).
+void InduceEdges(const GraphView& view, Subgraph* subgraph);
+
+// Samples one subgraph per center with a per-item RNG seeded by
+// (seed, index), in parallel. The per-item seeding makes the output
+// independent of the thread count and of chunk scheduling: element i is
+// always sampled from Rng(mix(seed, i)).
+std::vector<Subgraph> SampleBatch(const GraphView& view,
+                                  const SamplerConfig& config,
+                                  const std::vector<int>& centers,
+                                  uint64_t seed);
 
 }  // namespace gp
 

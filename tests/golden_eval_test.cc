@@ -257,7 +257,8 @@ std::string RenderSamplerGolden() {
       }
     }
   }
-  const RandomWalkSampler sampler(&mag.graph, walk);
+  const GraphAdapter mag_view(mag.graph);
+  const Sampler sampler(&mag_view, walk);
   out << "centers 5 9 5 120\n";
   RenderSubgraph(sampler.SampleAroundNodes({5, 9, 5, 120}, &rng), &out);
   return out.str();

@@ -194,7 +194,7 @@ TEST(ModuleGradCheckTest, ReconstructionMlpThroughFullGenerator) {
       generator.SampleForItem(ds, ds.train_items_by_class[1][0],
                               &sample_rng)};
   auto fn = [&]() {
-    return Reduce(generator.EmbedSubgraphs(ds.graph, subgraphs));
+    return Reduce(generator.EmbedSubgraphs(GraphAdapter(ds.graph), subgraphs));
   };
   for (const auto& [name, param] : generator.NamedParameters()) {
     if (name.find("recon_mlp/layer0/weight") != std::string::npos) {

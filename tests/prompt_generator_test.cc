@@ -20,8 +20,40 @@ PromptGeneratorConfig SmallConfig(int in_dim = 16) {
 
 class PromptGeneratorTest : public ::testing::Test {
  protected:
-  PromptGeneratorTest() : dataset_(MakeArxivSim(0.1, 5)) {}
+  PromptGeneratorTest()
+      : dataset_(MakeArxivSim(0.1, 5)), view_(dataset_.graph) {}
   DatasetBundle dataset_;
+  GraphAdapter view_;
+};
+
+// A GraphAdapter that counts FeatureRow reads.
+class FeatureReadCounter final : public GraphView {
+ public:
+  explicit FeatureReadCounter(const Graph& graph) : inner_(graph) {}
+
+  int num_nodes() const override { return inner_.num_nodes(); }
+  int num_edges() const override { return inner_.num_edges(); }
+  int num_relations() const override { return inner_.num_relations(); }
+  int feature_dim() const override { return inner_.feature_dim(); }
+  int num_node_classes() const override { return inner_.num_node_classes(); }
+  int Degree(int node) const override { return inner_.Degree(node); }
+  const AdjEntry* NeighborsBegin(int node) const override {
+    return inner_.NeighborsBegin(node);
+  }
+  const float* FeatureRow(int node) const override {
+    ++reads_;
+    return inner_.FeatureRow(node);
+  }
+  int NodeLabel(int node) const override { return inner_.NodeLabel(node); }
+  Edge EdgeRecord(int edge_id) const override {
+    return inner_.EdgeRecord(edge_id);
+  }
+
+  int reads() const { return reads_; }
+
+ private:
+  GraphAdapter inner_;
+  mutable int reads_ = 0;
 };
 
 TEST_F(PromptGeneratorTest, EmbedItemsShape) {
@@ -42,7 +74,7 @@ TEST_F(PromptGeneratorTest, EdgeWeightsAreInUnitInterval) {
   Rng sample_rng(4);
   const int item = dataset_.train_items_by_class[0][0];
   Subgraph sg = generator.SampleForItem(dataset_, item, &sample_rng);
-  Tensor weights = generator.ReconstructEdgeWeights(dataset_.graph, sg);
+  Tensor weights = generator.ReconstructEdgeWeights(view_, sg);
   EXPECT_EQ(weights.rows(), sg.num_edges());
   for (float w : weights.data()) {
     EXPECT_GT(w, 0.0f);
@@ -58,8 +90,27 @@ TEST_F(PromptGeneratorTest, ReconstructionDisabledGivesUnitWeights) {
   Rng sample_rng(6);
   Subgraph sg = generator.SampleForItem(
       dataset_, dataset_.train_items_by_class[0][0], &sample_rng);
-  Tensor weights = generator.ReconstructEdgeWeights(dataset_.graph, sg);
+  Tensor weights = generator.ReconstructEdgeWeights(view_, sg);
   for (float w : weights.data()) EXPECT_EQ(w, 1.0f);
+}
+
+// Unit weights need no features: with reconstruction off no feature row
+// is read; with it on, each subgraph node's row is read once.
+TEST_F(PromptGeneratorTest, ReconstructEdgeWeightsReadsFeaturesOnlyWhenUsed) {
+  const FeatureReadCounter view(dataset_.graph);
+  auto config = SmallConfig(dataset_.graph.feature_dim());
+  Rng sample_rng(32);
+  for (const bool reconstruct : {false, true}) {
+    config.use_reconstruction = reconstruct;
+    Rng rng(33);
+    PromptGenerator generator(config, &rng);
+    const Subgraph sg = generator.SampleForItem(
+        dataset_, dataset_.train_items_by_class[0][0], &sample_rng);
+    ASSERT_GT(sg.num_edges(), 0);
+    const int before = view.reads();
+    generator.ReconstructEdgeWeights(view, sg);
+    EXPECT_EQ(view.reads() - before, reconstruct ? sg.num_nodes() : 0);
+  }
 }
 
 TEST_F(PromptGeneratorTest, BatchedEqualsPerItemEmbedding) {
@@ -73,9 +124,9 @@ TEST_F(PromptGeneratorTest, BatchedEqualsPerItemEmbedding) {
     subgraphs.push_back(generator.SampleForItem(
         dataset_, dataset_.train_items_by_class[i][0], &sample_rng));
   }
-  Tensor batched = generator.EmbedSubgraphs(dataset_.graph, subgraphs);
+  Tensor batched = generator.EmbedSubgraphs(view_, subgraphs);
   for (int i = 0; i < 4; ++i) {
-    Tensor single = generator.EmbedSubgraphs(dataset_.graph, {subgraphs[i]});
+    Tensor single = generator.EmbedSubgraphs(view_, {subgraphs[i]});
     for (int c = 0; c < batched.cols(); ++c) {
       EXPECT_NEAR(batched.at(i, c), single.at(0, c), 1e-4f);
     }
@@ -117,9 +168,9 @@ TEST_F(PromptGeneratorTest, FeatureOffsetChangesEmbedding) {
   Rng sample_rng(15);
   Subgraph sg = generator.SampleForItem(
       dataset_, dataset_.train_items_by_class[0][0], &sample_rng);
-  Tensor base = generator.EmbedSubgraphs(dataset_.graph, {sg});
+  Tensor base = generator.EmbedSubgraphs(view_, {sg});
   Tensor offset = Tensor::Full(1, dataset_.graph.feature_dim(), 0.5f);
-  Tensor shifted = generator.EmbedSubgraphs(dataset_.graph, {sg}, offset);
+  Tensor shifted = generator.EmbedSubgraphs(view_, {sg}, offset);
   float diff = 0;
   for (int64_t i = 0; i < base.size(); ++i) {
     diff += std::abs(base.data()[i] - shifted.data()[i]);
@@ -135,7 +186,7 @@ TEST_F(PromptGeneratorTest, BilinearReconstructionVariant) {
   Rng sample_rng(31);
   Subgraph sg = generator.SampleForItem(
       dataset_, dataset_.train_items_by_class[0][0], &sample_rng);
-  Tensor weights = generator.ReconstructEdgeWeights(dataset_.graph, sg);
+  Tensor weights = generator.ReconstructEdgeWeights(view_, sg);
   EXPECT_EQ(weights.rows(), sg.num_edges());
   for (float w : weights.data()) {
     EXPECT_GT(w, 0.0f);
@@ -156,18 +207,6 @@ TEST_F(PromptGeneratorTest, BilinearReconstructionVariant) {
 TEST_F(PromptGeneratorTest, ReconArchNames) {
   EXPECT_STREQ(ReconArchName(ReconArch::kMlp), "MLP");
   EXPECT_STREQ(ReconArchName(ReconArch::kBilinear), "bilinear");
-}
-
-TEST_F(PromptGeneratorTest, BfsSamplerVariantWorks) {
-  auto config = SmallConfig(dataset_.graph.feature_dim());
-  config.use_random_walk = false;
-  Rng rng(16);
-  PromptGenerator generator(config, &rng);
-  Rng sample_rng(17);
-  Subgraph sg = generator.SampleForItem(
-      dataset_, dataset_.train_items_by_class[0][0], &sample_rng);
-  EXPECT_GE(sg.num_nodes(), 1);
-  EXPECT_LE(sg.num_nodes(), config.sampler.max_nodes);
 }
 
 TEST_F(PromptGeneratorTest, MultiHopSamplesAtLeastAsManyNodes) {

@@ -1,10 +1,26 @@
+// Properties of the random-walk sampler (Eq. 1): centers come first, nodes
+// are unique, the node cap holds, induced edges stay inside the subgraph,
+// and a seed fixes the output. The same walk over GraphAdapter, CsrGraph
+// and CsrStore must agree bitwise, and SampleBatch must be invariant to
+// the worker thread count.
+
 #include "graph/sampler.h"
 
+#include <cstdint>
+#include <filesystem>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "data/synthetic.h"
 #include "graph/builder.h"
+#include "graph/store/csr_graph.h"
+#include "graph/store/csr_store.h"
+#include "graph/store/shard_writer.h"
+#include "util/parallel.h"
 
 namespace gp {
 namespace {
@@ -26,103 +42,12 @@ Graph MakeStar(int leaves = 10) {
   return builder.Build();
 }
 
-TEST(NeighborSamplerTest, OneHopIsExactNeighborhood) {
-  Graph g = MakePath();
-  SamplerConfig config;
-  config.num_hops = 1;
-  config.max_nodes = 100;
-  NeighborSampler sampler(&g, config);
-  Rng rng(1);
-  Subgraph sg = sampler.SampleAroundNode(1, &rng);
-  std::set<int> nodes(sg.nodes.begin(), sg.nodes.end());
-  EXPECT_EQ(nodes, (std::set<int>{0, 1, 2}));
-  EXPECT_EQ(sg.center_local, (std::vector<int>{0}));
-  EXPECT_EQ(sg.nodes[0], 1);
-}
-
-TEST(NeighborSamplerTest, TwoHopsExpand) {
-  Graph g = MakePath();
+TEST(SamplerTest, CenterAlwaysFirst) {
+  const Graph g = MakePath();
+  const GraphAdapter view(g);
   SamplerConfig config;
   config.num_hops = 2;
-  config.max_nodes = 100;
-  NeighborSampler sampler(&g, config);
-  Rng rng(2);
-  Subgraph sg = sampler.SampleAroundNode(2, &rng);
-  std::set<int> nodes(sg.nodes.begin(), sg.nodes.end());
-  EXPECT_EQ(nodes, (std::set<int>{0, 1, 2, 3, 4}));
-}
-
-TEST(NeighborSamplerTest, MaxNodesCapHolds) {
-  Graph g = MakeStar(10);
-  SamplerConfig config;
-  config.num_hops = 1;
-  config.max_nodes = 5;
-  NeighborSampler sampler(&g, config);
-  Rng rng(3);
-  Subgraph sg = sampler.SampleAroundNode(0, &rng);
-  EXPECT_LE(sg.num_nodes(), 5);
-  EXPECT_EQ(sg.nodes[0], 0);  // center retained
-}
-
-TEST(NeighborSamplerTest, EdgeInputGetsTwoCenters) {
-  Graph g = MakePath();
-  SamplerConfig config;
-  NeighborSampler sampler(&g, config);
-  Rng rng(4);
-  Subgraph sg = sampler.SampleAroundEdge(2, &rng);  // edge 2-3
-  ASSERT_EQ(sg.center_local.size(), 2u);
-  EXPECT_EQ(sg.nodes[sg.center_local[0]], 2);
-  EXPECT_EQ(sg.nodes[sg.center_local[1]], 3);
-}
-
-TEST(NeighborSamplerTest, InducedEdgesAreWithinSubgraph) {
-  Graph g = MakePath();
-  SamplerConfig config;
-  config.num_hops = 2;
-  NeighborSampler sampler(&g, config);
-  Rng rng(5);
-  Subgraph sg = sampler.SampleAroundNode(3, &rng);
-  for (int e = 0; e < sg.num_edges(); ++e) {
-    EXPECT_GE(sg.edge_src[e], 0);
-    EXPECT_LT(sg.edge_src[e], sg.num_nodes());
-    EXPECT_GE(sg.edge_dst[e], 0);
-    EXPECT_LT(sg.edge_dst[e], sg.num_nodes());
-  }
-}
-
-TEST(NeighborSamplerTest, InducedEdgesComeInBothDirections) {
-  Graph g = MakePath();
-  SamplerConfig config;
-  NeighborSampler sampler(&g, config);
-  Rng rng(6);
-  Subgraph sg = sampler.SampleAroundNode(1, &rng);
-  // For every directed (u, v) there is (v, u).
-  std::set<std::pair<int, int>> pairs;
-  for (int e = 0; e < sg.num_edges(); ++e) {
-    pairs.insert({sg.edge_src[e], sg.edge_dst[e]});
-  }
-  for (const auto& [u, v] : pairs) {
-    EXPECT_TRUE(pairs.count({v, u})) << u << "->" << v;
-  }
-}
-
-TEST(NeighborSamplerTest, IsolatedNodeYieldsSingleton) {
-  GraphBuilder builder;
-  builder.AddNode();
-  Graph g = builder.Build();
-  SamplerConfig config;
-  NeighborSampler sampler(&g, config);
-  Rng rng(7);
-  Subgraph sg = sampler.SampleAroundNode(0, &rng);
-  EXPECT_EQ(sg.num_nodes(), 1);
-  EXPECT_EQ(sg.num_edges(), 0);
-}
-
-TEST(RandomWalkSamplerTest, CenterAlwaysFirst) {
-  Graph g = MakePath();
-  SamplerConfig config;
-  config.num_hops = 2;
-  RandomWalkSampler sampler(&g, config);
+  const Sampler sampler(&view, config);
   Rng rng(8);
   for (int trial = 0; trial < 10; ++trial) {
     Subgraph sg = sampler.SampleAroundNode(3, &rng);
@@ -131,35 +56,39 @@ TEST(RandomWalkSamplerTest, CenterAlwaysFirst) {
   }
 }
 
-TEST(RandomWalkSamplerTest, NodesAreUnique) {
-  Graph g = MakeStar(8);
+TEST(SamplerTest, NodesAreUnique) {
+  const Graph g = MakeStar(8);
+  const GraphAdapter view(g);
   SamplerConfig config;
   config.num_hops = 3;
-  RandomWalkSampler sampler(&g, config);
+  const Sampler sampler(&view, config);
   Rng rng(9);
   Subgraph sg = sampler.SampleAroundNode(0, &rng);
   std::set<int> unique(sg.nodes.begin(), sg.nodes.end());
   EXPECT_EQ(unique.size(), sg.nodes.size());
 }
 
-TEST(RandomWalkSamplerTest, RespectsCap) {
-  Graph g = MakeStar(50);
+TEST(SamplerTest, RespectsCap) {
+  const Graph g = MakeStar(50);
+  const GraphAdapter view(g);
   SamplerConfig config;
   config.num_hops = 3;
   config.max_nodes = 7;
-  RandomWalkSampler sampler(&g, config);
+  const Sampler sampler(&view, config);
   Rng rng(10);
   Subgraph sg = sampler.SampleAroundNode(0, &rng);
   EXPECT_LE(sg.num_nodes(), 7);
+  EXPECT_EQ(sg.nodes[0], 0);  // center retained
 }
 
-TEST(RandomWalkSamplerTest, CoversOneHopNeighborsOfCenter) {
+TEST(SamplerTest, CoversOneHopNeighborsOfCenter) {
   // With no cap pressure, the first step adds all neighbors of the center.
-  Graph g = MakePath();
+  const Graph g = MakePath();
+  const GraphAdapter view(g);
   SamplerConfig config;
   config.num_hops = 1;
   config.max_nodes = 100;
-  RandomWalkSampler sampler(&g, config);
+  const Sampler sampler(&view, config);
   Rng rng(11);
   Subgraph sg = sampler.SampleAroundNode(2, &rng);
   std::set<int> nodes(sg.nodes.begin(), sg.nodes.end());
@@ -167,27 +96,85 @@ TEST(RandomWalkSamplerTest, CoversOneHopNeighborsOfCenter) {
   EXPECT_TRUE(nodes.count(3));
 }
 
-TEST(RandomWalkSamplerTest, SelfLoopEdgeCenterDeduplicated) {
+TEST(SamplerTest, EdgeInputGetsTwoCenters) {
+  const Graph g = MakePath();
+  const GraphAdapter view(g);
+  const Sampler sampler(&view, SamplerConfig());
+  Rng rng(4);
+  Subgraph sg = sampler.SampleAroundEdge(2, &rng);  // edge 2-3
+  ASSERT_EQ(sg.center_local.size(), 2u);
+  EXPECT_EQ(sg.nodes[sg.center_local[0]], 2);
+  EXPECT_EQ(sg.nodes[sg.center_local[1]], 3);
+}
+
+TEST(SamplerTest, SelfLoopEdgeCenterDeduplicated) {
   GraphBuilder builder;
   builder.AddNode();
   builder.AddNode();
   builder.AddEdge(0, 0);
   builder.AddEdge(0, 1);
-  Graph g = builder.Build();
-  SamplerConfig config;
-  RandomWalkSampler sampler(&g, config);
+  const Graph g = builder.Build();
+  const GraphAdapter view(g);
+  const Sampler sampler(&view, SamplerConfig());
   Rng rng(12);
   Subgraph sg = sampler.SampleAroundEdge(0, &rng);  // self loop (0,0)
   ASSERT_EQ(sg.center_local.size(), 2u);
   EXPECT_EQ(sg.center_local[0], sg.center_local[1]);
 }
 
-TEST(RandomWalkSamplerTest, DeterministicGivenSeed) {
-  Graph g = MakeStar(20);
+TEST(SamplerTest, InducedEdgesAreWithinSubgraph) {
+  const Graph g = MakePath();
+  const GraphAdapter view(g);
+  SamplerConfig config;
+  config.num_hops = 2;
+  const Sampler sampler(&view, config);
+  Rng rng(5);
+  Subgraph sg = sampler.SampleAroundNode(3, &rng);
+  ASSERT_GT(sg.num_edges(), 0);
+  for (int e = 0; e < sg.num_edges(); ++e) {
+    EXPECT_GE(sg.edge_src[e], 0);
+    EXPECT_LT(sg.edge_src[e], sg.num_nodes());
+    EXPECT_GE(sg.edge_dst[e], 0);
+    EXPECT_LT(sg.edge_dst[e], sg.num_nodes());
+  }
+}
+
+TEST(SamplerTest, InducedEdgesComeInBothDirections) {
+  const Graph g = MakePath();
+  const GraphAdapter view(g);
+  const Sampler sampler(&view, SamplerConfig());
+  Rng rng(6);
+  Subgraph sg = sampler.SampleAroundNode(1, &rng);
+  // For every directed (u, v) there is (v, u).
+  std::set<std::pair<int, int>> pairs;
+  for (int e = 0; e < sg.num_edges(); ++e) {
+    pairs.insert({sg.edge_src[e], sg.edge_dst[e]});
+  }
+  ASSERT_FALSE(pairs.empty());
+  for (const auto& [u, v] : pairs) {
+    EXPECT_TRUE(pairs.count({v, u})) << u << "->" << v;
+  }
+}
+
+TEST(SamplerTest, IsolatedNodeYieldsSingleton) {
+  GraphBuilder builder;
+  builder.AddNode();
+  const Graph g = builder.Build();
+  const GraphAdapter view(g);
+  const Sampler sampler(&view, SamplerConfig());
+  Rng rng(7);
+  Subgraph sg = sampler.SampleAroundNode(0, &rng);
+  EXPECT_EQ(sg.num_nodes(), 1);
+  EXPECT_EQ(sg.num_edges(), 0);
+}
+
+TEST(SamplerTest, DeterministicGivenSeed) {
+  const Graph g = MakeStar(20);
+  const GraphAdapter view(g);
   SamplerConfig config;
   config.num_hops = 2;
   config.max_nodes = 10;
-  RandomWalkSampler sampler(&g, config);
+  const Sampler sampler(&view, config);
   Rng rng_a(13), rng_b(13);
   Subgraph a = sampler.SampleAroundNode(0, &rng_a);
   Subgraph b = sampler.SampleAroundNode(0, &rng_b);
@@ -200,14 +187,102 @@ TEST(InduceEdgesTest, RelationAndIdPreserved) {
   builder.AddNode();
   builder.AddNode();
   builder.AddEdge(0, 1, 2);
-  Graph g = builder.Build();
+  const Graph g = builder.Build();
   Subgraph sg;
   sg.nodes = {0, 1};
   sg.center_local = {0};
-  InduceEdges(g, &sg);
+  InduceEdges(GraphAdapter(g), &sg);
   ASSERT_EQ(sg.num_edges(), 2);  // both directions
   EXPECT_EQ(sg.edge_rel[0], 2);
   EXPECT_EQ(sg.edge_ids[0], 0);
+}
+
+Graph TestGraph() {
+  NodeGraphConfig config;
+  config.num_nodes = 200;
+  config.num_classes = 4;
+  config.feature_dim = 8;
+  return MakeNodeClassificationGraph(config);
+}
+
+SamplerConfig WalkConfig() {
+  SamplerConfig config;
+  config.num_hops = 2;
+  config.max_nodes = 25;
+  config.num_walks = 2;
+  return config;
+}
+
+void ExpectSameSubgraph(const Subgraph& a, const Subgraph& b,
+                        const std::string& what) {
+  EXPECT_EQ(a.nodes, b.nodes) << what;
+  EXPECT_EQ(a.center_local, b.center_local) << what;
+  EXPECT_EQ(a.edge_src, b.edge_src) << what;
+  EXPECT_EQ(a.edge_dst, b.edge_dst) << what;
+  EXPECT_EQ(a.edge_rel, b.edge_rel) << what;
+  EXPECT_EQ(a.edge_ids, b.edge_ids) << what;
+}
+
+// The same walk over all three backends must agree bitwise — the
+// load-bearing property for the scale benchmark's embedding-CRC check.
+TEST(SamplerTest, IdenticalAcrossBackends) {
+  const Graph graph = TestGraph();
+  const std::string dir = ::testing::TempDir() + "/sampler_backends";
+  std::filesystem::remove_all(dir);
+  ShardWriterOptions options;
+  options.nodes_per_shard = 64;
+  options.edges_per_shard = 100;
+  ASSERT_TRUE(WriteCsrShards(graph, dir, options).ok());
+  auto store_or = CsrStore::Open(dir);
+  ASSERT_TRUE(store_or.ok()) << store_or.status().ToString();
+
+  const GraphAdapter adapter(graph);
+  const CsrGraph csr = CsrGraph::FromGraph(graph);
+  const CsrStore& store = **store_or;
+
+  const Sampler on_adapter(&adapter, WalkConfig());
+  const Sampler on_csr(&csr, WalkConfig());
+  const Sampler on_store(&store, WalkConfig());
+  for (int node = 0; node < graph.num_nodes(); node += 11) {
+    Rng rng_a(node), rng_b(node), rng_c(node);
+    const Subgraph a = on_adapter.SampleAroundNode(node, &rng_a);
+    const Subgraph b = on_csr.SampleAroundNode(node, &rng_b);
+    const Subgraph c = on_store.SampleAroundNode(node, &rng_c);
+    ExpectSameSubgraph(b, a, "csr node " + std::to_string(node));
+    ExpectSameSubgraph(c, a, "store node " + std::to_string(node));
+  }
+  std::filesystem::remove_all(dir);
+}
+
+// SampleBatch seeds each element from (seed, index), so the result must
+// not depend on the thread count or chunking — and must equal a serial
+// per-item resample.
+TEST(SamplerTest, SampleBatchIsThreadCountInvariant) {
+  const Graph graph = TestGraph();
+  const GraphAdapter view(graph);
+  std::vector<int> centers;
+  for (int i = 0; i < 64; ++i) centers.push_back((i * 17) % graph.num_nodes());
+  const uint64_t seed = 2024;
+
+  const int original_threads = NumThreads();
+  SetNumThreads(1);
+  const std::vector<Subgraph> serial =
+      SampleBatch(view, WalkConfig(), centers, seed);
+  SetNumThreads(4);
+  const std::vector<Subgraph> parallel =
+      SampleBatch(view, WalkConfig(), centers, seed);
+  SetNumThreads(original_threads);
+
+  ASSERT_EQ(serial.size(), parallel.size());
+  const Sampler sampler(&view, WalkConfig());
+  for (size_t i = 0; i < serial.size(); ++i) {
+    ExpectSameSubgraph(parallel[i], serial[i],
+                       "threads item " + std::to_string(i));
+    Rng rng(seed ^ (0x9e3779b97f4a7c15ull * static_cast<uint64_t>(i + 1)));
+    ExpectSameSubgraph(serial[i],
+                       sampler.SampleAroundNode(centers[i], &rng),
+                       "per-item seed " + std::to_string(i));
+  }
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 // End-to-end properties of the out-of-core pipeline: the streaming
 // synthetic generators (Feistel-permuted labels, per-node feature
-// streams), episode materialization off a GraphView, the view-based
-// prompt-generator overloads, and the view-based pretraining loop — all
-// pinned against their in-memory counterparts.
+// streams), episode materialization off a GraphView, prompt-generator
+// embeddings across the three GraphView backends, and the view-based
+// pretraining loop against the in-memory one.
 
 #include <cstdint>
 #include <cstring>
@@ -18,7 +18,9 @@
 #include "data/synthetic.h"
 #include "data/view_bundle.h"
 #include "graph/graph_view.h"
+#include "graph/store/csr_graph.h"
 #include "graph/store/csr_store.h"
+#include "graph/store/shard_writer.h"
 
 namespace gp {
 namespace {
@@ -144,42 +146,40 @@ GraphPrompterConfig SmallModelConfig() {
   return config;
 }
 
-// The view overload of EmbedSubgraphs must reproduce the in-memory path
-// bitwise: same packing, same feature bytes, same encode.
-TEST(ViewGeneratorTest, EmbedSubgraphsMatchesGraphPath) {
+// EmbedSubgraphs must give identical bytes over every backend: the
+// in-memory path (a GraphAdapter over the Graph), the flat CsrGraph and
+// the mmap CsrStore see the same rows, so they run the same encode.
+TEST(ViewGeneratorTest, EmbedSubgraphsIdenticalAcrossBackends) {
   const Graph graph = SmallGraph();
-  const GraphAdapter view(graph);
+  const std::string dir = FreshDir("embed_backends");
+  ShardWriterOptions options;
+  options.nodes_per_shard = 64;
+  options.edges_per_shard = 100;
+  ASSERT_TRUE(WriteCsrShards(graph, dir, options).ok());
+  auto store_or = CsrStore::Open(dir);
+  ASSERT_TRUE(store_or.ok()) << store_or.status().ToString();
+  const GraphAdapter adapter(graph);
+  const CsrGraph csr = CsrGraph::FromGraph(graph);
   GraphPrompterModel model(SmallModelConfig());
 
   Rng sample_rng(5);
   std::vector<Subgraph> subgraphs;
   for (int node = 0; node < 24; ++node) {
     subgraphs.push_back(
-        model.generator().SampleForNode(graph, node, &sample_rng));
+        model.generator().SampleForNode(adapter, node, &sample_rng));
   }
-  const Tensor from_graph =
-      model.generator().EmbedSubgraphs(graph, subgraphs);
-  const Tensor from_view = model.generator().EmbedSubgraphs(view, subgraphs);
-  ASSERT_EQ(from_graph.rows(), from_view.rows());
-  ASSERT_EQ(from_graph.cols(), from_view.cols());
-  EXPECT_EQ(std::memcmp(from_graph.data().data(), from_view.data().data(),
-                        static_cast<size_t>(from_graph.size()) *
-                            sizeof(float)),
-            0);
-}
-
-TEST(ViewGeneratorTest, SampleForNodeMatchesGraphPath) {
-  const Graph graph = SmallGraph();
-  const GraphAdapter view(graph);
-  GraphPrompterModel model(SmallModelConfig());
-  for (int node = 0; node < 30; node += 3) {
-    Rng rng_a(node), rng_b(node);
-    const Subgraph a = model.generator().SampleForNode(graph, node, &rng_a);
-    const Subgraph b = model.generator().SampleForNode(view, node, &rng_b);
-    EXPECT_EQ(a.nodes, b.nodes);
-    EXPECT_EQ(a.edge_src, b.edge_src);
-    EXPECT_EQ(a.edge_ids, b.edge_ids);
+  const Tensor reference = model.generator().EmbedSubgraphs(adapter, subgraphs);
+  const size_t bytes = static_cast<size_t>(reference.size()) * sizeof(float);
+  for (const GraphView* view :
+       std::vector<const GraphView*>{&csr, store_or->get()}) {
+    const Tensor embedded = model.generator().EmbedSubgraphs(*view, subgraphs);
+    ASSERT_EQ(embedded.rows(), reference.rows());
+    ASSERT_EQ(embedded.cols(), reference.cols());
+    EXPECT_EQ(std::memcmp(embedded.data().data(), reference.data().data(),
+                          bytes),
+              0);
   }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(ViewBundleTest, MaterializesAValidDeterministicBundle) {
@@ -218,9 +218,9 @@ TEST(ViewBundleTest, RejectsEmptyAndUnlabeledViews) {
             StatusCode::kInvalidArgument);
 }
 
-// With Multi-Task off, the view-based loop mirrors the in-memory one
-// operation for operation (same RNG stream, same episode construction,
-// same packed forward), so two same-seed models land on identical curves.
+// With Multi-Task off, both overloads run the same Neighbor Matching
+// episodes through the same loop (the in-memory one over a GraphAdapter),
+// so two same-seed models land on identical curves.
 TEST(ViewPretrainTest, NeighborMatchingCurvesMatchGraphPath) {
   const Graph graph = SmallGraph();
   DatasetBundle dataset = MakeBundleFromGraph(
