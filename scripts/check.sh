@@ -109,7 +109,7 @@ fi
 
 # `index` rides along so the sanitizers cover the quantized candidate
 # pass (uint8 code arithmetic, sidecar insert/erase bookkeeping); `store`
-# puts the mmap shard readers and the streaming sampler under ASan/UBSan;
+# puts the mmap shard readers and the sampler under ASan/UBSan;
 # `kernels` covers the fused ops' index arithmetic into projections and
 # gradients.
 label_args=(-L 'robustness|fuzz|index|store|kernels')

@@ -56,8 +56,6 @@ class Sampler {
   // index.
   Subgraph SampleAroundNodes(const std::vector<int>& centers, Rng* rng) const;
 
-  const SamplerConfig& config() const { return config_; }
-
  private:
   const GraphView* view_;
   SamplerConfig config_;
