@@ -89,7 +89,7 @@ Tensor PromptGenerator::ReconstructEdgeWeights(const GraphView& view,
     return CachedOnesColumn(sg.num_edges());
   }
   GP_TRACE_SPAN("generator/reconstruct");
-  return EdgeWeightsFor(GatherFeatureRows(view, sg.nodes), sg.edge_src,
+  return EdgeWeightsFor(view.GatherFeatureRows(sg.nodes), sg.edge_src,
                         sg.edge_dst);
 }
 
@@ -135,7 +135,7 @@ Tensor PromptGenerator::EmbedSubgraphs(const GraphView& view,
   static Counter* embedded = Telemetry().GetCounter("generator/subgraphs");
   embedded->Add(num_subgraphs);
 
-  Tensor features = GatherFeatureRows(view, packed.nodes);
+  Tensor features = view.GatherFeatureRows(packed.nodes);
   if (feature_offset.defined()) {
     features = Add(features, feature_offset);  // broadcast row
   }

@@ -106,7 +106,7 @@ StatusOr<DatasetBundle> MaterializeViewBundle(const GraphView& view,
                     /*undirected=*/true);
   }
   if (view.feature_dim() > 0) {
-    builder.SetNodeFeatures(GatherFeatureRows(view, union_nodes));
+    builder.SetNodeFeatures(view.GatherFeatureRows(union_nodes));
   }
   return MakeBundleFromGraph(name, config.task, builder.Build(),
                              config.train_fraction, config.seed);

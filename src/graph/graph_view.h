@@ -50,6 +50,12 @@ class GraphView {
   virtual int NodeLabel(int node) const = 0;
   // Original edge record for `edge_id` (as Graph::edge).
   virtual Edge EdgeRecord(int edge_id) const = 0;
+
+  // Packs the feature rows of `nodes` (in order) into a dense Tensor with
+  // no autograd history. Rows are copied bytewise, so equivalent backends
+  // give bit-identical tensors. The default copies each FeatureRow into a
+  // pooled buffer.
+  virtual Tensor GatherFeatureRows(const std::vector<int>& nodes) const;
 };
 
 // GraphView over an in-memory Graph. Non-owning: the Graph must outlive
@@ -75,17 +81,14 @@ class GraphAdapter final : public GraphView {
   }
   int NodeLabel(int node) const override { return graph_.node_label(node); }
   Edge EdgeRecord(int edge_id) const override { return graph_.edge(edge_id); }
+  // The GatherRows op over the graph's feature tensor.
+  Tensor GatherFeatureRows(const std::vector<int>& nodes) const override;
 
   const Graph& graph() const { return graph_; }
 
  private:
   const Graph& graph_;
 };
-
-// Packs the feature rows of `nodes` (in order) into a dense Tensor with
-// no autograd history. Rows are copied bytewise, so equivalent backends
-// give bit-identical tensors.
-Tensor GatherFeatureRows(const GraphView& view, const std::vector<int>& nodes);
 
 }  // namespace gp
 

@@ -94,22 +94,28 @@ TEST(CsrGraphTest, ToGraphRoundTripsAdjacency) {
   ExpectViewMatchesGraph(GraphAdapter(rebuilt), graph);
 }
 
+// The row-copy default (CsrGraph) and the adapter's tensor gather must
+// both return the graph's feature rows bytewise.
 TEST(CsrGraphTest, GatherFeatureRowsMatchesTensorGather) {
   const Graph graph = TestGraph(50);
-  const GraphAdapter view(graph);
+  const GraphAdapter adapter(graph);
+  const CsrGraph csr = CsrGraph::FromGraph(graph);
   const std::vector<int> rows = {3, 17, 3, 49, 0};
-  const Tensor gathered = GatherFeatureRows(view, rows);
-  ASSERT_EQ(gathered.rows(), 5);
-  ASSERT_EQ(gathered.cols(), graph.feature_dim());
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const float* expect = graph.node_features().data().data() +
-                          static_cast<size_t>(rows[i]) * graph.feature_dim();
-    EXPECT_EQ(std::memcmp(gathered.data().data() +
-                              i * static_cast<size_t>(graph.feature_dim()),
-                          expect,
-                          static_cast<size_t>(graph.feature_dim()) *
-                              sizeof(float)),
-              0);
+  for (const GraphView* view : {static_cast<const GraphView*>(&adapter),
+                                static_cast<const GraphView*>(&csr)}) {
+    const Tensor gathered = view->GatherFeatureRows(rows);
+    ASSERT_EQ(gathered.rows(), 5);
+    ASSERT_EQ(gathered.cols(), graph.feature_dim());
+    for (size_t i = 0; i < rows.size(); ++i) {
+      const float* expect = graph.node_features().data().data() +
+                            static_cast<size_t>(rows[i]) * graph.feature_dim();
+      EXPECT_EQ(std::memcmp(gathered.data().data() +
+                                i * static_cast<size_t>(graph.feature_dim()),
+                            expect,
+                            static_cast<size_t>(graph.feature_dim()) *
+                                sizeof(float)),
+                0);
+    }
   }
 }
 
