@@ -1,8 +1,8 @@
-// Backend-equivalence property tests for StreamSampler: over GraphAdapter,
-// CsrGraph, and CsrStore the streamed samplers must reproduce the
-// in-memory NeighborSampler / RandomWalkSampler outputs bitwise (same RNG
-// consumption, same dedup/cap decisions, same induced-edge enumeration),
-// and SampleBatch must be invariant to the worker thread count.
+// Backend-equivalence property tests for the sampler over the out-of-core
+// stores: the same walk over GraphAdapter, CsrGraph and CsrStore must agree
+// bitwise (same RNG consumption, same dedup/cap decisions, same induced-edge
+// enumeration) for node, edge and multi-center inputs, and SampleBatch must
+// be invariant to the worker thread count.
 
 #include <cstdint>
 #include <filesystem>
@@ -17,18 +17,25 @@
 #include "graph/store/csr_graph.h"
 #include "graph/store/csr_store.h"
 #include "graph/store/shard_writer.h"
-#include "graph/store/stream_sampler.h"
 #include "util/parallel.h"
 
 namespace gp {
 namespace {
 
-Graph TestGraph(int num_nodes = 200) {
+Graph TestGraph() {
   NodeGraphConfig config;
-  config.num_nodes = num_nodes;
+  config.num_nodes = 200;
   config.num_classes = 4;
   config.feature_dim = 8;
   return MakeNodeClassificationGraph(config);
+}
+
+SamplerConfig WalkConfig() {
+  SamplerConfig config;
+  config.num_hops = 2;
+  config.max_nodes = 25;
+  config.num_walks = 2;
+  return config;
 }
 
 void ExpectSameSubgraph(const Subgraph& a, const Subgraph& b,
@@ -41,66 +48,7 @@ void ExpectSameSubgraph(const Subgraph& a, const Subgraph& b,
   EXPECT_EQ(a.edge_ids, b.edge_ids) << what;
 }
 
-SamplerConfig WalkConfig() {
-  SamplerConfig config;
-  config.num_hops = 2;
-  config.max_nodes = 25;
-  config.num_walks = 2;
-  return config;
-}
-
-TEST(StreamSamplerTest, NeighborKindMatchesNeighborSampler) {
-  const Graph graph = TestGraph();
-  const GraphAdapter view(graph);
-  NeighborSampler reference(&graph, WalkConfig());
-  StreamSampler streamed(&view, WalkConfig(), StreamSampler::Kind::kNeighbor);
-  for (int node = 0; node < graph.num_nodes(); node += 7) {
-    Rng rng_a(1234 + node), rng_b(1234 + node);
-    ExpectSameSubgraph(streamed.SampleAroundNode(node, &rng_a),
-                       reference.SampleAroundNode(node, &rng_b),
-                       "node " + std::to_string(node));
-  }
-}
-
-TEST(StreamSamplerTest, WalkKindMatchesRandomWalkSampler) {
-  const Graph graph = TestGraph();
-  const GraphAdapter view(graph);
-  RandomWalkSampler reference(&graph, WalkConfig());
-  StreamSampler streamed(&view, WalkConfig());
-  for (int node = 0; node < graph.num_nodes(); node += 7) {
-    Rng rng_a(99 + node), rng_b(99 + node);
-    ExpectSameSubgraph(streamed.SampleAroundNode(node, &rng_a),
-                       reference.SampleAroundNode(node, &rng_b),
-                       "node " + std::to_string(node));
-  }
-}
-
-TEST(StreamSamplerTest, EdgeSamplingMatches) {
-  const Graph graph = TestGraph();
-  const GraphAdapter view(graph);
-  RandomWalkSampler reference(&graph, WalkConfig());
-  StreamSampler streamed(&view, WalkConfig());
-  for (int e = 0; e < graph.num_edges(); e += 13) {
-    Rng rng_a(7 + e), rng_b(7 + e);
-    ExpectSameSubgraph(streamed.SampleAroundEdge(e, &rng_a),
-                       reference.SampleAroundEdge(e, &rng_b),
-                       "edge " + std::to_string(e));
-  }
-}
-
-TEST(StreamSamplerTest, MultiCenterSamplingMatches) {
-  const Graph graph = TestGraph();
-  const GraphAdapter view(graph);
-  NeighborSampler reference(&graph, WalkConfig());
-  StreamSampler streamed(&view, WalkConfig(), StreamSampler::Kind::kNeighbor);
-  const std::vector<int> centers = {5, 9, 5, 120};  // duplicate center too
-  Rng rng_a(31), rng_b(31);
-  ExpectSameSubgraph(streamed.SampleAroundNodes(centers, &rng_a),
-                     reference.SampleAroundNodes(centers, &rng_b),
-                     "multi-center");
-}
-
-// The same sampler run over all three backends must agree bitwise — the
+// The same walk over all three backends must agree bitwise — the
 // load-bearing property for the scale benchmark's embedding-CRC check.
 TEST(StreamSamplerTest, IdenticalAcrossBackends) {
   const Graph graph = TestGraph();
@@ -117,33 +65,33 @@ TEST(StreamSamplerTest, IdenticalAcrossBackends) {
   const CsrGraph csr = CsrGraph::FromGraph(graph);
   const CsrStore& store = **store_or;
 
-  for (const auto kind : {StreamSampler::Kind::kNeighbor,
-                          StreamSampler::Kind::kRandomWalk}) {
-    StreamSampler on_adapter(&adapter, WalkConfig(), kind);
-    StreamSampler on_csr(&csr, WalkConfig(), kind);
-    StreamSampler on_store(&store, WalkConfig(), kind);
-    for (int node = 0; node < graph.num_nodes(); node += 11) {
-      Rng rng_a(node), rng_b(node), rng_c(node);
-      const Subgraph a = on_adapter.SampleAroundNode(node, &rng_a);
-      const Subgraph b = on_csr.SampleAroundNode(node, &rng_b);
-      const Subgraph c = on_store.SampleAroundNode(node, &rng_c);
-      ExpectSameSubgraph(b, a, "csr node " + std::to_string(node));
-      ExpectSameSubgraph(c, a, "store node " + std::to_string(node));
-    }
+  const Sampler on_adapter(&adapter, WalkConfig());
+  const Sampler on_csr(&csr, WalkConfig());
+  const Sampler on_store(&store, WalkConfig());
+  for (int node = 0; node < graph.num_nodes(); node += 11) {
+    Rng rng_a(node), rng_b(node), rng_c(node);
+    const Subgraph a = on_adapter.SampleAroundNode(node, &rng_a);
+    const Subgraph b = on_csr.SampleAroundNode(node, &rng_b);
+    const Subgraph c = on_store.SampleAroundNode(node, &rng_c);
+    ExpectSameSubgraph(b, a, "csr node " + std::to_string(node));
+    ExpectSameSubgraph(c, a, "store node " + std::to_string(node));
   }
+  for (int e = 0; e < graph.num_edges(); e += 13) {
+    Rng rng_a(7 + e), rng_b(7 + e), rng_c(7 + e);
+    const Subgraph a = on_adapter.SampleAroundEdge(e, &rng_a);
+    const Subgraph b = on_csr.SampleAroundEdge(e, &rng_b);
+    const Subgraph c = on_store.SampleAroundEdge(e, &rng_c);
+    ExpectSameSubgraph(b, a, "csr edge " + std::to_string(e));
+    ExpectSameSubgraph(c, a, "store edge " + std::to_string(e));
+  }
+  const std::vector<int> centers = {5, 9, 5, 120};  // duplicate center too
+  Rng rng_a(31), rng_b(31), rng_c(31);
+  const Subgraph a = on_adapter.SampleAroundNodes(centers, &rng_a);
+  ExpectSameSubgraph(on_csr.SampleAroundNodes(centers, &rng_b), a,
+                     "csr multi-center");
+  ExpectSameSubgraph(on_store.SampleAroundNodes(centers, &rng_c), a,
+                     "store multi-center");
   std::filesystem::remove_all(dir);
-}
-
-TEST(StreamSamplerTest, InduceEdgesViewMatchesInduceEdges) {
-  const Graph graph = TestGraph();
-  const GraphAdapter view(graph);
-  Subgraph a;
-  a.nodes = {3, 8, 15, 42, 77};
-  a.center_local = {0};
-  Subgraph b = a;
-  InduceEdges(graph, &a);
-  InduceEdgesView(view, &b);
-  ExpectSameSubgraph(b, a, "induced");
 }
 
 // SampleBatch seeds each element from (seed, index), so the result must
@@ -158,15 +106,15 @@ TEST(StreamSamplerTest, SampleBatchIsThreadCountInvariant) {
 
   const int original_threads = NumThreads();
   SetNumThreads(1);
-  const std::vector<Subgraph> serial = SampleBatch(
-      view, WalkConfig(), StreamSampler::Kind::kRandomWalk, centers, seed);
+  const std::vector<Subgraph> serial =
+      SampleBatch(view, WalkConfig(), centers, seed);
   SetNumThreads(4);
-  const std::vector<Subgraph> parallel = SampleBatch(
-      view, WalkConfig(), StreamSampler::Kind::kRandomWalk, centers, seed);
+  const std::vector<Subgraph> parallel =
+      SampleBatch(view, WalkConfig(), centers, seed);
   SetNumThreads(original_threads);
 
   ASSERT_EQ(serial.size(), parallel.size());
-  StreamSampler sampler(&view, WalkConfig());
+  const Sampler sampler(&view, WalkConfig());
   for (size_t i = 0; i < serial.size(); ++i) {
     ExpectSameSubgraph(parallel[i], serial[i],
                        "threads item " + std::to_string(i));
