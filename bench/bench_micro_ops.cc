@@ -34,6 +34,7 @@
 #include "tensor/autograd.h"
 #include "tensor/buffer_pool.h"
 #include "tensor/ops.h"
+#include "util/cpuid.h"
 #include "util/flags.h"
 #include "util/stopwatch.h"
 
@@ -191,6 +192,43 @@ void BM_MatMulBackward(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MatMulBackward)->Arg(32)->Arg(64)->Arg(128);
+
+// LinearRelu forward + backward at two of the pretrain workload's hot
+// backward GEMM shapes (rows x inner -> 64 columns), with the SIMD level
+// pinned per case: simd=0 runs the scalar GemmGradA/GemmGradB loops and
+// simd=1 the AVX2 backward kernels (tensor/gemm_avx2.cc).
+void BM_LinearReluBackward(benchmark::State& state) {
+  const SimdLevel level =
+      state.range(0) == 1 ? SimdLevel::kAvx2 : SimdLevel::kScalar;
+  if (level == SimdLevel::kAvx2 &&
+      DetectedSimdLevel() != SimdLevel::kAvx2) {
+    state.SkipWithError("no AVX2 on this CPU");
+    return;
+  }
+  const int rows = static_cast<int>(state.range(1));
+  const int inner = static_cast<int>(state.range(2));
+  const int cols = 64;
+  Rng rng(37);
+  Tensor x = Tensor::Randn(rows, inner, &rng, 1.0f, /*requires_grad=*/true);
+  Tensor w = Tensor::Randn(inner, cols, &rng, 1.0f, /*requires_grad=*/true);
+  Tensor b = Tensor::Randn(1, cols, &rng, 1.0f, /*requires_grad=*/true);
+  const SimdLevel saved = ActiveSimdLevel();
+  SetSimdLevel(level);
+  for (auto _ : state) {
+    Backward(SumAll(LinearRelu(x, w, b)));
+    benchmark::DoNotOptimize(w.grad().data());
+    benchmark::ClobberMemory();
+  }
+  SetSimdLevel(saved);
+  // One forward and two backward GEMMs.
+  state.SetItemsProcessed(state.iterations() * 6LL * rows * inner * cols);
+}
+BENCHMARK(BM_LinearReluBackward)
+    ->ArgNames({"simd", "rows", "inner"})
+    ->Args({0, 570, 64})
+    ->Args({1, 570, 64})
+    ->Args({0, 1200, 128})
+    ->Args({1, 1200, 128});
 
 // A training-style step (MLP forward + backward) with the buffer pool on
 // vs off: the op graph churns dozens of same-shaped tensors per step, so

@@ -111,7 +111,7 @@ fi
 # pass (uint8 code arithmetic, sidecar insert/erase bookkeeping); `store`
 # puts the mmap shard readers and the sampler under ASan/UBSan;
 # `kernels` covers the fused ops' index arithmetic into projections and
-# gradients.
+# gradients and the AVX2 GEMM forward/backward bitwise pins.
 label_args=(-L 'robustness|fuzz|index|store|kernels')
 if [[ "${CHECK_ALL:-0}" == "1" ]]; then
   label_args=()

@@ -105,7 +105,6 @@ bool MicroBatcher::PopReadyLocked(int64_t now_us, MicroBatch* out,
     }
 
     FlushReason reason;
-    bool ready = false;
     const int64_t window_due = head.enqueue_us + options_.window_us;
     // Clamped at 0: a head already past its risk point must flush now,
     // not collide with the -1 "no deadline" sentinel and idle out the
@@ -116,19 +115,14 @@ bool MicroBatcher::PopReadyLocked(int64_t now_us, MicroBatch* out,
                   0, min_deadline - static_cast<int64_t>(est_cost_us_) * n)
             : -1;
     if (closed_) {
-      ready = true;
       reason = FlushReason::kDrain;
     } else if (head.barrier) {
-      ready = true;
       reason = FlushReason::kBarrier;
     } else if (n >= options_.max_batch) {
-      ready = true;
       reason = FlushReason::kSize;
     } else if (deadline_due >= 0 && now_us >= deadline_due) {
-      ready = true;
       reason = FlushReason::kDeadline;
     } else if (now_us >= window_due) {
-      ready = true;
       reason = FlushReason::kWindow;
     } else {
       int64_t due = window_due;

@@ -122,9 +122,33 @@ inline void GemmRowsDispatch(const float* a, const float* b, float* out,
 // dA += G * B^T for G (rows x cols) and B (inner x cols): MatMul
 // backward's dA loops, shared by every op whose backward contains a
 // MatMul. dA rows are disjoint across row chunks, and each element sums
-// its products in ascending j from zero before the one add into dA.
+// its products in ascending j from zero before the one add into dA. The
+// AVX2 kernel (tensor/gemm_avx2.cc) keeps that sequence with its lanes
+// over k, so it reads B transposed, copied once per call into a stack
+// block rather than heap scratch: a pooled copy raised the pretrain
+// benchmark's peak RSS by 5%, a plain vector serve_light's by 9%. A B
+// too large for the block keeps the scalar loop, which gives the same
+// bits.
+constexpr int64_t kGradABlockFloats = 16384;  // 64 KiB
+
 void GemmGradA(const float* g, const float* b, float* da, int rows,
                int inner, int cols) {
+  if (Avx2Enabled() &&
+      static_cast<int64_t>(inner) * cols <= kGradABlockFloats) {
+    alignas(32) float bt[kGradABlockFloats];
+    for (int k = 0; k < inner; ++k) {
+      for (int j = 0; j < cols; ++j) {
+        bt[static_cast<size_t>(j) * inner + k] =
+            b[static_cast<size_t>(k) * cols + j];
+      }
+    }
+    ParallelRange(rows, static_cast<int64_t>(inner) * cols,
+                  [&](int64_t first, int64_t last) {
+                    internal::GemmGradAAvx2(g, bt, da, first, last, inner,
+                                            cols);
+                  });
+    return;
+  }
   ParallelRange(rows, static_cast<int64_t>(inner) * cols,
                 [&](int64_t first, int64_t last) {
                   for (int i = static_cast<int>(first); i < last; ++i) {
@@ -144,10 +168,33 @@ void GemmGradA(const float* g, const float* b, float* da, int rows,
 // backward's dB loops, iterated k-outer so each chunk owns a disjoint band
 // of dB rows. Per dB element the accumulation still runs in ascending i
 // with the zero-operand skip, matching the serial i-outer order bit for
-// bit.
+// bit. The AVX2 kernel (tensor/gemm_avx2.cc) keeps that order with its
+// lanes over j. It reads A's column k gathered into a stack block of
+// kGradBColBlock rows at a time; each block resumes from the dB row the
+// previous one stored, which splits the ascending-i loop without
+// changing it.
+constexpr int kGradBColBlock = 512;
+
 template <typename AAt>
 void GemmGradB(const AAt& a_at, const float* g, float* db, int rows,
                int inner, int cols) {
+  if (Avx2Enabled()) {
+    ParallelRange(inner, static_cast<int64_t>(rows) * cols,
+                  [&](int64_t first, int64_t last) {
+                    float a_col[kGradBColBlock];
+                    for (int k = static_cast<int>(first); k < last; ++k) {
+                      float* db_row = db + static_cast<size_t>(k) * cols;
+                      for (int i0 = 0; i0 < rows; i0 += kGradBColBlock) {
+                        const int n = std::min(kGradBColBlock, rows - i0);
+                        for (int i = 0; i < n; ++i) a_col[i] = a_at(i0 + i, k);
+                        internal::GemmGradBAvx2(
+                            a_col, g + static_cast<size_t>(i0) * cols, db_row,
+                            n, cols);
+                      }
+                    }
+                  });
+    return;
+  }
   ParallelRange(inner, static_cast<int64_t>(rows) * cols,
                 [&](int64_t first, int64_t last) {
                   for (int k = static_cast<int>(first); k < last; ++k) {
@@ -1659,6 +1706,16 @@ void GemmAccumulate(const float* a, const float* b, float* out, int rows,
   } else {
     GemmRowsDispatch<false>(a, b, out, 0, rows, inner, cols);
   }
+}
+
+void GemmGradAccumulate(const float* g, const float* a, const float* b,
+                        float* da, float* db, int rows, int inner, int cols) {
+  GemmGradA(g, b, da, rows, inner, cols);
+  GemmGradB(
+      [a, inner](int i, int k) {
+        return a[static_cast<size_t>(i) * inner + k];
+      },
+      g, db, rows, inner, cols);
 }
 
 }  // namespace internal

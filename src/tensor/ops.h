@@ -179,6 +179,13 @@ namespace internal {
 void GemmAccumulate(const float* a, const float* b, float* out, int rows,
                     int inner, int cols, bool skip_zeros = true);
 
+// Test hook for the autograd GEMM backward behind MatMul, LinearRelu and
+// GatherConcatLinear: da += g * b^T and db += a^T * g for a (rows x inner),
+// b (inner x cols) and g (rows x cols), through the same SIMD dispatch
+// the ops' backward functions take.
+void GemmGradAccumulate(const float* g, const float* a, const float* b,
+                        float* da, float* db, int rows, int inner, int cols);
+
 // AVX2 variant of the blocked GEMM row kernel (tensor/gemm_avx2.cc),
 // dispatched behind MatMul/LinearRelu when Avx2Enabled(). The panel update
 // vectorizes over the j (output-column) axis only — an elementwise
@@ -191,6 +198,27 @@ void GemmAccumulate(const float* a, const float* b, float* out, int rows,
 void GemmRowsAvx2(const float* a, const float* b, float* out,
                   int64_t row_begin, int64_t row_end, int inner, int cols,
                   bool skip_zeros);
+
+// AVX2 kernels behind the autograd GEMM backward (tensor/gemm_avx2.cc),
+// dispatched from GemmGradA/GemmGradB in ops.cc when Avx2Enabled(). Both
+// keep the scalar loops' per-element sequence of IEEE operations, so they
+// are bitwise identical to them (tests/simd_kernels_test.cc):
+//
+// dA rows [row_begin, row_end) += G * B^T, reading `bt`, B transposed
+// (cols x inner). Lanes run over k; each dA element sums
+// g[i][j] * bt[j][k] in ascending j into an accumulator that starts at
+// +0, mul then add, with no zero skip, then adds it once into dA — the
+// scalar `acc` loop's sequence. Lanes never reduce across each other.
+void GemmGradAAvx2(const float* g, const float* bt, float* da,
+                   int64_t row_begin, int64_t row_end, int inner, int cols);
+
+// One dB row += sum over ascending i of a_col[i] * g[i][:], where a_col
+// is A's column k (`rows` entries) and g is rows x cols. Lanes run over
+// j, each panel of dB columns stays in registers across the i loop, and
+// rows with a_col[i] == 0 are skipped — the scalar k-outer loop's
+// sequence.
+void GemmGradBAvx2(const float* a_col, const float* g, float* db_row,
+                   int rows, int cols);
 
 }  // namespace internal
 

@@ -1,9 +1,10 @@
 // Runtime CPU feature probe and the process-wide SIMD dispatch level.
 //
 // The distance kernels (core/distance.h), the quantized candidate-pass
-// kernels (core/quantizer.h), and the blocked-GEMM panel (tensor/ops.cc)
-// each ship a portable scalar implementation plus an AVX2 variant compiled
-// with function-level target attributes. Which variant runs is decided
+// kernels (core/quantizer.h), and the GEMM kernels behind MatMul's forward
+// and backward (tensor/ops.cc) each ship a portable scalar implementation
+// plus an AVX2 variant compiled with function-level target attributes.
+// Which variant runs is decided
 // ONCE per process from this header — never per call site — so a run is
 // internally consistent: every kernel sees the same level for the whole
 // process lifetime (tests may flip it explicitly via SetSimdLevel).
@@ -15,9 +16,13 @@
 //   * kAvx2 uses wider accumulators (vector lanes reduced in a fixed
 //     order), so float results may differ from scalar in the last ULPs;
 //     the documented bounds are pinned by tests/simd_kernels_test.cc.
-//     The GEMM panel is the exception: its vectorization is elementwise
-//     (no reduction order changes), so it stays bitwise identical to the
-//     scalar micro-kernel at every level.
+//     The three GEMM kernels are the exception: each vectorizes across
+//     independent output elements and keeps every element's scalar
+//     sequence of mul-then-add steps (no reduction order changes, no FMA),
+//     so they stay bitwise identical to the scalar loops at every level.
+//     The forward panel and the dW kernel put the lanes over output
+//     columns j; the dA kernel puts them over k, reading B transposed, so
+//     each lane still sums its ascending-j products from +0 on its own.
 //
 // Resolution order: SetSimdLevel()/ConfigureSimdFromFlags (--simd) >
 // GP_SIMD env ("off"|"scalar", "avx2", "auto") > auto-detect. Requesting

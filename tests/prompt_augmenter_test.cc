@@ -72,13 +72,15 @@ TEST(PromptAugmenterTest, CapacityBoundsCache) {
 }
 
 TEST(PromptAugmenterTest, SimilarEntriesGainFrequencyAndSurvive) {
-  PromptAugmenter augmenter(SmallConfig(2), 6);
+  // One hit per query, so only the most similar entry gains frequency
+  // (at the default of 3, every entry of this 2-entry cache would).
+  auto config = SmallConfig(2);
+  config.top_k_hits = 1;
+  PromptAugmenter augmenter(config, 6);
   // Seed two cache entries at distinct poles.
   augmenter.ObserveQueries(QueryBatch({{1, 0}}), {0}, {0.9f}, 1);
   augmenter.ObserveQueries(QueryBatch({{0, 1}}), {1}, {0.9f}, 1);
   // Stream of queries near pole (1, 0): its entry keeps getting hit.
-  auto config2 = SmallConfig(2);
-  config2.top_k_hits = 1;
   for (int i = 0; i < 4; ++i) {
     augmenter.ObserveQueries(QueryBatch({{0.9f, 0.1f}}), {0}, {0.3f}, 0);
   }

@@ -1,8 +1,11 @@
 // SIMD dispatch correctness: AVX2 distance kernels vs the scalar
-// bitwise-pinned reference, the GEMM panel's bitwise-identity contract,
-// the quantized candidate-pass kernels, and the CosineFromParts relative
+// bitwise-pinned reference, the bitwise-identity contract of the GEMM
+// panel and the autograd GEMM backward kernels, the quantized
+// candidate-pass kernels, and the CosineFromParts relative
 // degenerate-norm guard (DESIGN.md §10).
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -164,6 +167,138 @@ TEST_F(SimdKernelsTest, GemmBitwiseIdenticalAcrossLevels) {
             << " skip_zeros=" << skip_zeros << " onehot=" << onehot;
       }
     }
+  }
+}
+
+// Operands and starting grads of one autograd GEMM backward call.
+struct GemmGradCase {
+  int rows = 0, inner = 0, cols = 0;
+  std::vector<float> g, a, b, da, db;
+};
+
+// Random operands and nonzero starting grads, with about one entry in
+// eight of each replaced by +0 or -0; `onehot` makes each row of A one-hot
+// instead, like the label matrices the task graph multiplies.
+GemmGradCase RandomGemmGradCase(Rng* rng, int rows, int inner, int cols,
+                                bool onehot) {
+  GemmGradCase c;
+  c.rows = rows;
+  c.inner = inner;
+  c.cols = cols;
+  c.g = RandomVec(rng, rows * cols);
+  c.a = RandomVec(rng, rows * inner);
+  c.b = RandomVec(rng, inner * cols);
+  c.da = RandomVec(rng, rows * inner);
+  c.db = RandomVec(rng, inner * cols);
+  for (std::vector<float>* v : {&c.g, &c.a, &c.b, &c.da, &c.db}) {
+    for (float& x : *v) {
+      const uint64_t draw = rng->UniformInt(16);
+      if (draw == 0) x = 0.0f;
+      if (draw == 1) x = -0.0f;
+    }
+  }
+  if (onehot) {
+    std::fill(c.a.begin(), c.a.end(), 0.0f);
+    for (int r = 0; r < rows; ++r) {
+      c.a[r * inner + static_cast<int>(rng->UniformInt(inner))] = 1.0f;
+    }
+  }
+  return c;
+}
+
+// dA and dW after one backward call at `level`.
+struct GemmGrads {
+  std::vector<float> da, db;
+};
+
+GemmGrads GemmGradAt(SimdLevel level, const GemmGradCase& c) {
+  SetSimdLevel(level);
+  GemmGrads out{c.da, c.db};
+  internal::GemmGradAccumulate(c.g.data(), c.a.data(), c.b.data(),
+                               out.da.data(), out.db.data(), c.rows, c.inner,
+                               c.cols);
+  return out;
+}
+
+bool SameBits(const std::vector<float>& x, const std::vector<float>& y) {
+  return x.size() == y.size() &&
+         std::memcmp(x.data(), y.data(), x.size() * sizeof(float)) == 0;
+}
+
+bool AnyNan(const std::vector<float>& v) {
+  return std::any_of(v.begin(), v.end(), [](float x) { return std::isnan(x); });
+}
+
+// The autograd GEMM backward kernels keep the scalar loops' per-element
+// order (dA lanes over k, each summing ascending j from +0 before one add
+// into dA; dW lanes over j, ascending i with the zero skip), mul then add
+// without FMA, so AVX2 must match scalar bit for bit, signed zeros and
+// NaNs included.
+TEST_F(SimdKernelsTest, GemmGradBitwiseIdenticalAcrossLevels) {
+  if (DetectedSimdLevel() != SimdLevel::kAvx2) {
+    GTEST_SKIP() << "no AVX2 on this CPU";
+  }
+  Rng rng(23);
+  // The pretrain workload's hot shapes (rows x inner x cols; the first
+  // two span several of dW's 512-row column blocks), then ragged ones
+  // that reach dA's 32- and 8-lane k blocks, dW's 64-, 32- and 8-lane j
+  // panels (45 = 32 + 8 + 5) and both kernels' scalar tails.
+  std::vector<std::array<int, 3>> shapes = {
+      {570, 64, 64}, {1200, 128, 64}, {200, 68, 64}};
+  for (const int rows : {1, 9}) {
+    for (const int inner : {1, 7, 33, 45, 68}) {
+      for (const int cols : {1, 5, 45, 65, 129}) {
+        shapes.push_back({rows, inner, cols});
+      }
+    }
+  }
+  for (const auto& [rows, inner, cols] : shapes) {
+    for (const bool onehot : {false, true}) {
+      const GemmGradCase c = RandomGemmGradCase(&rng, rows, inner, cols,
+                                                onehot);
+      const GemmGrads scalar = GemmGradAt(SimdLevel::kScalar, c);
+      const GemmGrads avx2 = GemmGradAt(SimdLevel::kAvx2, c);
+      EXPECT_TRUE(SameBits(scalar.da, avx2.da))
+          << "dA " << rows << "x" << inner << "x" << cols
+          << " onehot=" << onehot;
+      EXPECT_TRUE(SameBits(scalar.db, avx2.db))
+          << "dW " << rows << "x" << inner << "x" << cols
+          << " onehot=" << onehot;
+    }
+  }
+
+  // Non-finite operands, placed in a vector lane and in the scalar tail
+  // of each kernel (inner 33 = 32 + 1, cols 65 = 64 + 1).
+  const int rows = 5, inner = 33, cols = 65;
+  GemmGradCase c = RandomGemmGradCase(&rng, rows, inner, cols, false);
+  const float inf = std::numeric_limits<float>::infinity();
+  auto at = [](std::vector<float>& m, int ld, int r, int col) -> float& {
+    return m[static_cast<size_t>(r) * ld + col];
+  };
+  // Inf in B where G is zero: dA has no zero skip, so 0 * Inf makes
+  // dA[i][k] NaN at both levels.
+  const int nan_da[][3] = {{1, 3, 10}, {2, 32, 64}};  // {i, k, j}
+  for (const auto& [i, k, j] : nan_da) {
+    at(c.b, cols, k, j) = inf;
+    at(c.g, cols, i, j) = 0.0f;
+  }
+  // Inf in G where A is zero: dW skips zero A entries, so no NaN may
+  // appear in dW at either level (one Inf per G column, so no Inf - Inf).
+  const int skip_db[][3] = {{3, 5, 20}, {4, 32, 64}};  // {i, k, j}
+  for (const auto& [i, k, j] : skip_db) {
+    at(c.g, cols, i, j) = inf;
+    at(c.a, inner, i, k) = 0.0f;
+  }
+  const GemmGrads scalar = GemmGradAt(SimdLevel::kScalar, c);
+  const GemmGrads avx2 = GemmGradAt(SimdLevel::kAvx2, c);
+  EXPECT_TRUE(SameBits(scalar.da, avx2.da));
+  EXPECT_TRUE(SameBits(scalar.db, avx2.db));
+  for (const GemmGrads* grads : {&scalar, &avx2}) {
+    for (const auto& [i, k, j] : nan_da) {
+      EXPECT_TRUE(std::isnan(grads->da[static_cast<size_t>(i) * inner + k]))
+          << "dA[" << i << "][" << k << "]";
+    }
+    EXPECT_FALSE(AnyNan(grads->db));
   }
 }
 
