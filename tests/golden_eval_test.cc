@@ -145,9 +145,10 @@ std::vector<ModelVariant> ModelVariants(int feature_dim) {
 
 // Raw selector outputs on fixed random embeddings, one block per distance
 // metric: selected candidate ids, per-candidate vote totals, hit counts.
-std::string RenderSelectionGolden() {
+// Candidate p belongs to class p % classes.
+std::string RenderSelectionGolden(int num_prompts, int num_queries, int dim,
+                                  int classes) {
   Rng rng(123);
-  const int num_prompts = 48, num_queries = 20, dim = 12, classes = 4;
   Tensor prompts = Tensor::Randn(num_prompts, dim, &rng);
   Tensor prompt_importance = Tensor::Randn(num_prompts, 1, &rng);
   Tensor queries = Tensor::Randn(num_queries, dim, &rng);
@@ -298,7 +299,20 @@ TEST(GoldenEvalTest, QuickstartTrialAccuracies) {
 }
 
 TEST(GoldenEvalTest, SelectorTopKPerMetric) {
-  CheckGolden("selector_topk.golden", RenderSelectionGolden());
+  CheckGolden("selector_topk.golden", RenderSelectionGolden(48, 20, 12, 4));
+}
+
+// eval_manyway's selector shape: 40 ways x 10 candidates per class against
+// 100 queries at d = 64. The auto index mode would build an IVF index over
+// these 400 candidates, so the golden pins the exact scan.
+TEST(GoldenEvalTest, SelectorTopKManyWay) {
+  const PromptIndexOptions saved = GlobalIndexOptions();
+  PromptIndexOptions exact = saved;
+  exact.mode = IndexMode::kExact;
+  SetGlobalIndexOptions(exact);
+  CheckGolden("selector_topk_manyway.golden",
+              RenderSelectionGolden(400, 100, 64, 40));
+  SetGlobalIndexOptions(saved);
 }
 
 TEST(GoldenEvalTest, PretrainLossesAndParametersMatchGolden) {
@@ -377,7 +391,7 @@ TEST(GoldenEvalTest, ExactIndexModeMatchesGolden) {
   exact.mode = IndexMode::kExact;
   SetGlobalIndexOptions(exact);
   CheckGolden("quickstart_eval.golden", RenderEvalGolden());
-  CheckGolden("selector_topk.golden", RenderSelectionGolden());
+  CheckGolden("selector_topk.golden", RenderSelectionGolden(48, 20, 12, 4));
   SetGlobalIndexOptions(saved);
 }
 #endif  // GP_GOLDEN_SEED_BOOTSTRAP
