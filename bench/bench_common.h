@@ -13,10 +13,6 @@
 //                 extension) at exit; GP_TELEMETRY env is the fallback
 //   --trace=PATH  record trace spans and write Chrome trace JSON (or CSV
 //                 by extension) at exit; GP_TRACE env is the fallback
-//   --index=MODE  retrieval index: exact | ivf | auto (default auto), with
-//                 --nlist/--nprobe/--index-min-points/--index-recall-sample/
-//                 --quantize/--rerank refinements; GP_INDEX* env vars are
-//                 the fallbacks
 //   --simd=LEVEL  distance/GEMM kernels: auto | avx2 | off (default auto;
 //                 GP_SIMD env is the fallback — see DESIGN.md §10)
 //   --pipeline=MODE  stage executor: off | auto | on (default off;
@@ -37,7 +33,6 @@
 #include "baselines/prodigy.h"
 #include "core/graph_prompter.h"
 #include "core/pretrain.h"
-#include "core/prompt_index.h"
 #include "obs/bench_report.h"
 #include "obs/export.h"
 #include "util/cpuid.h"
@@ -60,7 +55,6 @@ struct Env {
   std::string outdir = "results";
   std::string telemetry_path;  // empty = GP_TELEMETRY env, else disabled
   std::string trace_path;      // empty = GP_TRACE env, else disabled
-  PromptIndexOptions index;    // resolved flag/env index options
   SimdLevel simd = SimdLevel::kScalar;  // resolved --simd/GP_SIMD level
   PipelineMode pipeline = PipelineMode::kOff;  // resolved --pipeline mode
 };
@@ -82,7 +76,6 @@ inline Env ParseEnv(int argc, char** argv) {
   std::filesystem::create_directories(env.outdir);
   env.telemetry_path = flags.GetString("telemetry", env.telemetry_path);
   env.trace_path = flags.GetString("trace", env.trace_path);
-  env.index = ConfigureIndexFromFlags(flags);
   env.simd = ConfigureSimdFromFlags(flags);
   env.pipeline = ConfigurePipelineFromFlags(flags);
   ConfigureObservability(env.telemetry_path, env.trace_path);
@@ -102,10 +95,6 @@ inline int BenchMain(const std::string& name, int argc, char** argv,
   report.AddConfig("queries", static_cast<int64_t>(env.queries));
   report.AddConfig("seed", static_cast<int64_t>(env.seed));
   report.AddConfig("threads", static_cast<int64_t>(env.threads));
-  report.AddConfig("index_mode", std::string(IndexModeName(env.index.mode)));
-  report.AddConfig("index_nlist", static_cast<int64_t>(env.index.nlist));
-  report.AddConfig("index_nprobe", static_cast<int64_t>(env.index.nprobe));
-  report.AddConfig("index_quantize", static_cast<int64_t>(env.index.quantize));
   report.AddConfig("simd", std::string(SimdLevelName(env.simd)));
   report.AddConfig("pipeline", std::string(PipelineModeName(env.pipeline)));
   run(env, &report);

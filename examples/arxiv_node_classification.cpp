@@ -8,7 +8,6 @@
 
 #include "core/graph_prompter.h"
 #include "core/pretrain.h"
-#include "core/prompt_index.h"
 #include "util/cpuid.h"
 #include "util/flags.h"
 #include "util/pipeline.h"
@@ -16,7 +15,6 @@
 
 int main(int argc, char** argv) {
   gp::Flags flags(argc, argv);
-  gp::ConfigureIndexFromFlags(flags);
   gp::ConfigureSimdFromFlags(flags);
   gp::ConfigurePipelineFromFlags(flags);
   const uint64_t seed = flags.GetInt("seed", 7);

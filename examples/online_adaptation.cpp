@@ -17,7 +17,6 @@
 
 #include "core/graph_prompter.h"
 #include "core/pretrain.h"
-#include "core/prompt_index.h"
 #include "nn/serialize.h"
 #include "obs/export.h"
 #include "util/fault.h"
@@ -28,7 +27,6 @@
 
 int main(int argc, char** argv) {
   gp::Flags flags(argc, argv);
-  gp::ConfigureIndexFromFlags(flags);
   gp::ConfigureSimdFromFlags(flags);
   gp::ConfigurePipelineFromFlags(flags);
   const uint64_t seed = flags.GetInt("seed", 23);

@@ -10,7 +10,6 @@
 #include "baselines/prodigy.h"
 #include "core/graph_prompter.h"
 #include "core/pretrain.h"
-#include "core/prompt_index.h"
 #include "obs/export.h"
 #include "util/cpuid.h"
 #include "util/flags.h"
@@ -18,7 +17,6 @@
 
 int main(int argc, char** argv) {
   gp::Flags flags(argc, argv);
-  gp::ConfigureIndexFromFlags(flags);
   gp::ConfigureSimdFromFlags(flags);
   gp::ConfigurePipelineFromFlags(flags);
   const uint64_t seed = flags.GetInt("seed", 1);

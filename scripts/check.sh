@@ -65,13 +65,8 @@ if [[ -f results/BENCH_serving.json ]]; then
   run ./build/tools/check_serving results/BENCH_serving.json
 fi
 
-echo "=== index: IVF property tests + golden regressions ==="
-run ctest --test-dir build -L index --output-on-failure
-
-echo "=== index: quantized-candidate recall gate ==="
-# Quickstart-scale index, quantized mode, default (auto) nprobe; fails
-# below 0.95 recall@10 against brute force.
-run ./build/tools/check_recall --threshold=0.95
+echo "=== selector: kNN scan, augmenter cache + golden regressions ==="
+run ctest --test-dir build -L selector --output-on-failure
 
 echo "=== fuzz: malformed-input parser tests ==="
 run ctest --test-dir build -L fuzz --output-on-failure
@@ -107,12 +102,12 @@ if [[ -f results/BENCH_scale_nodes.json ]]; then
   run ./build/tools/check_scale results/BENCH_scale_nodes.json
 fi
 
-# `index` rides along so the sanitizers cover the quantized candidate
-# pass (uint8 code arithmetic, sidecar insert/erase bookkeeping); `store`
+# `selector` rides along so the sanitizers cover the selection loop's
+# per-query top-k buffers and the augmenter's cache scan; `store`
 # puts the mmap shard readers and the sampler under ASan/UBSan;
 # `kernels` covers the fused ops' index arithmetic into projections and
 # gradients and the AVX2 GEMM forward/backward bitwise pins.
-label_args=(-L 'robustness|fuzz|index|store|kernels')
+label_args=(-L 'robustness|fuzz|selector|store|kernels')
 if [[ "${CHECK_ALL:-0}" == "1" ]]; then
   label_args=()
 fi

@@ -1,6 +1,5 @@
 // Distance metrics and the raw-pointer similarity kernels shared by the
-// Prompt Selector (Eq. 6), the Prompt Augmenter cache scan (Eq. 9), and
-// the IVF prompt index's centroid routing.
+// Prompt Selector (Eq. 6) and the Prompt Augmenter cache scan (Eq. 9).
 //
 // Determinism contract: at SimdLevel::kScalar (GP_SIMD=off) every kernel
 // sums its terms in ascending index order with double-precision
@@ -61,9 +60,7 @@ inline double SquaredNormRaw(const float* a, int n) {
   return total;
 }
 
-// Squared L2 distance; shared by the Euclidean similarity kernel and the
-// IVF index's nearest-centroid assignment (which ranks by squared
-// distance, no sqrt).
+// Squared L2 distance (the Euclidean similarity kernel before its sqrt).
 inline double SquaredEuclideanRaw(const float* a, const float* b, int n) {
   if (Avx2Enabled()) return simd::SquaredEuclideanRawAvx2(a, b, n);
   double total = 0.0;
@@ -79,13 +76,13 @@ inline double SquaredEuclideanRaw(const float* a, const float* b, int n) {
 // The degenerate-norm guard is *relative*: a pair is scored 0 when the
 // smaller norm is negligible against the larger (ratio <= 1e-6, i.e. the
 // smaller vector's direction carries no reliable float significance at the
-// pair's scale) or when the product underflows. A near-zero-norm row —
-// e.g. an int8-dequantized all-zeros row whose reconstruction is pure
-// quantization noise — therefore scores exactly 0 instead of a
-// noise-signed ±O(1) cosine, while a pair of legitimately tiny vectors
-// (both norms ~1e-7, ratio ~1) still gets its true cosine, which the old
-// absolute `denom < 1e-12` cutoff wrongly zeroed. Regression-tested in
-// tests/simd_kernels_test.cc (CosineFromPartsRelativeGuard).
+// pair's scale) or when the product underflows. A near-zero-norm row,
+// whose remaining bits are rounding residue rather than a direction,
+// therefore scores exactly 0 instead of a noise-signed ±O(1) cosine, while
+// a pair of legitimately tiny vectors (both norms ~1e-7, ratio ~1) still
+// gets its true cosine, which the old absolute `denom < 1e-12` cutoff
+// wrongly zeroed. Regression-tested in tests/simd_kernels_test.cc
+// (CosineFromPartsRelativeGuard).
 inline float CosineFromParts(double dot, double norm_a, double norm_b) {
   if (std::isnan(norm_a) || std::isnan(norm_b)) {
     // Poisoned norms keep propagating so the degradation ladder sees them.

@@ -1,5 +1,4 @@
-// AVX2 variants of the distance kernels (core/distance.h) and the
-// quantized candidate-pass kernels (core/quantizer.h).
+// AVX2 variants of the distance kernels (core/distance.h).
 //
 // Compiled with function-level target attributes — the TU itself builds
 // with the portable baseline flags, so including these symbols never makes
@@ -13,14 +12,11 @@
 // Versus the scalar ascending-index sum this regroups additions, so
 // results can differ in the last ULPs; tests/simd_kernels_test.cc pins
 // |simd - scalar| <= 1e-10 * (n + 1) * max_term for the double-returning
-// kernels. The int8 kernels accumulate in float — they only *rank*
-// candidates before an exact re-rank, never produce a returned score.
+// kernels.
 
 #include <cmath>
-#include <cstdint>
 
 #include "core/distance.h"
-#include "core/quantizer.h"
 
 #if (defined(__x86_64__) || defined(__i386__)) && \
     (defined(__GNUC__) || defined(__clang__))
@@ -165,91 +161,6 @@ double ManhattanRawAvx2(const float* a, const float* b, int n) {
   return total;
 }
 
-// ---- int8 candidate-pass kernels (ranking only; float accumulation) ----
-
-namespace {
-
-// Widens 8 uint8 codes to 8 floats.
-GP_TARGET_AVX2 inline __m256 CodesPs(const uint8_t* code) {
-  const __m128i raw = _mm_loadl_epi64(reinterpret_cast<const __m128i*>(code));
-  return _mm256_cvtepi32_ps(_mm256_cvtepu8_epi32(raw));
-}
-
-GP_TARGET_AVX2 inline float HSumPs(__m256 v) {
-  alignas(32) float lanes[8];
-  _mm256_store_ps(lanes, v);
-  return ((((((lanes[0] + lanes[1]) + lanes[2]) + lanes[3]) + lanes[4]) +
-           lanes[5]) +
-          lanes[6]) +
-         lanes[7];
-}
-
-}  // namespace
-
-GP_TARGET_AVX2
-float QuantizedDotRawAvx2(const uint8_t* code, const float* qs, int n) {
-  __m256 acc0 = _mm256_setzero_ps();
-  __m256 acc1 = _mm256_setzero_ps();
-  int i = 0;
-  for (; i + 16 <= n; i += 16) {
-    acc0 = _mm256_fmadd_ps(CodesPs(code + i), _mm256_loadu_ps(qs + i), acc0);
-    acc1 = _mm256_fmadd_ps(CodesPs(code + i + 8),
-                           _mm256_loadu_ps(qs + i + 8), acc1);
-  }
-  float total = HSumPs(_mm256_add_ps(acc0, acc1));
-  for (; i < n; ++i) total += static_cast<float>(code[i]) * qs[i];
-  return total;
-}
-
-GP_TARGET_AVX2
-float QuantizedNegL2RawAvx2(const uint8_t* code, const float* r,
-                            const float* step, int n) {
-  __m256 acc0 = _mm256_setzero_ps();
-  __m256 acc1 = _mm256_setzero_ps();
-  int i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m256 d0 = _mm256_fnmadd_ps(CodesPs(code + i),
-                                       _mm256_loadu_ps(step + i),
-                                       _mm256_loadu_ps(r + i));
-    const __m256 d1 = _mm256_fnmadd_ps(CodesPs(code + i + 8),
-                                       _mm256_loadu_ps(step + i + 8),
-                                       _mm256_loadu_ps(r + i + 8));
-    acc0 = _mm256_fmadd_ps(d0, d0, acc0);
-    acc1 = _mm256_fmadd_ps(d1, d1, acc1);
-  }
-  float total = HSumPs(_mm256_add_ps(acc0, acc1));
-  for (; i < n; ++i) {
-    const float d = r[i] - step[i] * static_cast<float>(code[i]);
-    total += d * d;
-  }
-  return -total;
-}
-
-GP_TARGET_AVX2
-float QuantizedNegL1RawAvx2(const uint8_t* code, const float* r,
-                            const float* step, int n) {
-  const __m256 abs_mask =
-      _mm256_castsi256_ps(_mm256_set1_epi32(0x7fffffff));
-  __m256 acc0 = _mm256_setzero_ps();
-  __m256 acc1 = _mm256_setzero_ps();
-  int i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m256 d0 = _mm256_fnmadd_ps(CodesPs(code + i),
-                                       _mm256_loadu_ps(step + i),
-                                       _mm256_loadu_ps(r + i));
-    const __m256 d1 = _mm256_fnmadd_ps(CodesPs(code + i + 8),
-                                       _mm256_loadu_ps(step + i + 8),
-                                       _mm256_loadu_ps(r + i + 8));
-    acc0 = _mm256_add_ps(acc0, _mm256_and_ps(d0, abs_mask));
-    acc1 = _mm256_add_ps(acc1, _mm256_and_ps(d1, abs_mask));
-  }
-  float total = HSumPs(_mm256_add_ps(acc0, acc1));
-  for (; i < n; ++i) {
-    total += std::abs(r[i] - step[i] * static_cast<float>(code[i]));
-  }
-  return -total;
-}
-
 #undef GP_TARGET_AVX2
 
 #else  // !GP_HAVE_AVX2_TARGET
@@ -285,20 +196,6 @@ double ManhattanRawAvx2(const float* a, const float* b, int n) {
     total += std::abs(static_cast<double>(a[i]) - b[i]);
   }
   return total;
-}
-
-float QuantizedDotRawAvx2(const uint8_t* code, const float* qs, int n) {
-  return QuantizedDotRawScalar(code, qs, n);
-}
-
-float QuantizedNegL2RawAvx2(const uint8_t* code, const float* r,
-                            const float* step, int n) {
-  return QuantizedNegL2RawScalar(code, r, step, n);
-}
-
-float QuantizedNegL1RawAvx2(const uint8_t* code, const float* r,
-                            const float* step, int n) {
-  return QuantizedNegL1RawScalar(code, r, step, n);
 }
 
 #endif  // GP_HAVE_AVX2_TARGET

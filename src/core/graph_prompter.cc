@@ -39,7 +39,6 @@ Status Validate(const GraphPrompterConfig& config) {
                              "augmenter.min_confidence must be finite"));
   GP_RETURN_IF_ERROR(require(config.cache_inserts_per_batch >= 0,
                              "cache_inserts_per_batch must be >= 0"));
-  GP_RETURN_IF_ERROR(ValidateIndexOptions(config.augmenter.index));
   return Status::Ok();
 }
 

@@ -26,6 +26,7 @@ KnnSelection SelectPrompts(const Tensor& prompt_embeddings,
   CHECK_GE(num_classes, 1);
 
   static Counter* pairs = Telemetry().GetCounter("selector/scored_pairs");
+  pairs->Add(static_cast<int64_t>(num_prompts) * num_queries);
 
   KnnSelection out;
   out.votes.assign(num_prompts, 0.0);
@@ -54,8 +55,7 @@ KnnSelection SelectPrompts(const Tensor& prompt_embeddings,
     }
 
     // Eq. 7 score of candidate p against query q, with the cosine norms
-    // hoisted. Scores candidates the same way on both the exact and IVF
-    // paths, so pruning changes *which* pairs are scored, never the value.
+    // hoisted.
     auto score_pair = [&](int p, int64_t q, const float* qrow) {
       double score = 0.0;
       if (config.use_similarity) {
@@ -79,27 +79,12 @@ KnnSelection SelectPrompts(const Tensor& prompt_embeddings,
       return score;
     };
 
-    // IVF sharding only pays off when the similarity term routes queries;
-    // importance-only scoring (ablation "w/o kNN") has no geometry to
-    // shard, so it stays brute force.
-    PromptIndex index(config.index, config.metric);
-    if (config.use_similarity) index.Build(prompt_embeddings);
-    const bool ivf = index.ivf();
-
-    // score(p, q) per Eq. 7, then top-k votes per query (Eq. 8). Queries
-    // score independently into per-query top-k lists (parallel); votes
-    // merge serially in query order, so totals match a serial run bitwise.
-    // On the IVF path each query scores only its probed candidates, which
-    // Probe() returns in ascending id order — with nprobe == nlist that is
-    // the full set 0..P-1 and the loop below reproduces the exact path's
-    // scored sequence (and therefore its partial_sort result) bitwise.
+    // score(p, q) per Eq. 7 for every pair, then top-k votes per query
+    // (Eq. 8). Queries score independently into per-query top-k lists
+    // (parallel); votes merge serially in query order, so totals match a
+    // serial run bitwise.
     const int k = std::min(config.shots, num_prompts);
     std::vector<std::vector<std::pair<double, int>>> topk(num_queries);
-    std::vector<int> candidates_scored(ivf ? num_queries : 0, 0);
-    std::vector<int> shards_probed(ivf ? num_queries : 0, 0);
-    std::vector<int> recall_hits(ivf ? num_queries : 0, 0);
-    std::vector<int> recall_total(ivf ? num_queries : 0, 0);
-    const int recall_sample = ivf ? config.index.recall_sample : 0;
     const int64_t work_per_query = static_cast<int64_t>(num_prompts) * dim;
     const int64_t grain =
         std::max<int64_t>(1, (int64_t{1} << 15) / std::max<int64_t>(
@@ -108,60 +93,17 @@ KnnSelection SelectPrompts(const Tensor& prompt_embeddings,
       std::vector<std::pair<double, int>> scored(num_prompts);
       for (int64_t q = qfirst; q < qlast; ++q) {
         const float* qrow = qdata + static_cast<size_t>(q) * dim;
-        if (!ivf) {
-          for (int p = 0; p < num_prompts; ++p) {
-            scored[p] = {score_pair(p, q, qrow), p};
-          }
-          // T(q) = the query's top-k prompts by score (Eq. 8); k is the
-          // shot count, keeping each query's votes concentrated on its
-          // genuinely closest candidates.
-          std::partial_sort(scored.begin(), scored.begin() + k, scored.end(),
-                            [](const auto& a, const auto& b) {
-                              return a.first > b.first;
-                            });
-          topk[q].assign(scored.begin(), scored.begin() + k);
-          continue;
+        for (int p = 0; p < num_prompts; ++p) {
+          scored[p] = {score_pair(p, q, qrow), p};
         }
-        PromptIndex::ProbeStats stats;
-        const std::vector<int64_t> cands = index.Probe(qrow, dim, k, &stats);
-        scored.resize(cands.size());
-        for (size_t i = 0; i < cands.size(); ++i) {
-          const int p = static_cast<int>(cands[i]);
-          scored[i] = {score_pair(p, q, qrow), p};
-        }
-        const int kq = std::min<int>(k, static_cast<int>(scored.size()));
-        std::partial_sort(scored.begin(), scored.begin() + kq, scored.end(),
+        // T(q) = the query's top-k prompts by score (Eq. 8); k is the
+        // shot count, keeping each query's votes concentrated on its
+        // genuinely closest candidates.
+        std::partial_sort(scored.begin(), scored.begin() + k, scored.end(),
                           [](const auto& a, const auto& b) {
                             return a.first > b.first;
                           });
-        topk[q].assign(scored.begin(), scored.begin() + kq);
-        candidates_scored[q] = static_cast<int>(cands.size());
-        shards_probed[q] = stats.shards_probed;
-        if (recall_sample > 0 && q % recall_sample == 0 && !stats.exact) {
-          // Write-only recall probe: brute-force this query's top-k and
-          // count how many ids the pruned retrieval kept. Predictions are
-          // unaffected.
-          std::vector<std::pair<double, int>> full(num_prompts);
-          for (int p = 0; p < num_prompts; ++p) {
-            full[p] = {score_pair(p, q, qrow), p};
-          }
-          std::partial_sort(full.begin(), full.begin() + k, full.end(),
-                            [](const auto& a, const auto& b) {
-                              return a.first > b.first;
-                            });
-          int hits = 0;
-          for (int i = 0; i < k; ++i) {
-            const int want = full[i].second;
-            for (int j = 0; j < kq; ++j) {
-              if (topk[q][j].second == want) {
-                ++hits;
-                break;
-              }
-            }
-          }
-          recall_hits[q] = hits;
-          recall_total[q] = k;
-        }
+        topk[q].assign(scored.begin(), scored.begin() + k);
       }
     });
     // 1_{p in T(q)} * score(p, q).
@@ -171,36 +113,6 @@ KnnSelection SelectPrompts(const Tensor& prompt_embeddings,
         out.hit_counts[p] += 1;
       }
     }
-
-    if (ivf) {
-      // Honest work accounting: the IVF path pays `candidates` full-width
-      // scores plus nlist centroid-routing scores per query; both land in
-      // selector/scored_pairs so the bench's pair-fraction comparison
-      // against brute force (P pairs per query) includes routing overhead.
-      int64_t total_candidates = 0, total_shards = 0;
-      int64_t total_hits = 0, total_recall = 0;
-      for (int q = 0; q < num_queries; ++q) {
-        total_candidates += candidates_scored[q];
-        total_shards += shards_probed[q];
-        total_hits += recall_hits[q];
-        total_recall += recall_total[q];
-      }
-      const int64_t routing =
-          static_cast<int64_t>(num_queries) * index.nlist();
-      pairs->Add(total_candidates + routing);
-      Telemetry().GetCounter("index/probes")->Add(num_queries);
-      Telemetry().GetCounter("index/shard_probes")->Add(total_shards);
-      Telemetry().GetCounter("index/candidate_pairs")->Add(total_candidates);
-      Telemetry().GetCounter("index/routing_pairs")->Add(routing);
-      if (total_recall > 0) {
-        Telemetry().GetCounter("index/recall_hits")->Add(total_hits);
-        Telemetry().GetCounter("index/recall_total")->Add(total_recall);
-      }
-    } else {
-      pairs->Add(static_cast<int64_t>(num_prompts) * num_queries);
-    }
-  } else {
-    pairs->Add(static_cast<int64_t>(num_prompts) * num_queries);
   }
 
   // Keep the k most-voted candidates of every class, so the refined set

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "core/distance.h"
-#include "core/prompt_index.h"
 #include "tensor/tensor.h"
 #include "util/rng.h"
 
@@ -24,10 +23,6 @@ struct KnnConfig {
   DistanceMetric metric = DistanceMetric::kCosine;
   bool use_similarity = true;   // Eq. 7 sim term   (ablation "w/o kNN")
   bool use_importance = true;   // Eq. 7 I_p*I_q    (ablation "w/o selection")
-  // IVF retrieval index (core/prompt_index.h). Defaults to the process
-  // globals so --index/--nlist/--nprobe and GP_INDEX* configure every
-  // retrieval call without threading options through call sites.
-  PromptIndexOptions index = GlobalIndexOptions();
 };
 
 struct KnnSelection {

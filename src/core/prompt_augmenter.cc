@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <unordered_set>
 
 #include "core/distance.h"
 #include "obs/telemetry.h"
@@ -41,22 +40,7 @@ PromptAugmenter::PromptAugmenter(const PromptAugmenterConfig& config,
                                  uint64_t seed)
     : config_(config),
       cache_(MakeCache(config.policy, config.cache_capacity)),
-      index_(config.index, config.metric),
       rng_(seed) {}
-
-void PromptAugmenter::RebuildIndex() {
-  index_.Clear();
-  int dim = 0;
-  for (const auto& [id, entry] : cache_->Entries()) {
-    const int edim = static_cast<int>(entry->embedding.size());
-    if (edim == 0) continue;
-    if (dim == 0) dim = edim;
-    // A width-mismatched (poisoned) entry can't join the index; it stays
-    // scannable until EvictPoisoned removes it from the cache.
-    if (edim != dim) continue;
-    index_.Insert(id, entry->embedding.data(), edim);
-  }
-}
 
 PromptAugmenter::CachedPrompts PromptAugmenter::GetCachedPrompts(
     int dim) const {
@@ -91,46 +75,27 @@ void PromptAugmenter::ObserveQueries(const Tensor& query_embeddings,
   if (entries.empty()) {
     // Nothing cached yet: every query of this batch is a miss.
     misses->Add(num_queries);
-  }
-  if (!entries.empty()) {
+  } else {
     const int dim = query_embeddings.cols();
     const float* qdata = query_embeddings.data().data();
     const int num_entries = static_cast<int>(entries.size());
     static Counter* scan_pairs =
         Telemetry().GetCounter("augmenter/scan_pairs");
-    // Entry indices to score for the current query. Exact mode scans every
-    // entry in Entries() order (the pre-index behaviour, bit for bit); a
-    // sharded index narrows the pool to the probed shards' members while
-    // preserving that order.
-    std::vector<int> pool(num_entries);
-    for (int i = 0; i < num_entries; ++i) pool[i] = i;
-    std::vector<std::pair<float, int64_t>> sims;
+    scan_pairs->Add(static_cast<int64_t>(num_entries) * num_queries);
+    const int k = std::min(config_.top_k_hits, num_entries);
+    hits->Add(static_cast<int64_t>(k) * num_queries);
+    const int64_t grain =
+        std::max<int64_t>(1, (int64_t{1} << 14) / std::max(dim, 1));
+    std::vector<std::pair<float, int64_t>> sims(num_entries);
     for (int q = 0; q < num_queries; ++q) {
       const float* qe = qdata + static_cast<size_t>(q) * dim;
-      if (index_.ivf()) {
-        PromptIndex::ProbeStats stats;
-        const std::vector<int64_t> cands =
-            index_.Probe(qe, dim, config_.top_k_hits, &stats);
-        std::unordered_set<int64_t> in_probe(cands.begin(), cands.end());
-        pool.clear();
-        for (int i = 0; i < num_entries; ++i) {
-          if (in_probe.count(entries[i].first) > 0) pool.push_back(i);
-        }
-      }
-      const int pool_size = static_cast<int>(pool.size());
-      scan_pairs->Add(pool_size);
-      if (pool_size == 0) continue;
-      sims.resize(pool_size);
       double query_norm = 0.0;
       if (config_.metric == DistanceMetric::kCosine) {
         query_norm = std::sqrt(SquaredNormRaw(qe, dim));
       }
-      const int64_t grain =
-          std::max<int64_t>(1, (int64_t{1} << 14) / std::max(dim, 1));
-      ParallelFor(0, pool_size, grain,
+      ParallelFor(0, num_entries, grain,
                   [&](int64_t first, int64_t last) {
-                    for (int64_t i = first; i < last; ++i) {
-                      const int e = pool[i];
+                    for (int64_t e = first; e < last; ++e) {
                       float sim = EntrySimilarity(
                           qe, query_norm, entries[e].second->embedding,
                           config_.metric);
@@ -139,15 +104,13 @@ void PromptAugmenter::ObserveQueries(const Tensor& query_embeddings,
                       if (!std::isfinite(sim)) {
                         sim = -std::numeric_limits<float>::infinity();
                       }
-                      sims[i] = {sim, entries[e].first};
+                      sims[e] = {sim, entries[e].first};
                     }
                   });
-      const int k = std::min<int>(config_.top_k_hits, sims.size());
       std::partial_sort(
           sims.begin(), sims.begin() + k, sims.end(),
           [](const auto& a, const auto& b) { return a.first > b.first; });
       for (int i = 0; i < k; ++i) cache_->Touch(sims[i].second);
-      hits->Add(k);
     }
   }
 
@@ -189,26 +152,14 @@ void PromptAugmenter::ObserveQueries(const Tensor& query_embeddings,
     entry.confidence = confidences[q];
     const bool at_capacity =
         cache_->capacity() > 0 && cache_->size() == cache_->capacity();
-    const int64_t id = cache_->Insert(std::move(entry));
-    if (id >= 0) {
+    if (cache_->Insert(std::move(entry)) >= 0) {
       static Counter* inserted = Telemetry().GetCounter("augmenter/inserts");
       inserted->Add(1);
       if (at_capacity) {
         static Counter* evictions =
             Telemetry().GetCounter("augmenter/evictions");
         evictions->Add(1);
-        // The cache evicted a victim it does not report; drop indexed ids
-        // that no longer exist before indexing the newcomer.
-        std::unordered_set<int64_t> live;
-        for (const auto& [eid, e] : cache_->Entries()) live.insert(eid);
-        for (int64_t indexed : index_.Ids()) {
-          if (live.count(indexed) == 0) index_.Erase(indexed);
-        }
       }
-      const int dim = query_embeddings.cols();
-      index_.Insert(id, query_embeddings.data().data() +
-                            static_cast<size_t>(q) * dim,
-                    dim);
     }
   }
 }
@@ -234,7 +185,6 @@ int PromptAugmenter::EvictPoisoned(int dim, int num_classes) {
   for (const auto& [id, entry] : cache_->Entries()) {
     if (EntryPoisoned(*entry, dim, num_classes)) {
       cache_->Erase(id);
-      index_.Erase(id);
       ++evicted;
     }
   }

@@ -4,8 +4,8 @@
 // tenant.
 //
 // Isolation invariants (asserted by the chaos soak):
-//   - Each tenant owns its PromptAugmenter (LFU cache + PromptIndex); no
-//     cache entry ever crosses tenants.
+//   - Each tenant owns its PromptAugmenter and its LFU cache; no cache
+//     entry ever crosses tenants.
 //   - Fault injection installed from a request's fault_spec is scoped to
 //     that tenant's requests via ScopedThreadFaultInjector; a clean
 //     tenant's requests never observe it.

@@ -1,13 +1,12 @@
 // Runtime CPU feature probe and the process-wide SIMD dispatch level.
 //
-// The distance kernels (core/distance.h), the quantized candidate-pass
-// kernels (core/quantizer.h), and the GEMM kernels behind MatMul's forward
-// and backward (tensor/ops.cc) each ship a portable scalar implementation
-// plus an AVX2 variant compiled with function-level target attributes.
-// Which variant runs is decided
-// ONCE per process from this header — never per call site — so a run is
-// internally consistent: every kernel sees the same level for the whole
-// process lifetime (tests may flip it explicitly via SetSimdLevel).
+// The distance kernels (core/distance.h) and the GEMM kernels behind
+// MatMul's forward and backward (tensor/ops.cc) each ship a portable
+// scalar implementation plus an AVX2 variant compiled with function-level
+// target attributes. Which variant runs is decided ONCE per process from
+// this header — never per call site — so a run is internally consistent:
+// every kernel sees the same level for the whole process lifetime (tests
+// may flip it explicitly via SetSimdLevel).
 //
 // Determinism contract (DESIGN.md §10):
 //   * kScalar ("--simd=off" / GP_SIMD=off) reproduces the historical

@@ -1,8 +1,10 @@
 // Tiny command-line flag parser for the benchmark and example binaries.
 //
-// Supports "--name=value" and "--name value" forms. Unrecognised flags are
-// reported; positional arguments are ignored. This keeps the bench binaries
-// dependency-free while allowing `--seed`, `--trials` etc. overrides.
+// Supports "--name=value" and "--name value" forms. Flags no getter reads
+// are ignored silently, as are positional arguments, so a stale or
+// misspelled flag leaves its setting at the default. This keeps the bench
+// binaries dependency-free while allowing `--seed`, `--trials` etc.
+// overrides.
 
 #ifndef GRAPHPROMPTER_UTIL_FLAGS_H_
 #define GRAPHPROMPTER_UTIL_FLAGS_H_

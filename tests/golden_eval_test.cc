@@ -8,11 +8,11 @@
 // the random-walk sampler's data graphs for node and edge items, for
 // fixed seeds into tests/golden/. Values are rendered with %.17g, so any change
 // to retrieval or scoring that shifts predictions by even one ULP fails
-// loudly. The golden files were generated from the pre-index brute-force
-// pipeline, and the eval variants from the per-trial serial evaluation
-// loop that predated the single batched path; the default (auto) index
-// configuration, --index=exact, and packed multi-request batches must
-// keep matching them bitwise.
+// loudly. The selector goldens pin the exact scan that scores every
+// (candidate, query) pair, the many-way one at eval_manyway's shape; the
+// eval variants were generated from the per-trial serial evaluation loop
+// that predated the single batched path, and packed multi-request batches
+// must keep matching them bitwise.
 //
 // Regenerate (after an *intentional* numeric change, reviewed in the PR):
 //   scripts/update_golden.sh
@@ -32,9 +32,6 @@
 #include "core/knn_retrieval.h"
 #include "core/pretrain.h"
 #include "core/prompt_generator.h"
-#ifndef GP_GOLDEN_SEED_BOOTSTRAP
-#include "core/prompt_index.h"
-#endif
 #include "data/datasets.h"
 #include "graph/sampler.h"
 #include "util/checksum.h"
@@ -303,16 +300,10 @@ TEST(GoldenEvalTest, SelectorTopKPerMetric) {
 }
 
 // eval_manyway's selector shape: 40 ways x 10 candidates per class against
-// 100 queries at d = 64. The auto index mode would build an IVF index over
-// these 400 candidates, so the golden pins the exact scan.
+// 100 queries at d = 64.
 TEST(GoldenEvalTest, SelectorTopKManyWay) {
-  const PromptIndexOptions saved = GlobalIndexOptions();
-  PromptIndexOptions exact = saved;
-  exact.mode = IndexMode::kExact;
-  SetGlobalIndexOptions(exact);
   CheckGolden("selector_topk_manyway.golden",
               RenderSelectionGolden(400, 100, 64, 40));
-  SetGlobalIndexOptions(saved);
 }
 
 TEST(GoldenEvalTest, PretrainLossesAndParametersMatchGolden) {
@@ -380,21 +371,6 @@ TEST(GoldenEvalTest, PipelinedExecutorMatchesGolden) {
   SetNumThreads(saved_threads);
   SetPipelineMode(saved_mode);
 }
-
-// The exact index mode must be a byte-for-byte no-op relative to the
-// pinned brute-force pipeline, and the auto default must resolve to exact
-// at these candidate-pool sizes.
-#ifndef GP_GOLDEN_SEED_BOOTSTRAP
-TEST(GoldenEvalTest, ExactIndexModeMatchesGolden) {
-  const PromptIndexOptions saved = GlobalIndexOptions();
-  PromptIndexOptions exact = saved;
-  exact.mode = IndexMode::kExact;
-  SetGlobalIndexOptions(exact);
-  CheckGolden("quickstart_eval.golden", RenderEvalGolden());
-  CheckGolden("selector_topk.golden", RenderSelectionGolden(48, 20, 12, 4));
-  SetGlobalIndexOptions(saved);
-}
-#endif  // GP_GOLDEN_SEED_BOOTSTRAP
 
 }  // namespace
 }  // namespace gp

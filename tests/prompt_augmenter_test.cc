@@ -1,7 +1,5 @@
 #include "core/prompt_augmenter.h"
 
-#include <algorithm>
-#include <cstdint>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -107,8 +105,9 @@ TEST(PromptAugmenterTest, RandomPseudoLabelModeStillInserts) {
 
 TEST(PromptAugmenterTest, ResetClearsCache) {
   PromptAugmenter augmenter(SmallConfig(), 8);
-  augmenter.ObserveQueries(QueryBatch({{1, 0}}), {0}, {0.9f}, 1);
-  EXPECT_EQ(augmenter.cache().size(), 1);
+  augmenter.ObserveQueries(QueryBatch({{1, 0}, {0, 1}}), {0, 1},
+                           {0.9f, 0.8f}, 2);
+  EXPECT_EQ(augmenter.cache().size(), 2);
   augmenter.Reset();
   EXPECT_TRUE(augmenter.cache().empty());
 }
@@ -123,99 +122,28 @@ TEST(PromptAugmenterTest, CachedPromptsCarryPseudoLabels) {
   EXPECT_EQ(cached.embeddings.at(0, 1), 2.0f);
 }
 
-// ---- retrieval-index mirroring (core/prompt_index.h) --------------------
-
-TEST(PromptAugmenterTest, IndexMirrorsCacheThroughInsertAndEviction) {
-  auto config = SmallConfig(/*capacity=*/3);
-  config.index.mode = IndexMode::kIvf;
-  config.index.min_points = 1;  // shard as soon as geometry allows
-  PromptAugmenter augmenter(config, 10);
-
+TEST(PromptAugmenterTest, BatchInsertPastCapacityKeepsCacheAtCapacity) {
+  PromptAugmenter augmenter(SmallConfig(/*capacity=*/3), 10);
   augmenter.ObserveQueries(QueryBatch({{1, 0}, {0, 1}, {1, 1}}),
                            {0, 1, 0}, {0.9f, 0.8f, 0.7f}, 3);
-  EXPECT_EQ(augmenter.index().size(), augmenter.cache().size());
-
-  // Two more inserts overflow capacity 3: the cache evicts victims it
-  // never names, and the index must track the survivors exactly.
+  // Two more inserts in one batch overflow capacity 3: each evicts a
+  // victim, so the cache stays full.
   augmenter.ObserveQueries(QueryBatch({{2, 0}, {0, 2}}), {0, 1},
                            {0.95f, 0.85f}, 2);
   EXPECT_EQ(augmenter.cache().size(), 3);
-  EXPECT_EQ(augmenter.index().size(), 3);
-  std::vector<int64_t> cached_ids;
-  for (const auto& [id, entry] : augmenter.cache().Entries()) {
-    cached_ids.push_back(id);
-  }
-  std::sort(cached_ids.begin(), cached_ids.end());
-  EXPECT_EQ(augmenter.index().Ids(), cached_ids);
 }
 
-TEST(PromptAugmenterTest, DefaultIndexStaysExactAtPaperCacheSizes) {
-  PromptAugmenter augmenter(SmallConfig(), 11);  // default auto index
-  augmenter.ObserveQueries(QueryBatch({{1, 0}, {0, 1}, {1, 1}}),
-                           {0, 1, 0}, {0.9f, 0.8f, 0.7f}, 3);
-  // c = 3 (Fig. 5's optimum) is far below min_points: exact scan, no IVF.
-  EXPECT_FALSE(augmenter.index().ivf());
-}
-
-TEST(PromptAugmenterTest, LargeCacheShardsAndStillTouchesEntries) {
-  auto config = SmallConfig(/*capacity=*/256);
-  config.index.mode = IndexMode::kIvf;
-  config.index.min_points = 32;
-  config.index.nlist = 4;
-  PromptAugmenter augmenter(config, 12);
-
-  // Fill with four well-separated clusters so sharding is meaningful.
-  std::vector<std::vector<float>> rows;
-  std::vector<int> labels;
-  std::vector<float> conf;
-  for (int i = 0; i < 128; ++i) {
-    const int c = i % 4;
-    const float cx = (c % 2 == 0) ? 10.0f : -10.0f;
-    const float cy = (c / 2 == 0) ? 10.0f : -10.0f;
-    rows.push_back({cx + 0.01f * static_cast<float>(i),
-                    cy - 0.01f * static_cast<float>(i)});
-    labels.push_back(c);
-    conf.push_back(0.9f);
-  }
-  augmenter.ObserveQueries(QueryBatch(rows), labels, conf, 128);
-  EXPECT_EQ(augmenter.cache().size(), 128);
-  EXPECT_EQ(augmenter.index().size(), 128);
-  EXPECT_TRUE(augmenter.index().ivf());
-
-  // A follow-up batch must still bump frequencies through the narrowed
-  // (probed) scan without touching every entry.
-  augmenter.ObserveQueries(QueryBatch({{10, 10}}), {0}, {0.0f}, 0);
-  EXPECT_EQ(augmenter.index().size(), augmenter.cache().size());
-}
-
-TEST(PromptAugmenterTest, EvictPoisonedAlsoErasesFromIndex) {
+TEST(PromptAugmenterTest, EvictPoisonedRemovesExactlyThePoisonedEntry) {
   auto config = SmallConfig(/*capacity=*/4);
   PromptAugmenter augmenter(config, 13);
   augmenter.ObserveQueries(QueryBatch({{1, 0}, {0, 1}}), {0, 1},
                            {0.9f, 0.8f}, 2);
-  ASSERT_EQ(augmenter.index().size(), 2);
+  ASSERT_EQ(augmenter.cache().size(), 2);
   // Poison one entry out-of-band, the way fault injection does.
   const auto entries = augmenter.cache().Entries();
   augmenter.mutable_cache().MutableEntry(entries[0].first)->pseudo_label = 99;
   EXPECT_EQ(augmenter.EvictPoisoned(/*dim=*/2, /*num_classes=*/2), 1);
-  EXPECT_EQ(augmenter.index().size(), 1);
   EXPECT_EQ(augmenter.cache().size(), 1);
-}
-
-TEST(PromptAugmenterTest, ResetAndRebuildKeepIndexInSync) {
-  PromptAugmenter augmenter(SmallConfig(), 14);
-  augmenter.ObserveQueries(QueryBatch({{1, 0}, {0, 1}}), {0, 1},
-                           {0.9f, 0.8f}, 2);
-  EXPECT_EQ(augmenter.index().size(), 2);
-  augmenter.Reset();
-  EXPECT_TRUE(augmenter.cache().empty());
-  EXPECT_EQ(augmenter.index().size(), 0);
-
-  augmenter.ObserveQueries(QueryBatch({{1, 1}}), {0}, {0.9f}, 1);
-  // Out-of-band cache surgery desyncs the index; RebuildIndex re-derives.
-  augmenter.mutable_cache().Clear();
-  augmenter.RebuildIndex();
-  EXPECT_EQ(augmenter.index().size(), 0);
 }
 
 }  // namespace

@@ -1,8 +1,7 @@
 // SIMD dispatch correctness: AVX2 distance kernels vs the scalar
 // bitwise-pinned reference, the bitwise-identity contract of the GEMM
-// panel and the autograd GEMM backward kernels, the quantized
-// candidate-pass kernels, and the CosineFromParts relative
-// degenerate-norm guard (DESIGN.md §10).
+// panel and the autograd GEMM backward kernels, and the CosineFromParts
+// relative degenerate-norm guard (DESIGN.md §10).
 
 #include <algorithm>
 #include <array>
@@ -14,7 +13,6 @@
 #include <gtest/gtest.h>
 
 #include "core/distance.h"
-#include "core/quantizer.h"
 #include "tensor/ops.h"
 #include "util/cpuid.h"
 #include "util/rng.h"
@@ -302,48 +300,9 @@ TEST_F(SimdKernelsTest, GemmGradBitwiseIdenticalAcrossLevels) {
   }
 }
 
-// Quantized candidate-pass kernels accumulate in float (they only rank
-// candidates ahead of an exact re-rank), so the AVX2-vs-scalar bound is
-// looser: relative 1e-4.
-TEST_F(SimdKernelsTest, QuantizedKernelsMatchScalar) {
-  if (DetectedSimdLevel() != SimdLevel::kAvx2) {
-    GTEST_SKIP() << "no AVX2 on this CPU";
-  }
-  Rng rng(14);
-  for (int n : kSizes) {
-    std::vector<uint8_t> code(n);
-    for (int i = 0; i < n; ++i) {
-      code[i] = static_cast<uint8_t>(rng.UniformInt(256));
-    }
-    const std::vector<float> qs = RandomVec(&rng, n, 0.1f);
-    const std::vector<float> r = RandomVec(&rng, n);
-    std::vector<float> step(n);
-    for (int i = 0; i < n; ++i) step[i] = rng.UniformFloat() * 0.01f;
-
-    const float dot_s = QuantizedDotRawScalar(code.data(), qs.data(), n);
-    const float l2_s =
-        QuantizedNegL2RawScalar(code.data(), r.data(), step.data(), n);
-    const float l1_s =
-        QuantizedNegL1RawScalar(code.data(), r.data(), step.data(), n);
-    const float dot_v = simd::QuantizedDotRawAvx2(code.data(), qs.data(), n);
-    const float l2_v =
-        simd::QuantizedNegL2RawAvx2(code.data(), r.data(), step.data(), n);
-    const float l1_v =
-        simd::QuantizedNegL1RawAvx2(code.data(), r.data(), step.data(), n);
-
-    const auto close = [](float x, float y) {
-      const float scale = std::max(std::abs(x), std::abs(y));
-      return std::abs(x - y) <= 1e-4f * scale + 1e-6f;
-    };
-    EXPECT_TRUE(close(dot_s, dot_v)) << "qdot n=" << n;
-    EXPECT_TRUE(close(l2_s, l2_v)) << "ql2 n=" << n;
-    EXPECT_TRUE(close(l1_s, l1_v)) << "ql1 n=" << n;
-  }
-}
-
-// Regression for the relative degenerate-norm guard (satellite fix): the
-// old absolute `denom < 1e-12` rule let a near-zero-norm row (pure
-// quantization noise) return a full-magnitude cosine, and wrongly zeroed
+// Regression for the relative degenerate-norm guard: the old absolute
+// `denom < 1e-12` rule let a near-zero-norm row (rounding residue, not a
+// direction) return a full-magnitude cosine, and wrongly zeroed
 // legitimately tiny same-scale pairs.
 TEST(CosineFromPartsTest, CosineFromPartsRelativeGuard) {
   // Noise-scale row against a unit query: the noise direction carries no

@@ -37,7 +37,6 @@
 
 #include "core/graph_prompter.h"
 #include "core/pretrain.h"
-#include "core/prompt_index.h"
 #include "data/datasets.h"
 #include "nn/serialize.h"
 #include "obs/export.h"
@@ -82,7 +81,6 @@ DatasetBundle MakeNamedDataset(const std::string& name, double scale,
 
 int Run(int argc, char** argv) {
   Flags flags(argc, argv);
-  ConfigureIndexFromFlags(flags);
   ConfigureSimdFromFlags(flags);
   ConfigureObservability(flags.GetString("telemetry", ""),
                          flags.GetString("trace", ""));
