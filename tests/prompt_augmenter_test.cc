@@ -133,6 +133,28 @@ TEST(PromptAugmenterTest, BatchInsertPastCapacityKeepsCacheAtCapacity) {
   EXPECT_EQ(augmenter.cache().size(), 3);
 }
 
+TEST(PromptAugmenterTest, LargeCacheKeepsEveryInsertBelowCapacity) {
+  PromptAugmenter augmenter(SmallConfig(/*capacity=*/256), 12);
+  std::vector<std::vector<float>> rows;
+  std::vector<int> labels;
+  std::vector<float> conf;
+  for (int i = 0; i < 128; ++i) {
+    const int c = i % 4;
+    const float cx = (c % 2 == 0) ? 10.0f : -10.0f;
+    const float cy = (c / 2 == 0) ? 10.0f : -10.0f;
+    rows.push_back({cx + 0.01f * static_cast<float>(i),
+                    cy - 0.01f * static_cast<float>(i)});
+    labels.push_back(c);
+    conf.push_back(0.9f);
+  }
+  augmenter.ObserveQueries(QueryBatch(rows), labels, conf, 128);
+  EXPECT_EQ(augmenter.cache().size(), 128);
+
+  // A follow-up batch scans all 128 entries and inserts nothing.
+  augmenter.ObserveQueries(QueryBatch({{10, 10}}), {0}, {0.0f}, 0);
+  EXPECT_EQ(augmenter.cache().size(), 128);
+}
+
 TEST(PromptAugmenterTest, EvictPoisonedRemovesExactlyThePoisonedEntry) {
   auto config = SmallConfig(/*capacity=*/4);
   PromptAugmenter augmenter(config, 13);
