@@ -15,8 +15,6 @@
 //                 by extension) at exit; GP_TRACE env is the fallback
 //   --simd=LEVEL  distance/GEMM kernels: auto | avx2 | off (default auto;
 //                 GP_SIMD env is the fallback — see DESIGN.md §10)
-//   --pipeline=MODE  stage executor: off | auto | on (default off;
-//                 GP_PIPELINE env is the fallback — see DESIGN.md §13)
 // Results are printed as paper-style tables and written as CSV. Every
 // binary additionally writes <outdir>/BENCH_<name>.json (schema in
 // obs/bench_report.h): config, per-stage span timings, telemetry
@@ -38,7 +36,6 @@
 #include "util/cpuid.h"
 #include "util/flags.h"
 #include "util/parallel.h"
-#include "util/pipeline.h"
 #include "util/stopwatch.h"
 #include "util/table.h"
 
@@ -56,7 +53,6 @@ struct Env {
   std::string telemetry_path;  // empty = GP_TELEMETRY env, else disabled
   std::string trace_path;      // empty = GP_TRACE env, else disabled
   SimdLevel simd = SimdLevel::kScalar;  // resolved --simd/GP_SIMD level
-  PipelineMode pipeline = PipelineMode::kOff;  // resolved --pipeline mode
 };
 
 inline Env ParseEnv(int argc, char** argv) {
@@ -77,7 +73,6 @@ inline Env ParseEnv(int argc, char** argv) {
   env.telemetry_path = flags.GetString("telemetry", env.telemetry_path);
   env.trace_path = flags.GetString("trace", env.trace_path);
   env.simd = ConfigureSimdFromFlags(flags);
-  env.pipeline = ConfigurePipelineFromFlags(flags);
   ConfigureObservability(env.telemetry_path, env.trace_path);
   return env;
 }
@@ -96,7 +91,6 @@ inline int BenchMain(const std::string& name, int argc, char** argv,
   report.AddConfig("seed", static_cast<int64_t>(env.seed));
   report.AddConfig("threads", static_cast<int64_t>(env.threads));
   report.AddConfig("simd", std::string(SimdLevelName(env.simd)));
-  report.AddConfig("pipeline", std::string(PipelineModeName(env.pipeline)));
   run(env, &report);
   const Status status = report.WriteJson(env.outdir);
   if (!status.ok()) {

@@ -10,13 +10,11 @@
 #include "core/pretrain.h"
 #include "util/cpuid.h"
 #include "util/flags.h"
-#include "util/pipeline.h"
 #include "util/table.h"
 
 int main(int argc, char** argv) {
   gp::Flags flags(argc, argv);
   gp::ConfigureSimdFromFlags(flags);
-  gp::ConfigurePipelineFromFlags(flags);
   const uint64_t seed = flags.GetInt("seed", 7);
 
   gp::DatasetBundle mag = gp::MakeMagSim(0.7, seed);

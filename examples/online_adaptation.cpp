@@ -22,13 +22,11 @@
 #include "util/fault.h"
 #include "util/cpuid.h"
 #include "util/flags.h"
-#include "util/pipeline.h"
 #include "util/table.h"
 
 int main(int argc, char** argv) {
   gp::Flags flags(argc, argv);
   gp::ConfigureSimdFromFlags(flags);
-  gp::ConfigurePipelineFromFlags(flags);
   const uint64_t seed = flags.GetInt("seed", 23);
   const int ways = static_cast<int>(flags.GetInt("ways", 20));
   CHECK_OK(gp::ConfigureGlobalFaultInjection(flags.GetString("fault", "")));

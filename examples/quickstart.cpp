@@ -13,12 +13,10 @@
 #include "obs/export.h"
 #include "util/cpuid.h"
 #include "util/flags.h"
-#include "util/pipeline.h"
 
 int main(int argc, char** argv) {
   gp::Flags flags(argc, argv);
   gp::ConfigureSimdFromFlags(flags);
-  gp::ConfigurePipelineFromFlags(flags);
   const uint64_t seed = flags.GetInt("seed", 1);
   gp::ConfigureObservability(flags.GetString("telemetry", ""),
                              flags.GetString("trace", ""));
@@ -74,7 +72,7 @@ int main(int argc, char** argv) {
   std::printf("  GraphPrompter (ours):      %.2f%% ±%.2f\n",
               ours.accuracy_percent.mean, ours.accuracy_percent.std);
 
-  // 5. End-of-run telemetry: stage timings and pipeline counters collected
+  // 5. End-of-run telemetry: stage timings and counters collected
   //    by the observability registry while the steps above ran.
   std::printf("\n%s", gp::TelemetrySummary(gp::Telemetry().Snapshot()).c_str());
   CHECK_OK(gp::ExportConfiguredObservability());

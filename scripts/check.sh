@@ -71,23 +71,6 @@ run ctest --test-dir build -L selector --output-on-failure
 echo "=== fuzz: malformed-input parser tests ==="
 run ctest --test-dir build -L fuzz --output-on-failure
 
-echo "=== pipeline: stage-executor determinism pins + throughput gate ==="
-# The determinism pins (serial vs pipelined, bitwise, across thread counts
-# and GraphView backends) run twice so both kernel families are covered:
-# GP_SIMD=off pins the scalar reference, GP_SIMD=auto the dispatched AVX2
-# kernels. Then a smoke-scale bench_pipeline run feeds tools/check_pipeline,
-# which gates bitwise equality unconditionally and the throughput gain on
-# multi-core hosts. The chaos soak re-runs under TSan below (the
-# concurrency label).
-run env GP_SIMD=off ctest --test-dir build -L pipeline --output-on-failure
-run env GP_SIMD=auto ctest --test-dir build -L pipeline --output-on-failure
-run ./build/bench/bench_pipeline --scale=0.3 --steps=6 --trials=3 \
-  --queries=8 --outdir="$smoke_dir/pipeline"
-run ./build/tools/check_pipeline "$smoke_dir/pipeline/BENCH_pipeline.json"
-if [[ -f results/BENCH_pipeline.json ]]; then
-  run ./build/tools/check_pipeline results/BENCH_pipeline.json
-fi
-
 echo "=== scale: out-of-core store smoke + mmap-vs-flat gate ==="
 # 100k-node smoke of the out-of-core pipeline: generate shards, sample +
 # encode over the mmap and flat backends, and gate on bitwise-equal
@@ -123,10 +106,11 @@ run cmake --build build-ubsan -j "$JOBS"
 run ctest --test-dir build-ubsan "${label_args[@]}" --output-on-failure
 
 echo "=== TSan: thread-sanitized concurrency tests ==="
-# `pipeline` rides along so the stage executor's determinism pins and the
-# chaos soak run with real background workers under TSan.
+# The `concurrency` label covers the thread pool, the end-to-end
+# determinism pins across ParallelFor widths, the eval chaos soaks and the
+# socket-mode serving soaks.
 run cmake -B build-tsan -S . -DGP_SANITIZE=thread
 run cmake --build build-tsan -j "$JOBS"
-run ctest --test-dir build-tsan -L 'concurrency|pipeline' --output-on-failure
+run ctest --test-dir build-tsan -L concurrency --output-on-failure
 
 echo "all checks passed"

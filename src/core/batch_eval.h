@@ -64,11 +64,9 @@ class BatchEvaluation {
 
   int size() const { return static_cast<int>(configs_.size()); }
 
-  // Runs stages 1-2 for every request (packed). Call exactly once; may run
-  // on a different thread than FinishRequest (the serving daemon overlaps
-  // Prepare of batch i+1 with FinishRequest of batch i via the pipeline
-  // executor). Thread-locals (NoGradGuard, pool scope) are established
-  // internally.
+  // Runs stages 1-2 for every request (packed). Call exactly once, before
+  // any FinishRequest. Thread-locals (NoGradGuard, pool scope) are
+  // established internally.
   void Prepare();
 
   // Consumes request `i`: stage 3, prediction, metrics assembly. Call

@@ -11,9 +11,7 @@
 #include "tensor/autograd.h"
 #include "tensor/buffer_pool.h"
 #include "tensor/ops.h"
-#include "util/fault.h"
 #include "util/logging.h"
-#include "util/pipeline.h"
 
 namespace gp {
 namespace {
@@ -234,76 +232,39 @@ PretrainCurves RunPretrainLoop(GraphPrompterModel* model,
 
   static Counter* steps_done = Telemetry().GetCounter("pretrain/steps");
 
-  // Pipelined schedule (DESIGN.md §13): episode construction for step s+1
-  // overlaps the forward/backward/optimizer work for step s. The builders
-  // are the loop's only RNG consumers and sampling reads just the graph —
-  // never the parameters the optimizer is concurrently updating — so the
-  // overlap is safe. Prepare tasks chain through an explicit dependency
-  // edge because they share the RNG stream: they run one at a time in step
-  // order and draw byte-for-byte the serial sequence, making the loss and
-  // accuracy curves bitwise identical at any worker count.
-  struct PreparedStep {
-    bool mt_ok = false;
-    Episode mt;
-    bool nm_ok = false;
-    Episode nm;
-  };
-  FaultInjector* const entry_injector = ActiveFaultInjector();
-  std::vector<PreparedStep> prepared_steps(std::max(0, config.steps));
-  std::vector<PipelineExecutor::TaskId> prep_ids(prepared_steps.size(), -1);
-  PipelineExecutor::Options exec_options;
-  exec_options.workers = PipelineActive() ? 1 : 0;
-  exec_options.max_in_flight = 2;
-  PipelineExecutor exec(exec_options);
-  auto submit_prepare = [&](int idx) {
-    PreparedStep* data = &prepared_steps[idx];
-    std::vector<PipelineExecutor::TaskId> deps;
-    if (idx > 0) deps.push_back(prep_ids[idx - 1]);
-    prep_ids[idx] = exec.Submit(
-        [&, data] {
-          GP_TRACE_SPAN("pretrain/prepare");
-          // Workers inherit no thread-locals; keep the submitter's
-          // fault-injector scope in effect inside the task body.
-          ScopedThreadFaultInjector scoped_injector(entry_injector);
-          if (config.multi_task) {
-            data->mt_ok = build_multi_task(&rng, &data->mt);
-          }
-          if (config.neighbor_matching) {
-            data->nm_ok = BuildNeighborMatchingEpisode(*model, view, config,
-                                                       &rng, &data->nm);
-          }
-        },
-        std::move(deps));
-  };
-  if (!prepared_steps.empty()) submit_prepare(0);
-
   for (int step = 1; step <= config.steps; ++step) {
     GP_TRACE_SPAN("pretrain/step");
     steps_done->Add(1);
     optimizer.ZeroGrad();
-    const int idx = step - 1;
-    if (step < config.steps) submit_prepare(idx + 1);
-    exec.Wait(prep_ids[idx]);
-    PreparedStep& prepared = prepared_steps[idx];
 
     Tensor total_loss;
     int correct = 0, total = 0;
-
-    if (prepared.mt_ok) {
-      EpisodeLoss mt = ForwardEpisode(*model, view, prepared.mt, config.ways);
-      total_loss = mt.loss;
-      correct += mt.correct;
-      total += mt.total;
-    }
-    if (prepared.nm_ok) {
-      EpisodeLoss nm = ForwardEpisode(*model, view, prepared.nm, config.ways);
-      total_loss = total_loss.defined() ? Add(total_loss, nm.loss) : nm.loss;
-      correct += nm.correct;
-      total += nm.total;
-    }
-    // The episode's subgraphs are consumed; release them now instead of
-    // holding every step's episode until the loop ends.
-    prepared = PreparedStep();
+    {
+      // The episode builders are the loop's only RNG consumers, so building
+      // each step's episodes right before its forward draws one fixed stream.
+      Episode mt, nm;
+      bool mt_ok = false, nm_ok = false;
+      {
+        GP_TRACE_SPAN("pretrain/prepare");
+        if (config.multi_task) mt_ok = build_multi_task(&rng, &mt);
+        if (config.neighbor_matching) {
+          nm_ok = BuildNeighborMatchingEpisode(*model, view, config, &rng, &nm);
+        }
+      }
+      if (mt_ok) {
+        EpisodeLoss loss = ForwardEpisode(*model, view, mt, config.ways);
+        total_loss = loss.loss;
+        correct += loss.correct;
+        total += loss.total;
+      }
+      if (nm_ok) {
+        EpisodeLoss loss = ForwardEpisode(*model, view, nm, config.ways);
+        total_loss =
+            total_loss.defined() ? Add(total_loss, loss.loss) : loss.loss;
+        correct += loss.correct;
+        total += loss.total;
+      }
+    }  // the episodes' subgraphs are consumed; release them before backward
     if (!total_loss.defined()) continue;  // no episode could be built
 
     Backward(total_loss);

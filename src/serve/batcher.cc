@@ -188,12 +188,6 @@ bool MicroBatcher::NextBatch(MicroBatch* out) {
   }
 }
 
-bool MicroBatcher::TryNextBatch(MicroBatch* out) {
-  std::lock_guard<std::mutex> lock(mu_);
-  int64_t due_us = -1;
-  return PopReadyLocked(NowMicros(), out, &due_us);
-}
-
 void MicroBatcher::Close() {
   std::lock_guard<std::mutex> lock(mu_);
   closed_ = true;

@@ -77,11 +77,7 @@ class MicroBatcher {
   // flush immediately with reason kDrain.
   bool NextBatch(MicroBatch* out);
 
-  // Non-blocking: a ready batch or false. Lets the worker prefetch the
-  // next batch while one is still executing without parking the thread.
-  bool TryNextBatch(MicroBatch* out);
-
-  // Wakes every waiter; queued items drain via NextBatch/TryNextBatch.
+  // Wakes every waiter; queued items drain via NextBatch.
   void Close();
 
   // Observed wall time of an executed batch; updates the per-request cost

@@ -21,12 +21,22 @@
 #include "obs/telemetry.h"
 #include "util/fault.h"
 #include "util/logging.h"
-#include "util/pipeline.h"
 #include "util/stopwatch.h"
 
 namespace gp {
 
 // ------------------------------------------------------------ plumbing
+
+namespace {
+
+// A request's deadline budget: its own, or the server default when it
+// carries none.
+int64_t RequestBudgetUs(const EvalRequest& request, const ServeConfig& config) {
+  return request.deadline_us > 0 ? static_cast<int64_t>(request.deadline_us)
+                                 : config.default_deadline_us;
+}
+
+}  // namespace
 
 struct PromptServer::Connection {
   Connection(int fd, int cancel_fd) : stream(fd, /*owns_fd=*/true, cancel_fd) {}
@@ -190,9 +200,7 @@ EvalResponse PromptServer::Handle(const EvalRequest& request) {
   }
 
   const bool safe_mode = tenant->BeginRequestSafeMode();
-  const int64_t budget = request.deadline_us > 0
-                             ? static_cast<int64_t>(request.deadline_us)
-                             : config_.default_deadline_us;
+  const int64_t budget = RequestBudgetUs(request, config_);
   const int64_t trips_before = tenant->breaker_trips();
 
   // Tenant fault scoping: the tenant's injector — null for a clean tenant —
@@ -395,11 +403,8 @@ void PromptServer::ConnectionLoop(std::shared_ptr<Connection> conn) {
       // The deadline budget starts at admission: time spent coalescing in
       // the batch queue counts against it, exactly as queue wait inside
       // Handle's retry loop would.
-      const int64_t budget =
-          bi.request.deadline_us > 0
-              ? static_cast<int64_t>(bi.request.deadline_us)
-              : config_.default_deadline_us;
-      bi.deadline_abs_us = batcher_->NowMicros() + budget;
+      bi.deadline_abs_us =
+          batcher_->NowMicros() + RequestBudgetUs(bi.request, config_);
       // Fault-carrying requests are barriers: the injector's draw stream is
       // order-dependent, so they flush alone and take the full
       // single-request path (core/batch_eval.h).
@@ -444,14 +449,12 @@ struct PromptServer::BatchInFlight {
   // Per item: index into the BatchEvaluation's request list, or a sentinel.
   std::vector<int> eval_index;
   std::vector<EvalResponse> early;  // filled for kEarlyItem slots
-  std::vector<int64_t> budgets;     // original deadline budget per item
   std::unique_ptr<BatchEvaluation> eval;
-  PipelineExecutor::TaskId prepare_task = -1;
   Stopwatch sw;  // assembly start; feeds server_latency_us + latency hist
 };
 
 std::unique_ptr<PromptServer::BatchInFlight> PromptServer::AssembleBatch(
-    MicroBatch batch, PipelineExecutor* exec) {
+    MicroBatch batch) {
   static Counter* requests = Telemetry().GetCounter("serve/requests");
 
   auto work = std::make_unique<BatchInFlight>();
@@ -459,7 +462,6 @@ std::unique_ptr<PromptServer::BatchInFlight> PromptServer::AssembleBatch(
   const size_t n = work->batch.items.size();
   work->eval_index.assign(n, kBarrierItem);
   work->early.resize(n);
-  work->budgets.assign(n, 0);
 
   std::vector<EvalConfig> configs;
   configs.reserve(n);
@@ -467,7 +469,6 @@ std::unique_ptr<PromptServer::BatchInFlight> PromptServer::AssembleBatch(
   for (size_t i = 0; i < n; ++i) {
     const BatchItem& item = work->batch.items[i];
     const EvalRequest& request = item.request;
-    work->budgets[i] = item.deadline_abs_us - item.enqueue_us;
     if (item.barrier) continue;  // Handle() does its own accounting
     requests->Add(1);
     if (request.ways > dataset_->num_classes) {
@@ -503,14 +504,6 @@ std::unique_ptr<PromptServer::BatchInFlight> PromptServer::AssembleBatch(
   if (!configs.empty()) {
     work->eval = std::make_unique<BatchEvaluation>(*model_, *dataset_,
                                                    std::move(configs));
-    BatchEvaluation* eval = work->eval.get();
-    work->prepare_task = exec->Submit([eval] {
-      // Clean batches only (fault requests are barriers): pin a null
-      // injector so a process-global injector cannot leak into the packed
-      // pass from the pipeline thread.
-      ScopedThreadFaultInjector scoped(nullptr);
-      eval->Prepare();
-    });
   }
   return work;
 }
@@ -557,8 +550,9 @@ void PromptServer::ConsumeBatch(BatchInFlight* work) {
       if (result.deadline_expired) {
         deadline_counter->Add(1);
         resp.status_code = static_cast<int32_t>(StatusCode::kDeadlineExceeded);
-        resp.message =
-            "deadline of " + std::to_string(work->budgets[i]) + "us expired";
+        resp.message = "deadline of " +
+                       std::to_string(RequestBudgetUs(request, config_)) +
+                       "us expired";
       } else {
         resp.status_code = static_cast<int32_t>(StatusCode::kOk);
         resp.accuracy_mean = result.accuracy_percent.mean;
@@ -582,33 +576,21 @@ void PromptServer::ConsumeBatch(BatchInFlight* work) {
 }
 
 void PromptServer::BatchWorkerLoop() {
-  PipelineExecutor::Options po;
-  po.workers = PipelineActive() ? 1 : 0;
-  po.max_in_flight = 2;
-  PipelineExecutor exec(po);
-
   MicroBatch batch;
-  std::unique_ptr<BatchInFlight> current;
-  for (;;) {
-    if (current == nullptr) {
-      if (!batcher_->NextBatch(&batch)) break;
-      current = AssembleBatch(std::move(batch), &exec);
+  while (batcher_->NextBatch(&batch)) {
+    const std::unique_ptr<BatchInFlight> work = AssembleBatch(std::move(batch));
+    if (work->eval != nullptr) {
+      // Clean batches only (fault requests are barriers): pin a null
+      // injector so a process-global injector cannot leak into the packed
+      // pass.
+      ScopedThreadFaultInjector scoped(nullptr);
+      work->eval->Prepare();
     }
-    if (current->prepare_task >= 0) exec.Wait(current->prepare_task);
-    // Software pipeline: if another batch is already flushable, assemble it
-    // and submit its Prepare now so the packed stage-1/2 pass overlaps this
-    // batch's stage-3 demux (deferred-inline when pipelining is off).
-    std::unique_ptr<BatchInFlight> next;
-    if (batcher_->TryNextBatch(&batch)) {
-      next = AssembleBatch(std::move(batch), &exec);
-    }
-    ConsumeBatch(current.get());
-    // Full wall time from assembly through demux (prepare included) — the
-    // signal the deadline-risk flush rule needs; overlap-induced slack only
-    // makes the estimate conservative.
-    batcher_->ReportBatchCost(current->sw.ElapsedMicros(),
-                              static_cast<int>(current->batch.items.size()));
-    current = std::move(next);
+    ConsumeBatch(work.get());
+    // Wall time of this batch from assembly through demux: the signal the
+    // deadline-risk flush rule needs.
+    batcher_->ReportBatchCost(work->sw.ElapsedMicros(),
+                              static_cast<int>(work->batch.items.size()));
   }
 }
 
@@ -657,9 +639,8 @@ Status PromptServer::ServeUnixSocket(const std::string& path) {
   for (int w = 0; w < std::max(1, config_.workers); ++w) {
     workers.emplace_back([this] { WorkerLoop(); });
   }
-  // One batch worker drives every micro-batch (demux must serialize per
-  // batch anyway); prepare/consume overlap inside BatchWorkerLoop supplies
-  // the concurrency.
+  // One batch worker drives every micro-batch, one batch at a time (demux
+  // must serialize per batch anyway).
   std::thread batch_worker;
   if (batcher_ != nullptr) {
     batch_worker = std::thread([this] { BatchWorkerLoop(); });

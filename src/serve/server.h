@@ -27,13 +27,12 @@
 //
 // Micro-batching (socket mode, opt-in via batch_window_us > 0): admitted
 // clean requests coalesce in per-tenant queues (serve/batcher.h) and run
-// through one packed BatchEvaluation pass (core/batch_eval.h); a batch
-// worker overlaps Prepare of the next batch with demux of the current one
-// via the pipeline executor. Every batched reply is bitwise identical to
-// the single-request path (DESIGN.md §11); fault-carrying requests are
-// barriers and take the full single-request path. A kMetricsRequest frame
-// is answered inline by the connection reader with a deterministic JSON
-// telemetry snapshot, bypassing admission.
+// through one packed BatchEvaluation pass (core/batch_eval.h), which one
+// batch worker runs a batch at a time. Every batched reply is bitwise
+// identical to the single-request path (DESIGN.md §11); fault-carrying
+// requests are barriers and take the full single-request path. A
+// kMetricsRequest frame is answered inline by the connection reader with a
+// deterministic JSON telemetry snapshot, bypassing admission.
 
 #ifndef GRAPHPROMPTER_SERVE_SERVER_H_
 #define GRAPHPROMPTER_SERVE_SERVER_H_
@@ -54,8 +53,6 @@
 #include "serve/tenant.h"
 
 namespace gp {
-
-class PipelineExecutor;
 
 struct ServeConfig {
   int workers = 2;
@@ -149,12 +146,10 @@ class PromptServer {
                               const EvalResponse& response);
 
   // Micro-batch execution: AssembleBatch builds the packed BatchEvaluation
-  // for a flushed batch and submits its Prepare() to the pipeline executor;
-  // ConsumeBatch demuxes results per request in admission order under the
-  // tenant lock. BatchWorkerLoop drives both, overlapping Prepare of batch
-  // i+1 with ConsumeBatch of batch i.
-  std::unique_ptr<BatchInFlight> AssembleBatch(MicroBatch batch,
-                                               PipelineExecutor* exec);
+  // for a flushed batch; ConsumeBatch demuxes results per request in
+  // admission order under the tenant lock. BatchWorkerLoop takes one batch
+  // at a time through assembly, Prepare() and ConsumeBatch.
+  std::unique_ptr<BatchInFlight> AssembleBatch(MicroBatch batch);
   void ConsumeBatch(BatchInFlight* work);
   void BatchWorkerLoop();
 

@@ -270,7 +270,7 @@ bool FaultInjector::MaybeSlowBatch() {
   static Counter* c = Telemetry().GetCounter("fault/slow_batches");
   c->Add(1);
   // Sleep outside the lock so a slow batch never stalls injection sites on
-  // other pipeline threads.
+  // other threads.
   std::this_thread::sleep_for(std::chrono::milliseconds(spec_.slow_ms));
   return true;
 }

@@ -76,10 +76,10 @@ struct FaultSpec {
 StatusOr<FaultSpec> ParseFaultSpec(const std::string& spec);
 
 // Thread-safe: the internal RNG and counters are mutex-guarded, so
-// injection sites on different threads (the pipelined executor overlaps
-// the prepare and predict stages) draw from one serialized fault stream.
-// The stream's *order* across threads is scheduling-dependent; clean runs
-// (no injector) are unaffected.
+// injection sites on different threads (every thread that evaluates while
+// a process-global injector is installed) draw from one serialized fault
+// stream. The stream's *order* across threads is scheduling-dependent;
+// clean runs (no injector) are unaffected.
 class FaultInjector {
  public:
   explicit FaultInjector(const FaultSpec& spec);

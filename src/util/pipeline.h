@@ -1,154 +1,24 @@
-// Task-DAG pipeline executor: futures + explicit dependencies on top of a
-// small dedicated worker set, used to overlap the GraphPrompter stages
-// (subgraph sampling/encoding for trial i+1 against kNN scoring and the
-// task-graph forward for trial i, and pretraining episode construction
-// against the optimizer step).
+// Pipeline-mode names kept only for the benchmark (perfbench/driver.cc).
 //
-// Determinism contract (DESIGN.md §13): the executor grants *scheduling*
-// freedom only. Producers submit tasks in a fixed order, consumers Wait()
-// on them and reduce their outputs in that same submission order, and any
-// cross-task sequencing (a shared RNG stream, a stateful cache) is
-// expressed as an explicit dependency edge. Under those rules a pipelined
-// run computes exactly the serial sequence of values, so results are
-// bitwise identical at any worker count.
-//
-// Two execution modes:
-//   workers == 0  deferred-inline: Submit() only enqueues; Wait(id) runs
-//                 every unfinished task up to `id` on the calling thread in
-//                 submission order. This is byte-for-byte the serial
-//                 schedule — including the interleaving seen by stateful
-//                 singletons like the fault injector — and is what
-//                 --threads=1 / --pipeline=off resolve to.
-//   workers >= 1  tasks run on dedicated background threads as their
-//                 dependencies resolve, lowest task id first. Submit()
-//                 blocks while `max_in_flight` tasks are unfinished, which
-//                 bounds prefetch depth (and memory) instead of letting a
-//                 fast producer run away from the consumer.
-//
-// Worker threads inherit nothing thread-local from the submitter: stage
-// closures that rely on NoGradGuard or the thread-scoped fault-injector
-// override must re-install them inside the task body.
+// The stage executor these names once configured is gone: pretraining and
+// the serving batch worker run their stages in sequence, and ParallelFor
+// (util/parallel.h) is the only threading substrate. perfbench/driver.cc
+// still pins the mode and writes PipelineModeName(GetPipelineMode()) into
+// its result fingerprint, which compare.py checks, so the names stay as a
+// one-value stub that always reads "off". The header stays only for
+// perfbench, until ROADMAP item 6 removes it with the next benchmark
+// change.
 
 #ifndef GRAPHPROMPTER_UTIL_PIPELINE_H_
 #define GRAPHPROMPTER_UTIL_PIPELINE_H_
 
-#include <condition_variable>
-#include <cstdint>
-#include <exception>
-#include <functional>
-#include <mutex>
-#include <string>
-#include <thread>
-#include <vector>
-
-#include "util/status.h"
-
 namespace gp {
 
-// ---------------------------------------------------------------- mode
+enum class PipelineMode { kOff };
 
-// Process-wide pipelining switch, resolved once from GP_PIPELINE
-// (off | auto | on) and overridable with SetPipelineMode / --pipeline.
-//   kOff   every re-plumbed loop takes the deferred-inline schedule —
-//          today's serial path, instruction for instruction (default).
-//   kAuto  pipelined iff NumThreads() > 1.
-//   kOn    pipelined regardless of the thread count.
-enum class PipelineMode { kOff, kAuto, kOn };
-
-const char* PipelineModeName(PipelineMode mode);
-StatusOr<PipelineMode> ParsePipelineMode(const std::string& text);
-
-PipelineMode GetPipelineMode();
-void SetPipelineMode(PipelineMode mode);
-
-class Flags;
-
-// Resolves --pipeline=off|auto|on and installs it process-wide; without
-// the flag the GP_PIPELINE environment variable (then kOff) applies.
-// Returns the resolved mode. Shared by the bench harnesses and examples.
-PipelineMode ConfigurePipelineFromFlags(const Flags& flags);
-
-// True when the resolved mode asks for background-worker pipelining.
-bool PipelineActive();
-
-// ------------------------------------------------------------ executor
-
-class PipelineExecutor {
- public:
-  using TaskId = int64_t;
-
-  struct Options {
-    // 0 = deferred-inline (strict serial order); >= 1 spawns that many
-    // background workers.
-    int workers = 1;
-    // Upper bound on unfinished tasks; Submit() blocks at the bound
-    // (ignored in deferred-inline mode, which never runs ahead).
-    int max_in_flight = 2;
-  };
-
-  explicit PipelineExecutor(const Options& options);
-  // Cancels every unstarted task and joins the workers; tasks already
-  // running finish first, so no task body outlives the executor.
-  ~PipelineExecutor();
-
-  PipelineExecutor(const PipelineExecutor&) = delete;
-  PipelineExecutor& operator=(const PipelineExecutor&) = delete;
-
-  // Enqueues `fn` after the tasks in `deps` (each a previously returned
-  // id). Returns the task's id. Thread-compatible: Submit/Wait are meant
-  // to be driven from one producer thread.
-  TaskId Submit(std::function<void()> fn, std::vector<TaskId> deps = {});
-
-  // Blocks until task `id` is done or cancelled (deferred-inline mode runs
-  // it, and everything submitted before it, right here). Rethrows the
-  // task's exception if it threw. Returns true when the task actually ran.
-  bool Wait(TaskId id);
-
-  // Waits for every submitted task; rethrows the first (lowest-id) stored
-  // exception.
-  void WaitAll();
-
-  // Marks every task that has not started as cancelled (their Wait returns
-  // false without running them). Running tasks are not interrupted.
-  void CancelPending();
-
-  int workers() const { return num_workers_; }
-  int64_t tasks_completed() const;
-  int64_t tasks_cancelled() const;
-
- private:
-  enum class TaskState { kPending, kRunning, kDone, kCancelled };
-
-  struct Task {
-    std::function<void()> fn;
-    std::vector<TaskId> deps;
-    TaskState state = TaskState::kPending;
-    std::exception_ptr error;
-  };
-
-  // True when every dependency is done (a cancelled dependency cancels the
-  // dependent; detected separately). Caller holds mu_.
-  bool DepsDone(const Task& task) const;
-  bool DepsCancelled(const Task& task) const;
-  // Lowest-id runnable pending task, or -1. Caller holds mu_.
-  TaskId NextRunnable() const;
-  // Runs `id` (caller holds mu_; the lock is released around fn).
-  void RunTask(TaskId id, std::unique_lock<std::mutex>* lock);
-  void WorkerLoop();
-  int64_t Unfinished() const;  // caller holds mu_
-
-  const int num_workers_;
-  const int max_in_flight_;
-
-  mutable std::mutex mu_;
-  std::condition_variable work_cv_;   // workers: new task / shutdown
-  std::condition_variable done_cv_;   // waiters: task finished
-  std::vector<Task> tasks_;
-  std::vector<std::thread> workers_;
-  bool shutdown_ = false;
-  int64_t completed_ = 0;
-  int64_t cancelled_ = 0;
-};
+inline const char* PipelineModeName(PipelineMode) { return "off"; }
+inline PipelineMode GetPipelineMode() { return PipelineMode::kOff; }
+inline void SetPipelineMode(PipelineMode) {}
 
 }  // namespace gp
 

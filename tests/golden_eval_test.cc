@@ -36,7 +36,6 @@
 #include "graph/sampler.h"
 #include "util/checksum.h"
 #include "util/parallel.h"
-#include "util/pipeline.h"
 #include "util/rng.h"
 
 #ifndef GP_GOLDEN_DIR
@@ -357,19 +356,14 @@ TEST(GoldenEvalTest, PackedBatchMatchesGoldens) {
   }
 }
 
-// Evaluation has no pipelined schedule: with the pipeline mode on, at
-// several ParallelFor widths, it must still reproduce the pinned golden
-// bitwise.
-TEST(GoldenEvalTest, PipelinedExecutorMatchesGolden) {
-  const PipelineMode saved_mode = GetPipelineMode();
+// The quickstart golden must hold at any ParallelFor width.
+TEST(GoldenEvalTest, QuickstartGoldenHoldsAtEveryWidth) {
   const int saved_threads = NumThreads();
-  SetPipelineMode(PipelineMode::kOn);
   for (int threads : {1, 4}) {
     SetNumThreads(threads);
     CheckGolden("quickstart_eval.golden", RenderEvalGolden());
   }
   SetNumThreads(saved_threads);
-  SetPipelineMode(saved_mode);
 }
 
 }  // namespace

@@ -477,6 +477,57 @@ TEST(ServeBatchSocketTest, BatchedRepliesMatchUnbatchedBitwise) {
   }
 }
 
+// A batched deadline-exceeded reply names the request's own budget, as the
+// single-request path does, however long admission took to queue it.
+TEST(ServeBatchSocketTest, BatchedDeadlineMessageNamesRequestBudget) {
+  DatasetBundle dataset = MakeArxivSim(0.25, 2);
+  GraphPrompterModel model(TinyConfig(dataset.graph.feature_dim()));
+  ServeConfig sc;
+  sc.queue_capacity = 128;
+  sc.batch_window_us = 5000;
+  sc.batch_max = 4;
+  PromptServer server(&model, &dataset, sc);
+  const std::string path = TestSocketPath("deadline_message");
+  std::thread server_thread([&server, &path] {
+    const Status status = server.ServeUnixSocket(path);
+    EXPECT_TRUE(status.ok()) << status.ToString();
+  });
+
+  constexpr int kRequests = 96;
+  int expired = 0;
+  // A lambda, so a failed ASSERT still reaches the drain and join below.
+  [&] {
+    FdStream stream(ConnectOrDie(path), /*owns_fd=*/true);
+    for (int r = 0; r < kRequests; ++r) {
+      EvalRequest req = SocketRequest("deadline", static_cast<uint64_t>(r));
+      req.deadline_us = 1000;
+      Frame frame;
+      frame.type = FrameType::kEvalRequest;
+      frame.payload = EncodeEvalRequest(req);
+      const std::string wire = EncodeFrame(frame);
+      ASSERT_TRUE(stream.Write(wire.data(), wire.size()).ok());
+    }
+    for (int r = 0; r < kRequests; ++r) {
+      auto reply = ReadFrame(&stream);
+      ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+      auto resp = DecodeEvalResponse(reply->payload);
+      ASSERT_TRUE(resp.ok());
+      if (resp->status_code !=
+          static_cast<int32_t>(StatusCode::kDeadlineExceeded)) {
+        continue;
+      }
+      ++expired;
+      EXPECT_EQ(resp->message, "deadline of 1000us expired")
+          << "request " << resp->request_id;
+    }
+  }();
+  // The queue behind the first batches outlasts a 1ms budget.
+  EXPECT_GT(expired, 0);
+  server.RequestDrain();
+  server_thread.join();
+  ::unlink(path.c_str());
+}
+
 // The metrics frame: a kMetricsRequest interleaved with eval traffic gets
 // one kMetricsResponse carrying the telemetry snapshot as JSON.
 TEST(ServeBatchSocketTest, MetricsFrameReturnsTelemetryJson) {

@@ -184,9 +184,9 @@ TEST(ServeConcurrencyTest, MultiTenantChaosSoakStaysIsolated) {
 }
 
 // The same soak with micro-batching on: coalesced clean traffic, barrier
-// flushes for the chaos tenant's fault-carrying requests, and the
-// batch-worker/pipeline handoff all run under TSan via the `concurrency`
-// label.
+// flushes for the chaos tenant's fault-carrying requests, and the handoff
+// from connection readers to the batch worker all run under TSan via the
+// `concurrency` label.
 TEST(ServeConcurrencyTest, BatchedChaosSoakStaysIsolated) {
   ServeConfig sc;
   sc.workers = 2;
