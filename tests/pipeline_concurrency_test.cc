@@ -1,11 +1,8 @@
-// Concurrency soak for the pipelined stage executor (ctest label
-// `concurrency`; run under TSan by scripts/check.sh).
+// Chaos soak for the prompt pipeline (ctest label `concurrency`; run under
+// TSan by scripts/check.sh).
 //
-// Two layers: raw executor stress (contended workers, jittered task
-// durations, dependency chains, cancellation racing completion) and a
-// seed-driven chaos soak that runs in-context evaluation on a 2-thread
-// pool with the pipeline mode on (evaluation ignores it) under fault
-// injection — NaN embeddings, dropped prompts, slow batches — and
+// A seed-driven soak runs in-context evaluation on a 2-thread pool under
+// fault injection — NaN embeddings, dropped prompts, slow batches — and
 // asserts graceful degradation: the run terminates (no deadlock), every
 // query receives a prediction, and the degradation ledger accounts for
 // the damage. The soak pins invariants, not bitwise outputs; the bitwise
@@ -14,11 +11,8 @@
 // ctest runs this binary with a timeout, which doubles as the deadlock
 // detector for every soak below.
 
-#include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -27,116 +21,19 @@
 #include "data/synthetic.h"
 #include "util/fault.h"
 #include "util/parallel.h"
-#include "util/pipeline.h"
 
 namespace gp {
 namespace {
 
-class PipelineEnvGuard {
- public:
-  PipelineEnvGuard() : mode_(GetPipelineMode()), threads_(NumThreads()) {}
-  ~PipelineEnvGuard() {
-    SetPipelineMode(mode_);
-    SetNumThreads(threads_);
-  }
+// Restores the process-wide ParallelFor width after each test.
+class PipelineConcurrencyTest : public ::testing::Test {
+ protected:
+  void SetUp() override { previous_threads_ = NumThreads(); }
+  void TearDown() override { SetNumThreads(previous_threads_); }
 
  private:
-  PipelineMode mode_;
-  int threads_;
+  int previous_threads_ = 1;
 };
-
-// ------------------------------------------------------- executor stress
-
-TEST(PipelineConcurrencyTest, ContendedWorkersRespectDependencyChains) {
-  for (const int workers : {1, 2, 4}) {
-    PipelineExecutor::Options options;
-    options.workers = workers;
-    options.max_in_flight = 6;
-    PipelineExecutor exec(options);
-    constexpr int kTasks = 120;
-    std::vector<int64_t> values(kTasks, -1);
-    std::vector<PipelineExecutor::TaskId> ids(kTasks, -1);
-    for (int i = 0; i < kTasks; ++i) {
-      std::vector<PipelineExecutor::TaskId> deps;
-      if (i >= 4) deps.push_back(ids[i - 4]);  // four interleaved chains
-      ids[i] = exec.Submit(
-          [&values, i] {
-            if (i % 7 == 0) {
-              std::this_thread::sleep_for(std::chrono::microseconds(200));
-            }
-            // A chained task reads its predecessor's slot: the dependency
-            // edge (not luck) is what makes this safe and ordered.
-            const int64_t prev = i >= 4 ? values[i - 4] : 0;
-            values[i] = prev + i;
-          },
-          std::move(deps));
-    }
-    exec.WaitAll();
-    EXPECT_EQ(exec.tasks_completed(), kTasks);
-    for (int i = 0; i < kTasks; ++i) {
-      const int64_t prev = i >= 4 ? values[i - 4] : 0;
-      ASSERT_EQ(values[i], prev + i) << "workers=" << workers << " i=" << i;
-    }
-  }
-}
-
-TEST(PipelineConcurrencyTest, ConsumerSeesResultsInSubmissionOrder) {
-  PipelineExecutor::Options options;
-  options.workers = 2;
-  options.max_in_flight = 4;
-  PipelineExecutor exec(options);
-  constexpr int kTasks = 64;
-  std::vector<int> slots(kTasks, -1);
-  std::vector<PipelineExecutor::TaskId> ids;
-  std::vector<int> consumed;
-  for (int i = 0; i < kTasks; ++i) {
-    // Earlier tasks sleep longer: completion order is roughly *reversed*
-    // within each admission window, the adversarial case for reduction
-    // order.
-    ids.push_back(exec.Submit([&slots, i] {
-      std::this_thread::sleep_for(std::chrono::microseconds(400 - (i % 4) * 100));
-      slots[i] = i;
-    }));
-    if (i >= 2) {
-      ASSERT_TRUE(exec.Wait(ids[i - 2]));
-      consumed.push_back(slots[i - 2]);
-    }
-  }
-  for (int i = kTasks - 2; i < kTasks; ++i) {
-    ASSERT_TRUE(exec.Wait(ids[i]));
-    consumed.push_back(slots[i]);
-  }
-  ASSERT_EQ(consumed.size(), static_cast<size_t>(kTasks));
-  for (int i = 0; i < kTasks; ++i) {
-    ASSERT_EQ(consumed[i], i) << "reduction order broke at " << i;
-  }
-}
-
-TEST(PipelineConcurrencyTest, CancellationRacesCompletionSafely) {
-  for (int round = 0; round < 8; ++round) {
-    PipelineExecutor::Options options;
-    options.workers = 2;
-    options.max_in_flight = 8;
-    PipelineExecutor exec(options);
-    std::atomic<int> ran{0};
-    std::vector<PipelineExecutor::TaskId> ids;
-    for (int i = 0; i < 16; ++i) {
-      ids.push_back(exec.Submit([&ran] {
-        std::this_thread::sleep_for(std::chrono::microseconds(50));
-        ran.fetch_add(1);
-      }));
-    }
-    exec.CancelPending();  // races the workers draining the queue
-    int ran_per_wait = 0;
-    for (const auto id : ids) {
-      if (exec.Wait(id)) ++ran_per_wait;
-    }
-    // However the race lands, the ledger must balance and no task may be
-    // double-run or lost.
-    EXPECT_EQ(ran.load(), ran_per_wait);
-    EXPECT_EQ(exec.tasks_completed() + exec.tasks_cancelled(), 16);
-  }
-}
 
 // ------------------------------------------------------------ chaos soak
 
@@ -156,9 +53,7 @@ GraphPrompterConfig SoakModelConfig() {
   return config;
 }
 
-TEST(PipelineConcurrencyTest, ChaosSoakDegradesGracefullyWithoutDeadlock) {
-  PipelineEnvGuard guard;
-  SetPipelineMode(PipelineMode::kOn);
+TEST_F(PipelineConcurrencyTest, ChaosSoakDegradesGracefullyWithoutDeadlock) {
   SetNumThreads(2);
   const DatasetBundle dataset = MakeBundleFromGraph(
       "chaos_soak", TaskType::kNodeClassification, SoakGraph(), 0.6, 11);
@@ -198,9 +93,7 @@ TEST(PipelineConcurrencyTest, ChaosSoakDegradesGracefullyWithoutDeadlock) {
 
 // The soak again with a deadline: expiry mid-chaos must still terminate
 // promptly with partial results.
-TEST(PipelineConcurrencyTest, ChaosWithDeadlineTerminatesWithPartialResults) {
-  PipelineEnvGuard guard;
-  SetPipelineMode(PipelineMode::kOn);
+TEST_F(PipelineConcurrencyTest, ChaosWithDeadlineTerminatesWithPartialResults) {
   SetNumThreads(2);
   const DatasetBundle dataset = MakeBundleFromGraph(
       "chaos_deadline", TaskType::kNodeClassification, SoakGraph(), 0.6, 11);

@@ -1,25 +1,19 @@
-// Determinism pins for the pipelined stage executor (DESIGN.md §13).
+// End-to-end determinism pins for the prompt pipeline (DESIGN.md §13).
 //
-// The contract under test: pipelining grants *scheduling* freedom only.
-// With GP_PIPELINE on, pretraining episode construction overlaps the
-// optimizer step on a background worker — yet every loss value must
-// equal the serial run exactly, at any ParallelFor width, over every
-// GraphView backend (in-memory Graph, GraphAdapter view, mmap-backed
-// CsrStore shards). In-context evaluation has no pipelined schedule; its
-// pins check that neither the pipeline mode nor the ParallelFor width
-// changes any prediction, accuracy, or kept embedding byte.
+// In-context evaluation (generate -> select -> augment) and pretraining
+// run their stages in sequence; only the ParallelFor width inside each
+// stage varies. Every per-trial accuracy, summary stat, kept embedding
+// byte and pretraining loss must equal the 1-thread run exactly, at 1, 2,
+// 4 and 8 threads, over every GraphView backend (in-memory Graph,
+// GraphAdapter view, mmap-backed CsrStore shards). Deadlines yield
+// well-formed partial results, and an absent deadline never trips.
 //
-// The executor's own scheduling semantics (deferred-inline replay,
-// dependency edges, bounded admission, cancellation, exception transport)
-// are pinned first; the end-to-end bitwise pins build on them.
+// ctest labels this binary `concurrency`, so scripts/check.sh runs it under
+// TSan.
 
-#include <atomic>
-#include <chrono>
 #include <cstring>
 #include <filesystem>
-#include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -32,111 +26,19 @@
 #include "graph/graph_view.h"
 #include "graph/store/csr_store.h"
 #include "util/parallel.h"
-#include "util/pipeline.h"
 
 namespace gp {
 namespace {
 
-// Restores the process-wide pipeline mode and ParallelFor width on scope
-// exit, so each test leaves the globals as it found them.
-class PipelineEnvGuard {
- public:
-  PipelineEnvGuard() : mode_(GetPipelineMode()), threads_(NumThreads()) {}
-  ~PipelineEnvGuard() {
-    SetPipelineMode(mode_);
-    SetNumThreads(threads_);
-  }
+// Restores the process-wide ParallelFor width after each test.
+class PipelineDeterminismTest : public ::testing::Test {
+ protected:
+  void SetUp() override { previous_threads_ = NumThreads(); }
+  void TearDown() override { SetNumThreads(previous_threads_); }
 
  private:
-  PipelineMode mode_;
-  int threads_;
+  int previous_threads_ = 1;
 };
-
-// ---------------------------------------------------------------- executor
-
-TEST(PipelineExecutorTest, DeferredInlineRunsNothingUntilWait) {
-  PipelineExecutor::Options options;
-  options.workers = 0;
-  PipelineExecutor exec(options);
-  std::vector<int> order;
-  const auto a = exec.Submit([&] { order.push_back(0); });
-  const auto b = exec.Submit([&] { order.push_back(1); });
-  const auto c = exec.Submit([&] { order.push_back(2); });
-  EXPECT_TRUE(order.empty()) << "deferred-inline must not run at Submit";
-  // Waiting on the *last* task replays everything before it, in
-  // submission order — the serial schedule.
-  EXPECT_TRUE(exec.Wait(c));
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
-  EXPECT_TRUE(exec.Wait(a));  // already done; no re-run
-  EXPECT_TRUE(exec.Wait(b));
-  EXPECT_EQ(order.size(), 3u);
-}
-
-TEST(PipelineExecutorTest, DependenciesOrderExecutionAcrossWorkers) {
-  PipelineExecutor::Options options;
-  options.workers = 2;
-  options.max_in_flight = 8;
-  PipelineExecutor exec(options);
-  std::atomic<int> stage{0};
-  // b depends on a: even if a sleeps and b's worker is idle, b must
-  // observe a's side effect.
-  const auto a = exec.Submit([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    stage.store(1);
-  });
-  const auto b = exec.Submit(
-      [&] {
-        EXPECT_EQ(stage.load(), 1);
-        stage.store(2);
-      },
-      {a});
-  EXPECT_TRUE(exec.Wait(b));
-  EXPECT_EQ(stage.load(), 2);
-}
-
-TEST(PipelineExecutorTest, BoundedAdmissionThrottlesTheProducer) {
-  PipelineExecutor::Options options;
-  options.workers = 1;
-  options.max_in_flight = 2;
-  PipelineExecutor exec(options);
-  for (int i = 0; i < 6; ++i) {
-    exec.Submit([] {
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    });
-    // At most max_in_flight tasks may be unfinished once Submit returns,
-    // so after the i-th submission at least i+1-2 have completed.
-    EXPECT_GE(exec.tasks_completed(), i - 1);
-  }
-  exec.WaitAll();
-  EXPECT_EQ(exec.tasks_completed(), 6);
-}
-
-TEST(PipelineExecutorTest, CancelPendingSkipsUnstartedWorkAndPropagates) {
-  PipelineExecutor::Options options;
-  options.workers = 0;
-  PipelineExecutor exec(options);
-  int ran = 0;
-  const auto a = exec.Submit([&] { ++ran; });
-  const auto b = exec.Submit([&] { ++ran; });
-  const auto c = exec.Submit([&] { ++ran; }, {b});
-  EXPECT_TRUE(exec.Wait(a));
-  exec.CancelPending();
-  EXPECT_FALSE(exec.Wait(b)) << "cancelled task must report not-run";
-  EXPECT_FALSE(exec.Wait(c)) << "cancellation propagates along dep edges";
-  EXPECT_EQ(ran, 1);
-  EXPECT_EQ(exec.tasks_cancelled(), 2);
-}
-
-TEST(PipelineExecutorTest, ExceptionsCrossTheThreadBoundary) {
-  for (const int workers : {0, 1}) {
-    PipelineExecutor::Options options;
-    options.workers = workers;
-    PipelineExecutor exec(options);
-    const auto id =
-        exec.Submit([] { throw std::runtime_error("stage failure"); });
-    EXPECT_THROW(exec.Wait(id), std::runtime_error) << "workers=" << workers;
-  }
-}
 
 // ------------------------------------------------------- fixtures / helpers
 
@@ -175,32 +77,34 @@ EvalResult RunEval(const DatasetBundle& dataset) {
   return EvaluateInContext(model, dataset, eval);
 }
 
-// Bitwise comparison: exact double equality on every per-trial accuracy
-// and summary stat, byte equality on the kept embeddings.
-void ExpectBitwiseEqual(const EvalResult& serial, const EvalResult& piped,
-                        const std::string& label) {
+// Exact double equality on every per-trial accuracy and summary stat, byte
+// equality on the kept embeddings.
+void ExpectEvalBitwiseEqual(const EvalResult& serial,
+                            const EvalResult& parallel,
+                            const std::string& label) {
   ASSERT_EQ(serial.trial_accuracy_percent.size(),
-            piped.trial_accuracy_percent.size())
+            parallel.trial_accuracy_percent.size())
       << label;
   for (size_t t = 0; t < serial.trial_accuracy_percent.size(); ++t) {
     EXPECT_EQ(serial.trial_accuracy_percent[t],
-              piped.trial_accuracy_percent[t])
+              parallel.trial_accuracy_percent[t])
         << label << " trial " << t;
   }
-  EXPECT_EQ(serial.accuracy_percent.mean, piped.accuracy_percent.mean)
+  EXPECT_EQ(serial.accuracy_percent.mean, parallel.accuracy_percent.mean)
       << label;
-  EXPECT_EQ(serial.accuracy_percent.std, piped.accuracy_percent.std) << label;
-  EXPECT_EQ(serial.completed_queries, piped.completed_queries) << label;
-  EXPECT_EQ(serial.deadline_expired, piped.deadline_expired) << label;
-  ASSERT_EQ(serial.embeddings.rows(), piped.embeddings.rows()) << label;
-  ASSERT_EQ(serial.embeddings.cols(), piped.embeddings.cols()) << label;
+  EXPECT_EQ(serial.accuracy_percent.std, parallel.accuracy_percent.std)
+      << label;
+  EXPECT_EQ(serial.completed_queries, parallel.completed_queries) << label;
+  EXPECT_EQ(serial.deadline_expired, parallel.deadline_expired) << label;
+  ASSERT_EQ(serial.embeddings.rows(), parallel.embeddings.rows()) << label;
+  ASSERT_EQ(serial.embeddings.cols(), parallel.embeddings.cols()) << label;
   EXPECT_EQ(std::memcmp(serial.embeddings.data().data(),
-                        piped.embeddings.data().data(),
+                        parallel.embeddings.data().data(),
                         static_cast<size_t>(serial.embeddings.size()) *
                             sizeof(float)),
             0)
       << label << ": kept embedding bytes diverged";
-  EXPECT_EQ(serial.embedding_labels, piped.embedding_labels) << label;
+  EXPECT_EQ(serial.embedding_labels, parallel.embedding_labels) << label;
 }
 
 PretrainConfig SmallPretrainConfig() {
@@ -214,13 +118,13 @@ PretrainConfig SmallPretrainConfig() {
 }
 
 void ExpectCurvesEqual(const PretrainCurves& serial,
-                       const PretrainCurves& piped,
+                       const PretrainCurves& parallel,
                        const std::string& label) {
-  ASSERT_EQ(serial.step, piped.step) << label;
-  ASSERT_EQ(serial.loss.size(), piped.loss.size()) << label;
+  ASSERT_EQ(serial.step, parallel.step) << label;
+  ASSERT_EQ(serial.loss.size(), parallel.loss.size()) << label;
   for (size_t i = 0; i < serial.loss.size(); ++i) {
-    EXPECT_EQ(serial.loss[i], piped.loss[i]) << label << " window " << i;
-    EXPECT_EQ(serial.train_accuracy[i], piped.train_accuracy[i])
+    EXPECT_EQ(serial.loss[i], parallel.loss[i]) << label << " window " << i;
+    EXPECT_EQ(serial.train_accuracy[i], parallel.train_accuracy[i])
         << label << " window " << i;
   }
 }
@@ -258,66 +162,39 @@ std::vector<DatasetBundle> EvalBackends() {
 
 // --------------------------------------------------- end-to-end eval pins
 
-TEST(PipelineDeterminismTest, EvalBitwiseIdenticalAcrossThreadCounts) {
-  PipelineEnvGuard guard;
+TEST_F(PipelineDeterminismTest, EvalBitwiseIdenticalAcrossThreadCounts) {
   for (const DatasetBundle& dataset : EvalBackends()) {
-    SetPipelineMode(PipelineMode::kOff);
     SetNumThreads(1);
     const EvalResult serial = RunEval(dataset);
     ASSERT_FALSE(serial.trial_accuracy_percent.empty()) << dataset.name;
     for (const int threads : {1, 2, 4, 8}) {
-      SetPipelineMode(PipelineMode::kOn);
       SetNumThreads(threads);
-      const EvalResult piped = RunEval(dataset);
-      ExpectBitwiseEqual(serial, piped,
-                         dataset.name + " threads=" +
-                             std::to_string(threads));
+      ExpectEvalBitwiseEqual(
+          serial, RunEval(dataset),
+          dataset.name + " threads=" + std::to_string(threads));
     }
-  }
-}
-
-TEST(PipelineDeterminismTest, AutoModeMatchesSerialAtEveryWidth) {
-  PipelineEnvGuard guard;
-  const DatasetBundle dataset = MakeBundleFromGraph(
-      "auto_mode", TaskType::kNodeClassification, SmallGraph(), 0.6, 11);
-  SetPipelineMode(PipelineMode::kOff);
-  SetNumThreads(1);
-  const EvalResult serial = RunEval(dataset);
-  // kAuto resolves to deferred-inline at --threads=1 and to the pipelined
-  // schedule beyond it; both must match the serial pin.
-  SetPipelineMode(PipelineMode::kAuto);
-  for (const int threads : {1, 4}) {
-    SetNumThreads(threads);
-    const EvalResult piped = RunEval(dataset);
-    ExpectBitwiseEqual(serial, piped,
-                       "auto threads=" + std::to_string(threads));
   }
 }
 
 // ----------------------------------------------- end-to-end pretrain pins
 
-TEST(PipelineDeterminismTest, PretrainCurvesBitwiseIdenticalInMemory) {
-  PipelineEnvGuard guard;
+TEST_F(PipelineDeterminismTest, PretrainCurvesBitwiseIdenticalInMemory) {
   const DatasetBundle dataset = MakeBundleFromGraph(
       "pretrain_inmem", TaskType::kNodeClassification, SmallGraph(), 0.6, 11);
   const PretrainConfig config = SmallPretrainConfig();
-  SetPipelineMode(PipelineMode::kOff);
   SetNumThreads(1);
   GraphPrompterModel serial_model(SmallModelConfig());
   const PretrainCurves serial = Pretrain(&serial_model, dataset, config);
   ASSERT_FALSE(serial.loss.empty());
   for (const int threads : {1, 2, 4, 8}) {
-    SetPipelineMode(PipelineMode::kOn);
     SetNumThreads(threads);
-    GraphPrompterModel piped_model(SmallModelConfig());
-    const PretrainCurves piped = Pretrain(&piped_model, dataset, config);
-    ExpectCurvesEqual(serial, piped,
+    GraphPrompterModel model(SmallModelConfig());
+    ExpectCurvesEqual(serial, Pretrain(&model, dataset, config),
                       "inmem threads=" + std::to_string(threads));
   }
 }
 
-TEST(PipelineDeterminismTest, PretrainCurvesBitwiseIdenticalOverViews) {
-  PipelineEnvGuard guard;
+TEST_F(PipelineDeterminismTest, PretrainCurvesBitwiseIdenticalOverViews) {
   const Graph graph = SmallGraph();
   const GraphAdapter adapter(graph);
 
@@ -334,18 +211,16 @@ TEST(PipelineDeterminismTest, PretrainCurvesBitwiseIdenticalOverViews) {
   const std::vector<const GraphView*> views = {&adapter, &**store};
   const char* names[] = {"adapter", "csr_store"};
   for (size_t v = 0; v < views.size(); ++v) {
-    SetPipelineMode(PipelineMode::kOff);
     SetNumThreads(1);
     GraphPrompterModel serial_model(SmallModelConfig());
     const PretrainCurves serial = Pretrain(&serial_model, *views[v], config);
     ASSERT_FALSE(serial.loss.empty()) << names[v];
     for (const int threads : {1, 2, 4, 8}) {
-      SetPipelineMode(PipelineMode::kOn);
       SetNumThreads(threads);
-      GraphPrompterModel piped_model(SmallModelConfig());
-      const PretrainCurves piped = Pretrain(&piped_model, *views[v], config);
-      ExpectCurvesEqual(serial, piped, std::string(names[v]) + " threads=" +
-                                           std::to_string(threads));
+      GraphPrompterModel model(SmallModelConfig());
+      ExpectCurvesEqual(serial, Pretrain(&model, *views[v], config),
+                        std::string(names[v]) + " threads=" +
+                            std::to_string(threads));
     }
   }
   std::filesystem::remove_all(dir);
@@ -354,43 +229,35 @@ TEST(PipelineDeterminismTest, PretrainCurvesBitwiseIdenticalOverViews) {
 // ------------------------------------------- deadline at stage boundaries
 
 // An expiring deadline must yield partial results with deadline_expired
-// set, in either pipeline mode.
-TEST(PipelineDeterminismTest, DeadlineMidPipelineYieldsPartialResults) {
-  PipelineEnvGuard guard;
+// set.
+TEST_F(PipelineDeterminismTest, DeadlineMidPipelineYieldsPartialResults) {
   const DatasetBundle dataset = MakeBundleFromGraph(
       "deadline", TaskType::kNodeClassification, SmallGraph(), 0.6, 11);
-  for (const PipelineMode mode : {PipelineMode::kOff, PipelineMode::kOn}) {
-    SetPipelineMode(mode);
-    SetNumThreads(2);
-    GraphPrompterModel model(SmallModelConfig());
-    EvalConfig eval;
-    eval.ways = 3;
-    eval.shots = 2;
-    eval.candidates_per_class = 6;
-    eval.num_queries = 12;
-    eval.trials = 64;  // far more than a 1ms budget allows
-    eval.seed = 77;
-    eval.deadline_us = 1000;
-    const EvalResult result = EvaluateInContext(model, dataset, eval);
-    EXPECT_TRUE(result.deadline_expired)
-        << PipelineModeName(mode) << ": 64 trials in 1ms should expire";
-    EXPECT_LT(result.trial_accuracy_percent.size(), 64u)
-        << PipelineModeName(mode);
-    // Partial results stay well-formed: every completed trial carries a
-    // finite accuracy, and the summary is computed over exactly those.
-    for (const double acc : result.trial_accuracy_percent) {
-      EXPECT_GE(acc, 0.0);
-      EXPECT_LE(acc, 100.0);
-    }
+  SetNumThreads(2);
+  GraphPrompterModel model(SmallModelConfig());
+  EvalConfig eval;
+  eval.ways = 3;
+  eval.shots = 2;
+  eval.candidates_per_class = 6;
+  eval.num_queries = 12;
+  eval.trials = 64;  // far more than a 1ms budget allows
+  eval.seed = 77;
+  eval.deadline_us = 1000;
+  const EvalResult result = EvaluateInContext(model, dataset, eval);
+  EXPECT_TRUE(result.deadline_expired) << "64 trials in 1ms should expire";
+  EXPECT_LT(result.trial_accuracy_percent.size(), 64u);
+  // Partial results stay well-formed: every completed trial carries a
+  // finite accuracy, and the summary is computed over exactly those.
+  for (const double acc : result.trial_accuracy_percent) {
+    EXPECT_GE(acc, 0.0);
+    EXPECT_LE(acc, 100.0);
   }
 }
 
-// A zero/absent deadline must never trip, pipelined or not.
-TEST(PipelineDeterminismTest, DisabledDeadlineNeverExpires) {
-  PipelineEnvGuard guard;
+// A zero/absent deadline must never trip.
+TEST_F(PipelineDeterminismTest, DisabledDeadlineNeverExpires) {
   const DatasetBundle dataset = MakeBundleFromGraph(
       "no_deadline", TaskType::kNodeClassification, SmallGraph(), 0.6, 11);
-  SetPipelineMode(PipelineMode::kOn);
   SetNumThreads(2);
   const EvalResult result = RunEval(dataset);
   EXPECT_FALSE(result.deadline_expired);
