@@ -4,9 +4,10 @@
 // same run's variants — Prodigy, clustering selector, augmenter disabled,
 // 3-query task-graph steps, kept-embedding bytes — (c) the prompt
 // selector's top-k selections, vote totals, and hit counts, (d) a short
-// pretraining run's per-step losses and final parameter bytes, and (e)
-// the random-walk sampler's data graphs for node and edge items, for
-// fixed seeds into tests/golden/. Values are rendered with %.17g, so any change
+// pretraining run's per-step losses and final parameter bytes, (e) the
+// random-walk sampler's data graphs for node and edge items, and (f) the
+// task graph's outputs at eval_manyway's shape, for fixed seeds into
+// tests/golden/. Values are rendered with %.17g, so any change
 // to retrieval or scoring that shifts predictions by even one ULP fails
 // loudly. The selector goldens pin the exact scan that scores every
 // (candidate, query) pair, the many-way one at eval_manyway's shape; the
@@ -20,6 +21,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -32,8 +34,10 @@
 #include "core/knn_retrieval.h"
 #include "core/pretrain.h"
 #include "core/prompt_generator.h"
+#include "core/task_graph.h"
 #include "data/datasets.h"
 #include "graph/sampler.h"
+#include "tensor/autograd.h"
 #include "util/checksum.h"
 #include "util/parallel.h"
 #include "util/rng.h"
@@ -261,6 +265,47 @@ std::string RenderSamplerGolden() {
   return out.str();
 }
 
+// eval_manyway's task graph: d = 64, 123 prompts over 40 classes and 25
+// batches of 4 queries. The model is untrained, so its ReZero gates start
+// at 0 and its message biases at 0; both are set nonzero so the attention
+// reaches the output and the message bias is added where it shows. Each
+// batch renders a CRC-32 of the query scores and the label embeddings,
+// once under NoGradGuard (the inference path) and once with autograd on
+// (the training path, whose forward must give the same bits).
+uint32_t TensorCrc(const Tensor& t) {
+  return Crc32(t.data().data(), static_cast<size_t>(t.size()) * sizeof(float));
+}
+
+std::string RenderTaskGraphGolden() {
+  const int dim = 64, ways = 40, num_prompts = 123, batches = 25, batch = 4;
+  Rng rng(19);
+  TaskGraphConfig config;
+  config.embedding_dim = dim;
+  TaskGraphNet net(config, &rng);
+  for (auto [name, param] : net.NamedParameters()) {
+    if (!name.ends_with("gate") && !name.ends_with("message/bias")) continue;
+    for (float& v : param.mutable_data()) v = rng.Normal();
+  }
+  const Tensor prompts = Tensor::Randn(num_prompts, dim, &rng);
+  std::vector<int> labels(num_prompts);
+  for (int p = 0; p < num_prompts; ++p) labels[p] = p % ways;
+
+  std::ostringstream out;
+  for (int b = 0; b < batches; ++b) {
+    const Tensor queries = Tensor::Randn(batch, dim, &rng);
+    for (const bool grad : {false, true}) {
+      std::optional<NoGradGuard> no_grad;
+      if (!grad) no_grad.emplace();
+      const TaskGraphOutput o = net.Forward(prompts, labels, queries, ways);
+      out << "batch " << b << (grad ? " grad" : " no_grad")
+          << " query_scores crc32 " << TensorCrc(o.query_scores)
+          << " label_embeddings crc32 " << TensorCrc(o.label_embeddings)
+          << "\n";
+    }
+  }
+  return out.str();
+}
+
 // ---- harness: compare against (or regenerate) tests/golden/<name>.
 
 bool UpdateRequested() {
@@ -303,6 +348,10 @@ TEST(GoldenEvalTest, SelectorTopKPerMetric) {
 TEST(GoldenEvalTest, SelectorTopKManyWay) {
   CheckGolden("selector_topk_manyway.golden",
               RenderSelectionGolden(400, 100, 64, 40));
+}
+
+TEST(GoldenEvalTest, TaskGraphManyWay) {
+  CheckGolden("task_graph_manyway.golden", RenderTaskGraphGolden());
 }
 
 TEST(GoldenEvalTest, PretrainLossesAndParametersMatchGolden) {
