@@ -1,6 +1,9 @@
 #include "core/task_graph.h"
 
+#include <algorithm>
+
 #include "obs/trace.h"
+#include "tensor/autograd.h"
 #include "tensor/buffer_pool.h"
 #include "tensor/ops.h"
 #include "util/logging.h"
@@ -58,57 +61,83 @@ TaskGraphOutput TaskGraphNet::Forward(const Tensor& prompt_embeddings,
           label_init_);
   Tensor h = ConcatRows({prompt_embeddings, query_embeddings, label_rows});
 
-  // Bipartite edges, both directions, with edge attributes. The attribute
-  // buffer comes from the pool because `efeat` releases it there.
+  // Bipartite edges, both directions. An edge's message and its attribute
+  // logit depend only on its (source node, pattern) key. At inference each
+  // key is computed once and every edge reads its key's row: bitwise the
+  // per-edge rows, because rows are independent. Under autograd every edge
+  // is its own key, which keeps the per-edge training graph and its
+  // gradient order. The attribute buffer comes from the pool because
+  // `key_feat` releases it there.
   const int num_edges = 2 * (num_prompts + num_queries) * num_classes;
-  std::vector<int> src, dst;
+  const bool per_edge = GradEnabled();
+  const int max_keys =
+      per_edge ? num_edges : 2 * num_prompts + num_queries + 3 * num_classes;
+  std::vector<int> src, dst, edge_key, key_src;
   src.reserve(num_edges);
   dst.reserve(num_edges);
-  std::vector<float> edge_feat =  // flattened (E x kEdgeFeatDim)
-      AcquireBuffer(static_cast<size_t>(num_edges) * kEdgeFeatDim);
-  auto add_edge = [&](int from, int to, bool is_true, bool is_false,
-                      bool is_query, bool reverse) {
-    float* f = edge_feat.data() + src.size() * kEdgeFeatDim;
-    f[0] = is_true ? 1.0f : 0.0f;
-    f[1] = is_false ? 1.0f : 0.0f;
-    f[2] = is_query ? 1.0f : 0.0f;
-    f[3] = reverse ? 1.0f : 0.0f;
+  edge_key.reserve(num_edges);
+  key_src.reserve(max_keys);
+  std::vector<float> key_attr =  // flattened (K x kEdgeFeatDim)
+      AcquireBuffer(static_cast<size_t>(max_keys) * kEdgeFeatDim);
+  static constexpr float kPatternAttr[kNumEdgePatterns][kEdgeFeatDim] = {
+      {1, 0, 0, 0}, {0, 1, 0, 0}, {0, 0, 1, 0},  // data -> label
+      {1, 0, 0, 1}, {0, 1, 0, 1}, {0, 0, 1, 1},  // label -> data
+  };
+  std::vector<int> key_of;  // (node, pattern) -> key, inference only
+  if (!per_edge) {
+    key_of.assign(static_cast<size_t>(total_nodes) * kNumEdgePatterns, -1);
+  }
+  auto add_edge = [&](int from, int to, EdgePattern pattern) {
+    int key = static_cast<int>(key_src.size());
+    if (!per_edge) {
+      int& slot = key_of[static_cast<size_t>(from) * kNumEdgePatterns +
+                         pattern];
+      if (slot < 0) slot = key;
+      key = slot;
+    }
+    if (key == static_cast<int>(key_src.size())) {
+      std::copy_n(kPatternAttr[pattern], kEdgeFeatDim,
+                  key_attr.data() + key_src.size() * kEdgeFeatDim);
+      key_src.push_back(from);
+    }
     src.push_back(from);
     dst.push_back(to);
+    edge_key.push_back(key);
   };
   for (int p = 0; p < num_prompts; ++p) {
     for (int c = 0; c < num_classes; ++c) {
       const bool is_true = prompt_labels[p] == c;
-      add_edge(p, label_base + c, is_true, !is_true, false, false);
-      add_edge(label_base + c, p, is_true, !is_true, false, true);
+      add_edge(p, label_base + c, is_true ? kTrueToLabel : kFalseToLabel);
+      add_edge(label_base + c, p, is_true ? kTrueFromLabel : kFalseFromLabel);
     }
   }
   for (int q = 0; q < num_queries; ++q) {
     for (int c = 0; c < num_classes; ++c) {
-      add_edge(num_prompts + q, label_base + c, false, false, true, false);
-      add_edge(label_base + c, num_prompts + q, false, false, true, true);
+      add_edge(num_prompts + q, label_base + c, kQueryToLabel);
+      add_edge(label_base + c, num_prompts + q, kQueryFromLabel);
     }
   }
   CHECK_EQ(static_cast<int>(src.size()), num_edges);
-  Tensor efeat =
-      Tensor::FromData(num_edges, kEdgeFeatDim, std::move(edge_feat));
+  const int num_keys = static_cast<int>(key_src.size());
+  key_attr.resize(static_cast<size_t>(num_keys) * kEdgeFeatDim);
+  Tensor key_feat =
+      Tensor::FromData(num_keys, kEdgeFeatDim, std::move(key_attr));
 
   // Attention message passing (GNN_T).
   for (size_t li = 0; li < layers_.size(); ++li) {
     const auto& layer = *layers_[li];
-    // message([h_src | efeat]), projected once per node (E x d).
+    // message([h_src | pattern attributes]), one row per key (K x d),
+    // projected once per node.
     Tensor messages =
-        GatherConcatLinear(h, src, efeat, layer.message->weight(),
+        GatherConcatLinear(h, key_src, key_feat, layer.message->weight(),
                            layer.message->bias());
     // Attention logits combine source, destination, and edge attributes.
-    Tensor logits = LeakyRelu(
-        Add(Add(GatherRows(MatMul(h, layer.attn_src), src),
-                GatherRows(MatMul(h, layer.attn_dst), dst)),
-            MatMul(efeat, layer.attn_edge)),
-        config_.leaky_slope);
+    Tensor logits = GatherAddLeakyRelu(
+        MatMul(h, layer.attn_src), src, MatMul(h, layer.attn_dst), dst,
+        MatMul(key_feat, layer.attn_edge), edge_key, config_.leaky_slope);
     Tensor alpha = SegmentSoftmax(logits, dst, total_nodes);
     Tensor aggregated =
-        RowScaleScatterAdd(messages, alpha, dst, total_nodes);
+        GatherScaleScatterSum(messages, edge_key, dst, total_nodes, alpha);
     // Residual update: the initial metric structure (queries vs class
     // means) is preserved and the attention learns a correction.
     Tensor update = Add(layer.self->Forward(h), aggregated);

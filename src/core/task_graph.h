@@ -56,7 +56,18 @@ class TaskGraphNet : public Module {
   // Edge attribute layout (one-hot-ish, 4 dims):
   //   [0] prompt edge with TRUE label   [1] prompt edge with FALSE label
   //   [2] query edge                    [3] direction (0 = data->label).
+  // So every edge carries one of six patterns: a prompt's edge to its true
+  // label, to a false label, or a query's edge to a label, each in both
+  // directions. An edge's message and attribute logit are functions of its
+  // (source node, pattern) key, so inference computes each key's row once
+  // (at most 2P + Q + 3m keys against E = 2(P + Q)m edges) and every edge
+  // reads its key's row. Under autograd every edge is its own key.
   static constexpr int kEdgeFeatDim = 4;
+  enum EdgePattern {
+    kTrueToLabel, kFalseToLabel, kQueryToLabel,
+    kTrueFromLabel, kFalseFromLabel, kQueryFromLabel,
+    kNumEdgePatterns
+  };
 
   struct AttentionLayer : public Module {
     AttentionLayer(int dim, Rng* rng);

@@ -233,6 +233,14 @@ inline bool WantsGrad(const TensorImplPtr& p) {
   return p && p->requires_grad;
 }
 
+// Copies an index list for a backward function. Without autograd no
+// backward function is kept, so inference skips the copy.
+std::shared_ptr<const std::vector<int>> KeepForBackward(
+    const std::vector<int>& index) {
+  if (!GradEnabled()) return nullptr;
+  return std::make_shared<const std::vector<int>>(index);
+}
+
 // Accumulates `g` (rows x cols) into `out`, which has the broadcast
 // operand's shape, reducing over the broadcast dimension(s). Element order
 // is fixed (row-major, rows outer) so the reduction is deterministic.
@@ -944,20 +952,18 @@ Tensor RowScale(const Tensor& a, const Tensor& weights) {
 
 namespace {
 
-// out[dst[e]] += x[src[e]] * w[e], edges in ascending order. `src` may be
-// null (edge e reads row e of x directly); `w` may be null (unit weights —
-// no multiply is performed, matching the unfused chain without its
-// RowScale node).
+// out[dst[e]] += x[src[e]] * w[e], edges in ascending order. `w` may be
+// null (unit weights — no multiply is performed, matching the unfused
+// chain without its RowScale node).
 void FusedScatterForward(const float* x, int x_rows, const int* src,
                          const float* w, const int* dst, int num_edges,
                          int num_rows, int cols, float* out) {
   for (int e = 0; e < num_edges; ++e) {
-    const int srow = src ? src[e] : e;
-    DCHECK_GE(srow, 0);
-    DCHECK_LT(srow, x_rows);
+    DCHECK_GE(src[e], 0);
+    DCHECK_LT(src[e], x_rows);
     DCHECK_GE(dst[e], 0);
     DCHECK_LT(dst[e], num_rows);
-    const float* s = x + static_cast<size_t>(srow) * cols;
+    const float* s = x + static_cast<size_t>(src[e]) * cols;
     float* o = out + static_cast<size_t>(dst[e]) * cols;
     if (w != nullptr) {
       const float we = w[e];
@@ -977,7 +983,7 @@ void FusedScatterBackward(const float* g, const float* x, const int* src,
                           const float* w, const int* dst, int num_edges,
                           int cols, float* d_x, float* d_w) {
   for (int e = 0; e < num_edges; ++e) {
-    const size_t srow = static_cast<size_t>(src ? src[e] : e) * cols;
+    const size_t srow = static_cast<size_t>(src[e]) * cols;
     const float* grow = g + static_cast<size_t>(dst[e]) * cols;
     if (d_x != nullptr) {
       float* d = d_x + srow;
@@ -1017,8 +1023,8 @@ Tensor GatherScaleScatterSum(const Tensor& x, const std::vector<int>& src,
                       dst.data(), num_edges, num_rows, cols, out.data());
   auto px = x.impl();
   auto pw = weighted ? edge_weight.impl() : TensorImplPtr();
-  auto src_copy = std::make_shared<std::vector<int>>(src);
-  auto dst_copy = std::make_shared<std::vector<int>>(dst);
+  auto src_copy = KeepForBackward(src);
+  auto dst_copy = KeepForBackward(dst);
   return FinishOp(
       num_rows, cols, std::move(out), {px, pw},
       [px, pw, src_copy, dst_copy, cols](TensorImpl& node) {
@@ -1080,8 +1086,8 @@ Tensor GatherScaleScatterMean(const Tensor& x, const std::vector<int>& src,
   });
   auto px = x.impl();
   auto pw = weighted ? edge_weight.impl() : TensorImplPtr();
-  auto src_copy = std::make_shared<std::vector<int>>(src);
-  auto dst_copy = std::make_shared<std::vector<int>>(dst);
+  auto src_copy = KeepForBackward(src);
+  auto dst_copy = KeepForBackward(dst);
   auto denom_ptr = std::make_shared<std::vector<float>>(std::move(denom));
   return FinishOp(
       num_rows, cols, std::move(out), {px, pw},
@@ -1133,38 +1139,6 @@ Tensor GatherScaleScatterMean(const Tensor& x, const std::vector<int>& src,
                              want_x ? px->grad.data() : nullptr,
                              want_w ? pw->grad.data() : nullptr);
         ReleaseBuffer(std::move(d_sums));
-      });
-}
-
-Tensor RowScaleScatterAdd(const Tensor& src_rows, const Tensor& weights,
-                          const std::vector<int>& dst, int num_rows) {
-  CHECK_EQ(static_cast<size_t>(src_rows.rows()), dst.size());
-  CHECK_EQ(weights.rows(), src_rows.rows());
-  CHECK_EQ(weights.cols(), 1);
-  const int cols = src_rows.cols();
-  const int num_edges = static_cast<int>(dst.size());
-  std::vector<float> out =
-      AcquireZeroedBuffer(static_cast<size_t>(num_rows) * cols);
-  FusedScatterForward(src_rows.data().data(), src_rows.rows(),
-                      /*src=*/nullptr, weights.data().data(), dst.data(),
-                      num_edges, num_rows, cols, out.data());
-  auto ps = src_rows.impl();
-  auto pw = weights.impl();
-  auto dst_copy = std::make_shared<std::vector<int>>(dst);
-  return FinishOp(
-      num_rows, cols, std::move(out), {ps, pw},
-      [ps, pw, dst_copy, cols](TensorImpl& node) {
-        const bool want_s = WantsGrad(ps);
-        const bool want_w = WantsGrad(pw);
-        if (!want_s && !want_w) return;
-        if (want_s) ps->EnsureGrad();
-        if (want_w) pw->EnsureGrad();
-        FusedScatterBackward(node.grad.data(), ps->data.data(),
-                             /*src=*/nullptr, pw->data.data(),
-                             dst_copy->data(),
-                             static_cast<int>(dst_copy->size()), cols,
-                             want_s ? ps->grad.data() : nullptr,
-                             want_w ? pw->grad.data() : nullptr);
       });
 }
 
@@ -1304,7 +1278,7 @@ Tensor GatherConcatLinear(const Tensor& x, const std::vector<int>& index,
   auto pf = feat.impl();
   auto pw = weight.impl();
   auto pb = bias.impl();
-  auto index_copy = std::make_shared<std::vector<int>>(index);
+  auto index_copy = KeepForBackward(index);
   // Parents in the order the chain's graph search reaches them, so this
   // node's backward runs in the chain's reverse-topological slot.
   return FinishOp(
@@ -1365,6 +1339,66 @@ Tensor GatherConcatLinear(const Tensor& x, const std::vector<int>& index,
           }
         }
         ReleaseBuffer(std::move(d_cat));
+      });
+}
+
+Tensor GatherAddLeakyRelu(const Tensor& s, const std::vector<int>& src,
+                          const Tensor& t, const std::vector<int>& dst,
+                          const Tensor& a, const std::vector<int>& key,
+                          float negative_slope) {
+  CHECK_EQ(s.cols(), 1);
+  CHECK_EQ(t.cols(), 1);
+  CHECK_EQ(a.cols(), 1);
+  CHECK_EQ(src.size(), dst.size());
+  CHECK_EQ(src.size(), key.size());
+  const int num_edges = static_cast<int>(src.size());
+  std::vector<float> out = AcquireBuffer(static_cast<size_t>(num_edges));
+  const float* sd = s.data().data();
+  const float* td = t.data().data();
+  const float* ad = a.data().data();
+  ParallelRange(num_edges, 1, [&](int64_t first, int64_t last) {
+    for (int64_t e = first; e < last; ++e) {
+      DCHECK_LT(src[e], s.rows());
+      DCHECK_LT(dst[e], t.rows());
+      DCHECK_LT(key[e], a.rows());
+      const float v = (sd[src[e]] + td[dst[e]]) + ad[key[e]];
+      out[e] = v > 0.0f ? v : negative_slope * v;
+    }
+  });
+  auto ps = s.impl();
+  auto pt = t.impl();
+  auto pa = a.impl();
+  auto src_copy = KeepForBackward(src);
+  auto dst_copy = KeepForBackward(dst);
+  auto key_copy = KeepForBackward(key);
+  // Parents in the order the chain's graph search reaches them.
+  return FinishOp(
+      num_edges, 1, std::move(out), {ps, pt, pa},
+      [ps, pt, pa, src_copy, dst_copy, key_copy,
+       negative_slope](TensorImpl& node) {
+        const int* si = src_copy->data();
+        const int* di = dst_copy->data();
+        const int* ki = key_copy->data();
+        const int n = static_cast<int>(src_copy->size());
+        // LeakyRelu's backward, on the recomputed pre-activation: the grad
+        // every GatherRows node of the chain receives.
+        std::vector<float> g = AcquireBuffer(static_cast<size_t>(n));
+        for (int e = 0; e < n; ++e) {
+          const float v =
+              (ps->data[si[e]] + pt->data[di[e]]) + pa->data[ki[e]];
+          g[e] = node.grad[e] * (v > 0.0f ? 1.0f : negative_slope);
+        }
+        // The chain's GatherRows backwards run a's, then t's, then s's,
+        // each scattering in edge order.
+        auto scatter = [&](const TensorImplPtr& p, const int* index) {
+          if (!WantsGrad(p)) return;
+          p->EnsureGrad();
+          for (int e = 0; e < n; ++e) p->grad[index[e]] += g[e];
+        };
+        scatter(pa, ki);
+        scatter(pt, di);
+        scatter(ps, si);
+        ReleaseBuffer(std::move(g));
       });
 }
 

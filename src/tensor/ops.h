@@ -95,12 +95,6 @@ Tensor GatherScaleScatterMean(const Tensor& x, const std::vector<int>& src,
                               const std::vector<int>& dst, int num_rows,
                               const Tensor& edge_weight, float eps);
 
-// Fuses ScatterAddRows(RowScale(src_rows, weights), dst, num_rows) where
-// src_rows is already per-edge (no gather): result[dst[e]] += src_rows[e]
-// * weights[e].
-Tensor RowScaleScatterAdd(const Tensor& src_rows, const Tensor& weights,
-                          const std::vector<int>& dst, int num_rows);
-
 // Fuses Relu(Add(MatMul(x, weight), bias)); `bias` (1 x C) may be
 // undefined for bias-free layers. Uses the same blocked GEMM kernel as
 // MatMul, so the result is bitwise identical to the unfused chain.
@@ -118,6 +112,19 @@ Tensor LinearRelu(const Tensor& x, const Tensor& weight, const Tensor& bias);
 Tensor GatherConcatLinear(const Tensor& x, const std::vector<int>& index,
                           const Tensor& feat, const Tensor& weight,
                           const Tensor& bias);
+
+// Fuses LeakyRelu(Add(Add(GatherRows(s, src), GatherRows(t, dst)),
+// GatherRows(a, key)), negative_slope) for single-column s, t and a: row e
+// is LeakyRelu((s[src[e]] + t[dst[e]]) + a[key[e]]), in the chain's add
+// order. The backward adds into a's, then t's, then s's grad, each in edge
+// order, as the chain's GatherRows nodes do, and the op lists its parents
+// in the order the chain's graph search reaches them. Gradients are then
+// bitwise identical to the chain's as long as none of s, t and a is
+// computed from another.
+Tensor GatherAddLeakyRelu(const Tensor& s, const std::vector<int>& src,
+                          const Tensor& t, const std::vector<int>& dst,
+                          const Tensor& a, const std::vector<int>& key,
+                          float negative_slope);
 
 // Fuses Div(a, AddScalar(b, s)): out = a / (b + s), same broadcast rules
 // as Div.

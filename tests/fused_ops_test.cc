@@ -117,33 +117,6 @@ TEST(FusedOpsTest, GatherScaleScatterMeanMatchesUnfusedGradients) {
   ExpectBitwiseEqual(g.w.grad(), dw_ref);
 }
 
-TEST(FusedOpsTest, RowScaleScatterAddMatchesUnfused) {
-  Rng rng(5);
-  std::vector<int> dst{2, 0, 1, 1, 3, 2};
-  Tensor rows_a = Tensor::Randn(6, 4, &rng, 1.0f, /*requires_grad=*/true);
-  Tensor w_a = Tensor::Randn(6, 1, &rng, 1.0f, /*requires_grad=*/true);
-  {
-    Tensor out = ScatterAddRows(RowScale(rows_a, w_a), dst, 4);
-    Backward(SumAll(Mul(out, out)));
-  }
-
-  Tensor rows_b = rows_a.Clone();
-  Tensor w_b = w_a.Clone();
-  Tensor fused_fwd;
-  {
-    Tensor out = RowScaleScatterAdd(rows_b, w_b, dst, 4);
-    fused_fwd = out.Detach();
-    Backward(SumAll(Mul(out, out)));
-  }
-  {
-    NoGradGuard no_grad;
-    Tensor unfused_fwd = ScatterAddRows(RowScale(rows_a, w_a), dst, 4);
-    ExpectBitwiseEqual(fused_fwd.data(), unfused_fwd.data());
-  }
-  ExpectBitwiseEqual(rows_b.grad(), rows_a.grad());
-  ExpectBitwiseEqual(w_b.grad(), w_a.grad());
-}
-
 TEST(FusedOpsTest, LinearReluMatchesUnfusedForwardAndGradients) {
   Rng rng(11);
   Tensor x_a = Tensor::Randn(9, 6, &rng, 1.0f, /*requires_grad=*/true);
@@ -310,6 +283,98 @@ TEST(FusedOpsTest, GatherConcatLinearCrossesKBlockBoundary) {
       4, 250, 20, 9, {1, 3, 1, 0, 2, 3}, 43));
   ExpectGatherConcatLinearMatchesChain(MakeGatherConcatInputs(
       4, 300, 4, 9, {2, 2, 0, 3, 1}, 47));
+}
+
+// GatherAddLeakyRelu against LeakyRelu(Add(Add(GatherRows(s, src),
+// GatherRows(t, dst)), GatherRows(a, key))). As in the task graph, s and t
+// are projections of one node matrix h and a of a key attribute matrix, so
+// h.grad sums the t and s contributions in the chain's order. The loss
+// also sends s and h through second ops, so s.grad sums that op's share
+// and the fused op's edge-ordered scatter, h.grad starts from a nonzero
+// share, and the slots where the fused node's shares land are pinned along
+// with the values.
+struct LogitInputs {
+  Tensor h, ws, wt, attr, wa, other, other_h;
+  std::vector<int> src, dst, key;
+
+  LogitInputs Clone() const {
+    LogitInputs c = *this;
+    for (Tensor* t :
+         {&c.h, &c.ws, &c.wt, &c.attr, &c.wa, &c.other, &c.other_h}) {
+      *t = t->Clone();
+      t->set_requires_grad(true);
+    }
+    return c;
+  }
+};
+
+void ExpectGatherAddLeakyReluMatchesChain(const LogitInputs& base,
+                                          float slope) {
+  auto run = [slope](const LogitInputs& in, bool fused) {
+    Tensor s = MatMul(in.h, in.ws);
+    Tensor t = MatMul(in.h, in.wt);
+    Tensor a = MatMul(in.attr, in.wa);
+    Tensor out =
+        fused ? GatherAddLeakyRelu(s, in.src, t, in.dst, a, in.key, slope)
+              : LeakyRelu(Add(Add(GatherRows(s, in.src), GatherRows(t, in.dst)),
+                              GatherRows(a, in.key)),
+                          slope);
+    Tensor side = MatMul(s, in.other);
+    Tensor side_h = MatMul(in.h, in.other_h);
+    Backward(Add(Add(SumAll(Mul(out, out)), SumAll(Mul(side, side))),
+                 SumAll(Mul(side_h, side_h))));
+    return out.Detach();
+  };
+  LogitInputs a = base.Clone();
+  const Tensor ref_fwd = run(a, /*fused=*/false);
+  LogitInputs b = base.Clone();
+  ExpectBitwiseEqual(run(b, /*fused=*/true).data(), ref_fwd.data());
+  ExpectBitwiseEqual(b.h.grad(), a.h.grad());
+  ExpectBitwiseEqual(b.ws.grad(), a.ws.grad());
+  ExpectBitwiseEqual(b.wt.grad(), a.wt.grad());
+  ExpectBitwiseEqual(b.attr.grad(), a.attr.grad());
+  ExpectBitwiseEqual(b.wa.grad(), a.wa.grad());
+  ExpectBitwiseEqual(b.other.grad(), a.other.grad());
+  ExpectBitwiseEqual(b.other_h.grad(), a.other_h.grad());
+}
+
+LogitInputs MakeLogitInputs(int nodes, int keys, std::vector<int> src,
+                            std::vector<int> dst, std::vector<int> key,
+                            uint64_t seed) {
+  Rng rng(seed);
+  LogitInputs in;
+  in.h = Tensor::Randn(nodes, 6, &rng);
+  in.ws = Tensor::Randn(6, 1, &rng);
+  in.wt = Tensor::Randn(6, 1, &rng);
+  in.attr = Tensor::Randn(keys, 4, &rng);
+  in.wa = Tensor::Randn(4, 1, &rng);
+  in.other = Tensor::Randn(1, 3, &rng);
+  in.other_h = Tensor::Randn(6, 2, &rng);
+  in.src = std::move(src);
+  in.dst = std::move(dst);
+  in.key = std::move(key);
+  return in;
+}
+
+TEST(FusedOpsTest, GatherAddLeakyReluRepeatedIndices) {
+  // Sources, destinations and keys all repeat; node 4 is never gathered.
+  const LogitInputs in = MakeLogitInputs(
+      5, 3, {0, 2, 2, 1, 0, 3, 2, 0}, {1, 1, 3, 0, 2, 1, 0, 3},
+      {0, 2, 2, 1, 0, 1, 2, 0}, 53);
+  ExpectGatherAddLeakyReluMatchesChain(in, 0.2f);
+  ExpectGatherAddLeakyReluMatchesChain(in, 0.0f);
+}
+
+TEST(FusedOpsTest, GatherAddLeakyReluOneKeyPerEdge) {
+  // The task graph's autograd layout: every edge is its own key.
+  std::vector<int> src, dst, key;
+  for (int e = 0; e < 24; ++e) {
+    src.push_back(e % 7);
+    dst.push_back((3 * e + 1) % 7);
+    key.push_back(e);
+  }
+  ExpectGatherAddLeakyReluMatchesChain(
+      MakeLogitInputs(7, 24, src, dst, key, 59), 0.2f);
 }
 
 TEST(FusedOpsTest, AddScalarDivMatchesUnfusedAllBroadcastModes) {

@@ -165,6 +165,49 @@ TEST(TaskGraphTest, ForwardLeavesPoolLiveBytesUnchanged) {
   EXPECT_EQ(PoolStatsSnapshot().live_bytes, before);
 }
 
+// Inference keys each edge's message and attribute logit by (source node,
+// pattern); autograd keeps one row per edge. The two forwards must give
+// the same bits. The ReZero gates and message biases start at 0, which
+// would hide the attention, so both are set nonzero.
+void ExpectInferenceMatchesAutograd(int num_prompts, int num_queries,
+                                    int ways, int dim, uint64_t seed) {
+  SCOPED_TRACE(testing::Message() << num_prompts << " prompts, "
+                                  << num_queries << " queries, " << ways
+                                  << " ways");
+  Rng rng(seed);
+  TaskGraphNet net(SmallConfig(dim), &rng);
+  for (auto [name, param] : net.NamedParameters()) {
+    if (!name.ends_with("gate") && !name.ends_with("message/bias")) continue;
+    for (float& v : param.mutable_data()) v = rng.Normal();
+  }
+  Tensor prompts = Tensor::Randn(num_prompts, dim, &rng);
+  std::vector<int> labels;
+  for (int p = 0; p < num_prompts; ++p) labels.push_back(p % ways);
+  Tensor queries = Tensor::Randn(num_queries, dim, &rng);
+
+  const auto train = net.Forward(prompts, labels, queries, ways);
+  NoGradGuard no_grad;
+  const auto infer = net.Forward(prompts, labels, queries, ways);
+  for (const auto& [a, b] :
+       {std::pair{&infer.query_scores, &train.query_scores},
+        std::pair{&infer.query_embeddings, &train.query_embeddings},
+        std::pair{&infer.label_embeddings, &train.label_embeddings}}) {
+    ASSERT_EQ(a->data().size(), b->data().size());
+    for (size_t i = 0; i < a->data().size(); ++i) {
+      EXPECT_EQ(a->data()[i], b->data()[i]) << "index " << i;
+    }
+  }
+}
+
+TEST(TaskGraphTest, InferenceForwardMatchesAutogradForward) {
+  // eval_manyway's shape: 123 prompts over 40 classes, 4 queries, d = 64.
+  ExpectInferenceMatchesAutograd(123, 4, 40, 64, 11);
+  // One class: every prompt edge is a true-label edge.
+  ExpectInferenceMatchesAutograd(5, 3, 1, 8, 12);
+  // One query.
+  ExpectInferenceMatchesAutograd(9, 1, 3, 8, 13);
+}
+
 TEST(TaskGraphTest, MismatchedLabelSizeDies) {
   Rng rng(9);
   TaskGraphNet net(SmallConfig(4), &rng);
