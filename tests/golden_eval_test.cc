@@ -5,9 +5,10 @@
 // 3-query task-graph steps, kept-embedding bytes — (c) the prompt
 // selector's top-k selections, vote totals, and hit counts, (d) a short
 // pretraining run's per-step losses and final parameter bytes, (e) the
-// random-walk sampler's data graphs for node and edge items, and (f) the
-// task graph's outputs at eval_manyway's shape, for fixed seeds into
-// tests/golden/. Values are rendered with %.17g, so any change
+// random-walk sampler's data graphs for node and edge items, (f) the
+// task graph's outputs at eval_manyway's shape, and (g) the serving
+// daemon's replies to a chaos request log and its tenant snapshots after
+// it, for fixed seeds into tests/golden/. Values are rendered with %.17g, so any change
 // to retrieval or scoring that shifts predictions by even one ULP fails
 // loudly. The selector goldens pin the exact scan that scores every
 // (candidate, query) pair, the many-way one at eval_manyway's shape; the
@@ -37,6 +38,8 @@
 #include "core/task_graph.h"
 #include "data/datasets.h"
 #include "graph/sampler.h"
+#include "serve/server.h"
+#include "serve_chaos_log.h"
 #include "tensor/autograd.h"
 #include "util/checksum.h"
 #include "util/parallel.h"
@@ -306,6 +309,37 @@ std::string RenderTaskGraphGolden() {
   return out.str();
 }
 
+// The serving daemon's pipe-mode replies to the request log in
+// tests/serve_chaos_log.h, then every tenant's snapshot. Each reply renders
+// its status, retries, degradation events, accuracy and message; the
+// timing fields (ms_per_query, server_latency_us) are left out.
+std::string RenderServeRepliesGolden() {
+  const DatasetBundle dataset = ChaosLogDataset();
+  const GraphPrompterModel model(
+      ChaosLogModelConfig(dataset.graph.feature_dim()));
+  PromptServer server(&model, &dataset, ChaosLogServeConfig());
+  const std::vector<EvalRequest> log = ChaosLog(dataset.num_classes);
+  const std::vector<EvalResponse> replies = ServeLogThroughPipe(&server, log);
+  std::ostringstream out;
+  if (replies.size() != log.size()) return "pipe session failed\n";
+  for (const EvalResponse& r : replies) {
+    out << "reply " << r.request_id << " status "
+        << StatusCodeName(static_cast<StatusCode>(r.status_code))
+        << " retries " << r.retries << " degradation "
+        << r.degradation_events << " mean " << Fmt(r.accuracy_mean)
+        << " std " << Fmt(r.accuracy_std) << " message " << r.message
+        << "\n";
+  }
+  for (const PromptServer::TenantSnapshot& t : server.SnapshotTenants()) {
+    out << "tenant " << t.name << " requests " << t.requests
+        << " safe_mode_requests " << t.safe_mode_requests
+        << " breaker_trips " << t.breaker_trips << " degradation_events "
+        << t.degradation_events << " breaker "
+        << BreakerStateName(t.breaker_state) << "\n";
+  }
+  return out.str();
+}
+
 // ---- harness: compare against (or regenerate) tests/golden/<name>.
 
 bool UpdateRequested() {
@@ -360,6 +394,10 @@ TEST(GoldenEvalTest, PretrainLossesAndParametersMatchGolden) {
 
 TEST(GoldenEvalTest, SamplerOutputsMatchGolden) {
   CheckGolden("sampler.golden", RenderSamplerGolden());
+}
+
+TEST(GoldenEvalTest, ServeRepliesMatchGolden) {
+  CheckGolden("serve_replies.golden", RenderServeRepliesGolden());
 }
 
 TEST(GoldenEvalTest, EvalVariantsMatchGolden) {

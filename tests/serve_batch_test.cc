@@ -4,7 +4,8 @@
 //   - core: EvaluateInContextBatch vs sequential EvaluateInContext,
 //   - scheduler: MicroBatcher flush reasons, FIFO order, capacity shed,
 //   - server: a batching socket server vs an unbatched one over the same
-//     request stream, reply for reply,
+//     request stream, reply for reply, and vs pipe mode over a chaos log
+//     with warm tenant caches, reply for reply and tenant for tenant,
 //   - plus the metrics frame and the FdStream write-side stall bound that
 //     ride along with the batching subsystem.
 
@@ -30,6 +31,7 @@
 #include "serve/frame.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
+#include "serve_chaos_log.h"
 #include "tensor/buffer_pool.h"
 #include "util/fault.h"
 
@@ -380,21 +382,89 @@ struct ReplyBits {
   uint64_t std_bits = 0;
   uint64_t degradation = 0;
   uint32_t retries = 0;
+  std::string message;
 
   bool operator==(const ReplyBits& other) const {
     return status_code == other.status_code &&
            mean_bits == other.mean_bits && std_bits == other.std_bits &&
-           degradation == other.degradation && retries == other.retries;
+           degradation == other.degradation && retries == other.retries &&
+           message == other.message;
   }
 };
 
-// Runs `per_tenant` pipelined requests for two tenants against a server
-// with the given batch window and returns reply bits keyed by request id.
-std::map<uint64_t, ReplyBits> RunSocketPhase(GraphPrompterModel* model,
-                                             DatasetBundle* dataset,
-                                             int64_t batch_window_us,
-                                             int per_tenant,
-                                             const char* tag) {
+ReplyBits BitsOf(const EvalResponse& resp) {
+  ReplyBits bits;
+  bits.status_code = resp.status_code;
+  std::memcpy(&bits.mean_bits, &resp.accuracy_mean, sizeof(double));
+  std::memcpy(&bits.std_bits, &resp.accuracy_std, sizeof(double));
+  bits.degradation = resp.degradation_events;
+  bits.retries = resp.retries;
+  bits.message = resp.message;
+  return bits;
+}
+
+struct SocketPhase {
+  std::map<uint64_t, ReplyBits> replies;  // keyed by request id
+  std::vector<PromptServer::TenantSnapshot> tenants;  // after the drain
+};
+
+// Serves `log` through a socket server configured by `sc`, one connection
+// per tenant. Each connection pipelines its tenant's requests in log
+// order (send everything, then read everything), which gives a batching
+// server full queues to coalesce.
+SocketPhase RunSocketPhase(GraphPrompterModel* model, DatasetBundle* dataset,
+                           const ServeConfig& sc,
+                           const std::vector<EvalRequest>& log,
+                           const char* tag) {
+  std::map<std::string, std::vector<const EvalRequest*>> by_tenant;
+  for (const EvalRequest& req : log) by_tenant[req.tenant].push_back(&req);
+
+  PromptServer server(model, dataset, sc);
+  const std::string path = TestSocketPath(tag);
+  std::thread server_thread([&server, &path] {
+    const Status status = server.ServeUnixSocket(path);
+    EXPECT_TRUE(status.ok()) << status.ToString();
+  });
+
+  SocketPhase phase;
+  std::mutex replies_mu;
+  std::vector<std::thread> clients;
+  for (const auto& [tenant, requests] : by_tenant) {
+    clients.emplace_back([&, &requests = requests] {
+      FdStream stream(ConnectOrDie(path), /*owns_fd=*/true);
+      for (const EvalRequest* req : requests) {
+        const std::string wire = EvalRequestWire(*req);
+        ASSERT_TRUE(stream.Write(wire.data(), wire.size()).ok());
+      }
+      for (size_t r = 0; r < requests.size(); ++r) {
+        auto reply = ReadFrame(&stream);
+        ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+        auto resp = DecodeEvalResponse(reply->payload);
+        ASSERT_TRUE(resp.ok());
+        std::lock_guard<std::mutex> lock(replies_mu);
+        phase.replies[resp->request_id] = BitsOf(*resp);
+      }
+    });
+  }
+  for (std::thread& c : clients) c.join();
+  server.RequestDrain();
+  server_thread.join();
+  ::unlink(path.c_str());
+  phase.tenants = server.SnapshotTenants();
+  return phase;
+}
+
+TEST(ServeBatchSocketTest, BatchedRepliesMatchUnbatchedBitwise) {
+  DatasetBundle dataset = MakeArxivSim(0.25, 2);
+  GraphPrompterModel model(TinyConfig(dataset.graph.feature_dim()));
+  constexpr int kPerTenant = 8;
+  std::vector<EvalRequest> log;
+  for (int t = 0; t < 2; ++t) {
+    for (int r = 0; r < kPerTenant; ++r) {
+      log.push_back(SocketRequest("tenant-" + std::to_string(t),
+                                  static_cast<uint64_t>(t * 1000 + r)));
+    }
+  }
   ServeConfig sc;
   sc.workers = 2;
   sc.queue_capacity = 64;
@@ -403,70 +473,16 @@ std::map<uint64_t, ReplyBits> RunSocketPhase(GraphPrompterModel* model,
   // tenant cache couples a reply to its predecessors' order, which
   // legitimately differs between the worker pool and the batch worker.
   sc.persist_tenant_cache = false;
-  sc.batch_window_us = batch_window_us;
   sc.batch_max = 4;
-  PromptServer server(model, dataset, sc);
 
-  const std::string path = TestSocketPath(tag);
-  std::thread server_thread([&server, &path] {
-    const Status status = server.ServeUnixSocket(path);
-    EXPECT_TRUE(status.ok()) << status.ToString();
-  });
-
-  std::map<uint64_t, ReplyBits> replies;
-  std::mutex replies_mu;
-  std::vector<std::thread> clients;
-  for (int t = 0; t < 2; ++t) {
-    clients.emplace_back([&, t] {
-      const std::string tenant = "tenant-" + std::to_string(t);
-      FdStream stream(ConnectOrDie(path), /*owns_fd=*/true);
-      // Pipelined: send everything, then read everything — gives the
-      // batched server a full queue to coalesce.
-      for (int r = 0; r < per_tenant; ++r) {
-        const EvalRequest req =
-            SocketRequest(tenant, static_cast<uint64_t>(t * 1000 + r));
-        Frame frame;
-        frame.type = FrameType::kEvalRequest;
-        frame.payload = EncodeEvalRequest(req);
-        const std::string wire = EncodeFrame(frame);
-        ASSERT_TRUE(stream.Write(wire.data(), wire.size()).ok());
-      }
-      for (int r = 0; r < per_tenant; ++r) {
-        auto reply = ReadFrame(&stream);
-        ASSERT_TRUE(reply.ok()) << reply.status().ToString();
-        auto resp = DecodeEvalResponse(reply->payload);
-        ASSERT_TRUE(resp.ok());
-        ReplyBits bits;
-        bits.status_code = resp->status_code;
-        std::memcpy(&bits.mean_bits, &resp->accuracy_mean, sizeof(double));
-        std::memcpy(&bits.std_bits, &resp->accuracy_std, sizeof(double));
-        bits.degradation = resp->degradation_events;
-        bits.retries = resp->retries;
-        std::lock_guard<std::mutex> lock(replies_mu);
-        replies[resp->request_id] = bits;
-      }
-    });
-  }
-  for (std::thread& c : clients) c.join();
-  server.RequestDrain();
-  server_thread.join();
-  ::unlink(path.c_str());
-  return replies;
-}
-
-TEST(ServeBatchSocketTest, BatchedRepliesMatchUnbatchedBitwise) {
-  DatasetBundle dataset = MakeArxivSim(0.25, 2);
-  GraphPrompterModel model(TinyConfig(dataset.graph.feature_dim()));
-  constexpr int kPerTenant = 8;
-
+  sc.batch_window_us = 0;
   const auto unbatched =
-      RunSocketPhase(&model, &dataset, /*batch_window_us=*/0, kPerTenant,
-                     "unbatched");
+      RunSocketPhase(&model, &dataset, sc, log, "unbatched").replies;
+  sc.batch_window_us = 5000;
   const auto batched =
-      RunSocketPhase(&model, &dataset, /*batch_window_us=*/5000, kPerTenant,
-                     "batched");
+      RunSocketPhase(&model, &dataset, sc, log, "batched").replies;
 
-  ASSERT_EQ(unbatched.size(), static_cast<size_t>(2 * kPerTenant));
+  ASSERT_EQ(unbatched.size(), log.size());
   ASSERT_EQ(batched.size(), unbatched.size());
   for (const auto& [id, bits] : unbatched) {
     const auto it = batched.find(id);
@@ -474,6 +490,51 @@ TEST(ServeBatchSocketTest, BatchedRepliesMatchUnbatchedBitwise) {
     EXPECT_TRUE(it->second == bits)
         << "request " << id << " differs between schedules";
     EXPECT_EQ(bits.status_code, static_cast<int32_t>(StatusCode::kOk));
+  }
+}
+
+// The chaos log (tests/serve_chaos_log.h) through a batching server with
+// warm tenant caches, one connection per tenant, gets the replies and the
+// tenant states that pipe mode gives it. Each tenant's requests reach its
+// state in the same order on both paths, so caches, breakers and fault
+// draws evolve alike while the clean requests ride in packed batches.
+TEST(ServeBatchSocketTest, ChaosLogMatchesPipeMode) {
+  DatasetBundle dataset = ChaosLogDataset();
+  GraphPrompterModel model(ChaosLogModelConfig(dataset.graph.feature_dim()));
+  const std::vector<EvalRequest> log = ChaosLog(dataset.num_classes);
+
+  PromptServer pipe_server(&model, &dataset, ChaosLogServeConfig());
+  const std::vector<EvalResponse> piped =
+      ServeLogThroughPipe(&pipe_server, log);
+  ASSERT_EQ(piped.size(), log.size());
+
+  ServeConfig sc = ChaosLogServeConfig();
+  sc.queue_capacity = 64;
+  sc.batch_window_us = 2000;
+  sc.batch_max = 4;
+  const SocketPhase batched =
+      RunSocketPhase(&model, &dataset, sc, log, "chaos_log");
+
+  ASSERT_EQ(batched.replies.size(), log.size());
+  for (const EvalResponse& resp : piped) {
+    const auto it = batched.replies.find(resp.request_id);
+    ASSERT_NE(it, batched.replies.end())
+        << "request " << resp.request_id << " missing";
+    EXPECT_TRUE(it->second == BitsOf(resp))
+        << "request " << resp.request_id << " differs from pipe mode";
+  }
+  const std::vector<PromptServer::TenantSnapshot> piped_tenants =
+      pipe_server.SnapshotTenants();
+  ASSERT_EQ(batched.tenants.size(), piped_tenants.size());
+  for (size_t t = 0; t < piped_tenants.size(); ++t) {
+    const PromptServer::TenantSnapshot& want = piped_tenants[t];
+    const PromptServer::TenantSnapshot& got = batched.tenants[t];
+    EXPECT_EQ(got.name, want.name);
+    EXPECT_EQ(got.requests, want.requests) << want.name;
+    EXPECT_EQ(got.safe_mode_requests, want.safe_mode_requests) << want.name;
+    EXPECT_EQ(got.breaker_trips, want.breaker_trips) << want.name;
+    EXPECT_EQ(got.degradation_events, want.degradation_events) << want.name;
+    EXPECT_EQ(got.breaker_state, want.breaker_state) << want.name;
   }
 }
 
