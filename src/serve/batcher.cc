@@ -202,9 +202,4 @@ void MicroBatcher::ReportBatchCost(int64_t wall_us, int batch_size) {
   est_cost_us_ = est_cost_us_ * 0.8 + per_request * 0.2;
 }
 
-int64_t MicroBatcher::EstimatedCostUs() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return static_cast<int64_t>(est_cost_us_);
-}
-
 }  // namespace gp

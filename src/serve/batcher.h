@@ -87,8 +87,6 @@ class MicroBatcher {
   // The batcher's monotonic clock, for computing deadline_abs_us.
   int64_t NowMicros() const { return clock_.ElapsedMicros(); }
 
-  int64_t EstimatedCostUs() const;
-
  private:
   // Pops the ready batch whose head waited longest, if any. Caller holds
   // mu_. Returns false and sets *due_us to the earliest future decision
@@ -97,7 +95,7 @@ class MicroBatcher {
 
   const MicroBatcherOptions options_;
   Stopwatch clock_;
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::condition_variable cv_;
   std::map<std::string, std::deque<BatchItem>> queues_;  // name-ordered
   int queued_ = 0;
