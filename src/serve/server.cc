@@ -15,10 +15,12 @@
 #include <deque>
 #include <functional>
 #include <thread>
+#include <vector>
 
 #include "core/batch_eval.h"
 #include "obs/export.h"
 #include "obs/telemetry.h"
+#include "tensor/buffer_pool.h"
 #include "util/fault.h"
 #include "util/logging.h"
 #include "util/stopwatch.h"
@@ -110,17 +112,18 @@ PromptServer::PromptServer(const GraphPrompterModel* model,
                            const ServeConfig& config)
     : model_(model), dataset_(dataset), config_(config) {
   ReturnFreedMemory();
-  queue_ = std::make_unique<BoundedQueue>(
-      static_cast<size_t>(std::max(1, config_.queue_capacity)));
+  // One dispatcher admits socket requests: the batcher when batching is
+  // on, else the bounded queue in front of the worker pool. Both take the
+  // same capacity and shed semantics.
+  const int capacity = std::max(1, config_.queue_capacity);
   if (config_.batch_window_us > 0) {
     MicroBatcherOptions bo;
     bo.window_us = config_.batch_window_us;
     bo.max_batch = std::max(1, config_.batch_max);
-    bo.est_cost_us = std::max<int64_t>(1, config_.batch_est_cost_us);
-    // The batcher's queues are the admission bound in batched mode, so they
-    // inherit the same capacity (and shed semantics) as the legacy queue.
-    bo.capacity = std::max(1, config_.queue_capacity);
+    bo.capacity = capacity;
     batcher_ = std::make_unique<MicroBatcher>(bo);
+  } else {
+    queue_ = std::make_unique<BoundedQueue>(static_cast<size_t>(capacity));
   }
   if (::pipe(drain_pipe_) != 0) {
     LOG(WARNING) << "serve: drain pipe unavailable: " << ::strerror(errno);
@@ -175,7 +178,8 @@ std::vector<PromptServer::TenantSnapshot> PromptServer::SnapshotTenants() {
 
 // ------------------------------------------------------------ handling
 
-EvalResponse PromptServer::Handle(const EvalRequest& request) {
+void PromptServer::ServeBatch(const MicroBatch& batch, int64_t now_us,
+                              const ReplyFn& reply) {
   static Counter* requests = Telemetry().GetCounter("serve/requests");
   static Counter* retries_counter = Telemetry().GetCounter("serve/retries");
   static Counter* deadline_counter =
@@ -188,117 +192,166 @@ EvalResponse PromptServer::Handle(const EvalRequest& request) {
       "serve/latency_us", LatencyBucketBoundsUs());
 
   Stopwatch sw;
-  requests->Add(1);
-  EvalResponse resp;
-  resp.request_id = request.request_id;
-
-  if (request.ways > dataset_->num_classes) {
-    resp.status_code = static_cast<int32_t>(StatusCode::kInvalidArgument);
-    resp.message = "request ways " + std::to_string(request.ways) +
-                   " exceeds dataset classes (" +
-                   std::to_string(dataset_->num_classes) + ")";
-    latency->Observe(static_cast<double>(sw.ElapsedMicros()));
-    return resp;
-  }
-
-  TenantState* tenant = GetOrCreateTenant(request.tenant);
-  // Same-tenant requests serialize on the tenant mutex (the warm augmenter
-  // cache is single-writer); cross-tenant requests run in parallel.
-  std::lock_guard<std::mutex> lock(tenant->mu());
-
-  if (const Status fault_status = tenant->ConfigureFaults(request.fault_spec);
-      !fault_status.ok()) {
-    resp.status_code = static_cast<int32_t>(fault_status.code());
-    resp.message = fault_status.message();
-    latency->Observe(static_cast<double>(sw.ElapsedMicros()));
-    return resp;
-  }
-
-  const bool safe_mode = tenant->BeginRequestSafeMode();
-  const int64_t budget = RequestBudgetUs(request, config_);
-  const int64_t trips_before = tenant->breaker_trips();
-
-  // Tenant fault scoping: the tenant's injector — null for a clean tenant —
-  // overrides any process-global injector for the duration of the request,
-  // so chaos configured for one tenant (or globally) can never leak into
-  // another tenant's evaluation.
-  ScopedThreadFaultInjector scoped(tenant->fault_injector());
-
-  EvalResult result;
-  bool ran = false;
-  bool exhausted_retries = false;
-  bool out_of_budget = false;
   auto elapsed_us = [&sw]() {
     return static_cast<int64_t>(sw.ElapsedMicros());
   };
-  for (int attempt = 0;; ++attempt) {
-    const int64_t remaining = budget - elapsed_us();
-    if (remaining <= 0) {
-      out_of_budget = true;
-      break;
+  // What each request comes to before the packed pass. A rejected request
+  // never reaches its tenant's state; the others run the tenant sequence
+  // (safe-mode draw, breaker accounting) in admission order.
+  enum class Fate { kRejected, kExhausted, kExpired, kPacked };
+  const size_t n = batch.items.size();
+  std::vector<Fate> fate(n, Fate::kPacked);
+  std::vector<EvalResponse> replies(n);
+  auto reject = [&](size_t i, const Status& status) {
+    fate[i] = Fate::kRejected;
+    replies[i].status_code = static_cast<int32_t>(status.code());
+    replies[i].message = status.message();
+  };
+
+  requests->Add(static_cast<int64_t>(n));
+  TenantState* tenant = nullptr;
+  // Same-tenant requests serialize on the tenant mutex (the warm augmenter
+  // cache is single-writer); cross-tenant requests run in parallel.
+  std::unique_lock<std::mutex> tenant_lock;
+  for (size_t i = 0; i < n; ++i) {
+    const EvalRequest& request = batch.items[i].request;
+    replies[i].request_id = request.request_id;
+    if (request.ways > dataset_->num_classes) {
+      reject(i, InvalidArgumentError(
+                    "request ways " + std::to_string(request.ways) +
+                    " exceeds dataset classes (" +
+                    std::to_string(dataset_->num_classes) + ")"));
+      continue;
     }
-    FaultInjector* injector = tenant->fault_injector();
-    if (injector != nullptr && injector->MaybeFailRequest()) {
-      if (attempt >= config_.max_retries) {
-        exhausted_retries = true;
+    if (tenant == nullptr) {
+      tenant = GetOrCreateTenant(batch.tenant);
+      tenant_lock = std::unique_lock<std::mutex>(tenant->mu());
+    }
+    if (const Status status = tenant->ConfigureFaults(request.fault_spec);
+        !status.ok()) {
+      reject(i, status);
+    }
+  }
+
+  // Tenant fault scoping: the tenant's injector — null for a clean tenant —
+  // overrides any process-global injector for the whole batch, so chaos
+  // configured for one tenant (or globally) can never leak into another
+  // tenant's evaluation. A fault-carrying request always comes as a batch
+  // of one (a MicroBatcher barrier, or Handle), because the injector draws
+  // in packed stage order.
+  FaultInjector* const injector =
+      tenant != nullptr ? tenant->fault_injector() : nullptr;
+  ScopedThreadFaultInjector scoped(injector);
+
+  // Transient failures retry before the packed pass, so only a tenant
+  // with an injector retries. A request whose budget is spent, here or
+  // while it queued, stays out of the pass.
+  std::vector<EvalConfig> configs;
+  for (size_t i = 0; i < n; ++i) {
+    if (fate[i] != Fate::kPacked) continue;
+    const EvalRequest& request = batch.items[i].request;
+    const int64_t budget_left = batch.items[i].deadline_abs_us - now_us;
+    for (int attempt = 0;; ++attempt) {
+      const int64_t remaining = budget_left - elapsed_us();
+      if (remaining <= 0) {
+        fate[i] = Fate::kExpired;
         break;
       }
-      ++resp.retries;
+      if (injector == nullptr || !injector->MaybeFailRequest()) {
+        EvalConfig ec;
+        ec.ways = request.ways;
+        ec.shots = request.shots;
+        ec.candidates_per_class = request.candidates_per_class;
+        ec.num_queries = request.num_queries;
+        ec.query_batch = request.query_batch;
+        ec.trials = request.trials;
+        ec.seed = request.seed;
+        ec.deadline_us = remaining;
+        configs.push_back(ec);
+        break;
+      }
+      if (attempt >= config_.max_retries) {
+        fate[i] = Fate::kExhausted;
+        break;
+      }
+      ++replies[i].retries;
       retries_counter->Add(1);
       // Exponential backoff, capped by the remaining budget so a retrying
       // request can never overstay its deadline.
-      const int64_t backoff = std::min(
-          config_.retry_backoff_us << attempt, budget - elapsed_us());
+      const int64_t backoff = std::min(config_.retry_backoff_us << attempt,
+                                       budget_left - elapsed_us());
       if (backoff > 0) {
         std::this_thread::sleep_for(std::chrono::microseconds(backoff));
       }
-      continue;
     }
-
-    EvalConfig ec;
-    ec.ways = request.ways;
-    ec.shots = request.shots;
-    ec.candidates_per_class = request.candidates_per_class;
-    ec.num_queries = request.num_queries;
-    ec.query_batch = request.query_batch;
-    ec.trials = request.trials;
-    ec.seed = request.seed;
-    ec.deadline_us = remaining;
-    ec.disable_augmenter = safe_mode;
-    ec.shared_augmenter =
-        config_.persist_tenant_cache && !safe_mode ? tenant->augmenter()
-                                                   : nullptr;
-    result = EvaluateInContext(*model_, *dataset_, ec);
-    ran = true;
-    break;
   }
 
-  int64_t degradation_events = 0;
-  if (ran) {
-    degradation_events = result.degradation.TotalEvents();
-    tenant->MergeDegradation(result.degradation);
+  // One pool scope over the packed pass and the demux, so the demux reuses
+  // the packed encode's buffers and the pool drains once, after the last
+  // reply.
+  PoolScope pool_scope;
+  BatchEvaluation eval(*model_, *dataset_, std::move(configs));
+  eval.Prepare();
+  int row = 0;
+  for (size_t i = 0; i < n; ++i) {
+    const EvalRequest& request = batch.items[i].request;
+    EvalResponse& resp = replies[i];
+    if (fate[i] != Fate::kRejected) {
+      // Stage-3 options depend on the breaker outcome of the previous
+      // request, so safe mode is resolved right before this request's
+      // demux.
+      const bool safe_mode = tenant->BeginRequestSafeMode();
+      const int64_t trips_before = tenant->breaker_trips();
+      EvalResult result;
+      result.deadline_expired = fate[i] == Fate::kExpired;
+      if (fate[i] == Fate::kPacked) {
+        BatchStage3Options options;
+        options.disable_augmenter = safe_mode;
+        options.shared_augmenter = config_.persist_tenant_cache && !safe_mode
+                                       ? tenant->augmenter()
+                                       : nullptr;
+        result = eval.FinishRequest(row++, options);
+        tenant->MergeDegradation(result.degradation);
+      }
+      const int64_t degradation_events = result.degradation.TotalEvents();
+      tenant->FinishRequest(degradation_events, fate[i] == Fate::kExhausted);
+      if (tenant->breaker_trips() > trips_before) breaker_counter->Add(1);
+      resp.degradation_events = static_cast<uint64_t>(degradation_events);
+      if (fate[i] == Fate::kExhausted) {
+        unavailable_counter->Add(1);
+        resp.status_code = static_cast<int32_t>(StatusCode::kUnavailable);
+        resp.message = "transient failures exhausted the retry budget";
+      } else if (result.deadline_expired) {
+        deadline_counter->Add(1);
+        resp.status_code =
+            static_cast<int32_t>(StatusCode::kDeadlineExceeded);
+        resp.message = "deadline of " +
+                       std::to_string(RequestBudgetUs(request, config_)) +
+                       "us expired";
+      } else {
+        resp.status_code = static_cast<int32_t>(StatusCode::kOk);
+        resp.accuracy_mean = result.accuracy_percent.mean;
+        resp.accuracy_std = result.accuracy_percent.std;
+        resp.ms_per_query = result.ms_per_query;
+      }
+    }
+    resp.server_latency_us = static_cast<uint64_t>(elapsed_us());
+    latency->Observe(static_cast<double>(resp.server_latency_us));
+    reply(i, resp);
   }
-  tenant->FinishRequest(degradation_events, exhausted_retries);
-  if (tenant->breaker_trips() > trips_before) breaker_counter->Add(1);
+}
 
-  if (exhausted_retries) {
-    unavailable_counter->Add(1);
-    resp.status_code = static_cast<int32_t>(StatusCode::kUnavailable);
-    resp.message = "transient failures exhausted the retry budget";
-  } else if (out_of_budget || (ran && result.deadline_expired)) {
-    deadline_counter->Add(1);
-    resp.status_code = static_cast<int32_t>(StatusCode::kDeadlineExceeded);
-    resp.message = "deadline of " + std::to_string(budget) + "us expired";
-  } else {
-    resp.status_code = static_cast<int32_t>(StatusCode::kOk);
-    resp.accuracy_mean = result.accuracy_percent.mean;
-    resp.accuracy_std = result.accuracy_percent.std;
-    resp.ms_per_query = result.ms_per_query;
-  }
-  resp.degradation_events = static_cast<uint64_t>(degradation_events);
-  resp.server_latency_us = static_cast<uint64_t>(sw.ElapsedMicros());
-  latency->Observe(static_cast<double>(sw.ElapsedMicros()));
-  return resp;
+EvalResponse PromptServer::Handle(const EvalRequest& request) {
+  MicroBatch batch;
+  batch.tenant = request.tenant;
+  BatchItem& item = batch.items.emplace_back();
+  item.request = request;
+  // The budget starts now, on a clock that reads 0 at the call.
+  item.deadline_abs_us = RequestBudgetUs(request, config_);
+  EvalResponse response;
+  ServeBatch(batch, /*now_us=*/0,
+             [&response](size_t, const EvalResponse& r) { response = r; });
+  return response;
 }
 
 // ------------------------------------------------------------ pipe mode
@@ -410,35 +463,28 @@ void PromptServer::ConnectionLoop(std::shared_ptr<Connection> conn) {
       (void)WriteResponse(&conn->stream, &conn->write_mu, resp);
       continue;
     }
+    const uint64_t request_id = request_or->request_id;
+    bool admitted = false;
     if (batcher_ != nullptr) {
       BatchItem bi;
       bi.request = *std::move(request_or);
       bi.context = conn;
-      const uint64_t request_id = bi.request.request_id;
       // The deadline budget starts at admission: time spent coalescing in
-      // the batch queue counts against it, exactly as queue wait inside
-      // Handle's retry loop would.
+      // the batch queue counts against it.
       bi.deadline_abs_us =
           batcher_->NowMicros() + RequestBudgetUs(bi.request, config_);
       // Fault-carrying requests are barriers: the injector's draw stream is
-      // order-dependent, so they flush alone and take the full
-      // single-request path (core/batch_eval.h).
+      // order-dependent, so they flush as batches of one
+      // (core/batch_eval.h).
       bi.barrier = !bi.request.fault_spec.empty();
-      if (!batcher_->Enqueue(std::move(bi))) {
-        shed->Add(1);
-        EvalResponse resp;
-        resp.request_id = request_id;
-        resp.status_code = static_cast<int32_t>(StatusCode::kUnavailable);
-        resp.message = "server overloaded: admission queue full";
-        (void)WriteResponse(&conn->stream, &conn->write_mu, resp);
-      }
-      continue;
+      admitted = batcher_->Enqueue(std::move(bi));
+    } else {
+      WorkItem item;
+      item.request = *std::move(request_or);
+      item.conn = conn;
+      admitted = queue_->TryPush(std::move(item));
     }
-    WorkItem item;
-    item.request = *std::move(request_or);
-    item.conn = conn;
-    const uint64_t request_id = item.request.request_id;
-    if (!queue_->TryPush(std::move(item))) {
+    if (!admitted) {
       // Admission control: the queue is full, shed immediately instead of
       // buffering unboundedly and blowing every queued deadline.
       shed->Add(1);
@@ -453,159 +499,26 @@ void PromptServer::ConnectionLoop(std::shared_ptr<Connection> conn) {
 
 // ------------------------------------------------------------ batching
 
-namespace {
-// eval_index sentinels: items answered without a packed evaluation.
-constexpr int kBarrierItem = -1;  // fault-carrying; full Handle() path
-constexpr int kEarlyItem = -2;    // rejected during assembly (invalid ways)
-}  // namespace
-
-struct PromptServer::BatchInFlight {
-  MicroBatch batch;
-  // Per item: index into the BatchEvaluation's request list, or a sentinel.
-  std::vector<int> eval_index;
-  std::vector<EvalResponse> early;  // filled for kEarlyItem slots
-  std::unique_ptr<BatchEvaluation> eval;
-  Stopwatch sw;  // assembly start; feeds server_latency_us + latency hist
-};
-
-std::unique_ptr<PromptServer::BatchInFlight> PromptServer::AssembleBatch(
-    MicroBatch batch) {
-  static Counter* requests = Telemetry().GetCounter("serve/requests");
-
-  auto work = std::make_unique<BatchInFlight>();
-  work->batch = std::move(batch);
-  const size_t n = work->batch.items.size();
-  work->eval_index.assign(n, kBarrierItem);
-  work->early.resize(n);
-
-  std::vector<EvalConfig> configs;
-  configs.reserve(n);
-  const int64_t now_us = batcher_->NowMicros();
-  for (size_t i = 0; i < n; ++i) {
-    const BatchItem& item = work->batch.items[i];
-    const EvalRequest& request = item.request;
-    if (item.barrier) continue;  // Handle() does its own accounting
-    requests->Add(1);
-    if (request.ways > dataset_->num_classes) {
-      EvalResponse& resp = work->early[i];
-      resp.request_id = request.request_id;
-      resp.status_code = static_cast<int32_t>(StatusCode::kInvalidArgument);
-      resp.message = "request ways " + std::to_string(request.ways) +
-                     " exceeds dataset classes (" +
-                     std::to_string(dataset_->num_classes) + ")";
-      work->eval_index[i] = kEarlyItem;
-      continue;
-    }
-    EvalConfig ec;
-    ec.ways = request.ways;
-    ec.shots = request.shots;
-    ec.candidates_per_class = request.candidates_per_class;
-    ec.num_queries = request.num_queries;
-    ec.query_batch = request.query_batch;
-    ec.trials = request.trials;
-    ec.seed = request.seed;
-    // Remaining budget after coalescing. An already-expired request still
-    // enters the evaluation with a 1us budget so its tenant accounting
-    // (safe-mode draw, FinishRequest) matches the single-request path,
-    // which also runs the full tenant sequence before reporting expiry.
-    ec.deadline_us = std::max<int64_t>(1, item.deadline_abs_us - now_us);
-    // disable_augmenter / shared_augmenter stay unset here: stage-3 options
-    // depend on the breaker outcome of the previous request in the batch,
-    // so ConsumeBatch resolves them per request under the tenant lock.
-    work->eval_index[i] = static_cast<int>(configs.size());
-    configs.push_back(ec);
-  }
-
-  if (!configs.empty()) {
-    work->eval = std::make_unique<BatchEvaluation>(*model_, *dataset_,
-                                                   std::move(configs));
-  }
-  return work;
-}
-
-void PromptServer::ConsumeBatch(BatchInFlight* work) {
-  static Counter* deadline_counter =
-      Telemetry().GetCounter("serve/deadline_exceeded");
-  static Counter* breaker_counter =
-      Telemetry().GetCounter("serve/breaker_trips");
-  static Histogram* latency = Telemetry().GetHistogram(
-      "serve/latency_us", LatencyBucketBoundsUs());
-
-  for (size_t i = 0; i < work->batch.items.size(); ++i) {
-    const BatchItem& item = work->batch.items[i];
-    EvalResponse resp;
-    if (work->eval_index[i] == kBarrierItem) {
-      resp = Handle(item.request);
-    } else if (work->eval_index[i] == kEarlyItem) {
-      resp = std::move(work->early[i]);
-      latency->Observe(static_cast<double>(work->sw.ElapsedMicros()));
-    } else {
-      const EvalRequest& request = item.request;
-      resp.request_id = request.request_id;
-      TenantState* tenant = GetOrCreateTenant(request.tenant);
-      std::lock_guard<std::mutex> lock(tenant->mu());
-      // Batched requests never carry a fault spec; the empty spec clears
-      // any injector a previous chaos request left on this tenant, exactly
-      // as the single-request path would.
-      (void)tenant->ConfigureFaults("");
-      const bool safe_mode = tenant->BeginRequestSafeMode();
-      const int64_t trips_before = tenant->breaker_trips();
-      ScopedThreadFaultInjector scoped(tenant->fault_injector());
-      BatchStage3Options options;
-      options.disable_augmenter = safe_mode;
-      options.shared_augmenter = config_.persist_tenant_cache && !safe_mode
-                                     ? tenant->augmenter()
-                                     : nullptr;
-      EvalResult result = work->eval->FinishRequest(work->eval_index[i],
-                                                    options);
-      const int64_t degradation_events = result.degradation.TotalEvents();
-      tenant->MergeDegradation(result.degradation);
-      tenant->FinishRequest(degradation_events, /*exhausted_retries=*/false);
-      if (tenant->breaker_trips() > trips_before) breaker_counter->Add(1);
-      if (result.deadline_expired) {
-        deadline_counter->Add(1);
-        resp.status_code = static_cast<int32_t>(StatusCode::kDeadlineExceeded);
-        resp.message = "deadline of " +
-                       std::to_string(RequestBudgetUs(request, config_)) +
-                       "us expired";
-      } else {
-        resp.status_code = static_cast<int32_t>(StatusCode::kOk);
-        resp.accuracy_mean = result.accuracy_percent.mean;
-        resp.accuracy_std = result.accuracy_percent.std;
-        resp.ms_per_query = result.ms_per_query;
-      }
-      resp.degradation_events = static_cast<uint64_t>(degradation_events);
-      resp.server_latency_us = static_cast<uint64_t>(work->sw.ElapsedMicros());
-      latency->Observe(static_cast<double>(work->sw.ElapsedMicros()));
-    }
-    auto* conn = static_cast<Connection*>(item.context.get());
-    if (conn != nullptr) {
-      const Status write_status =
-          WriteResponse(&conn->stream, &conn->write_mu, resp);
-      if (!write_status.ok()) {
-        LOG(WARNING) << "serve: batched response write failed: "
-                     << write_status.ToString();
-      }
-    }
-  }
-}
-
 void PromptServer::BatchWorkerLoop() {
   MicroBatch batch;
   while (batcher_->NextBatch(&batch)) {
-    const std::unique_ptr<BatchInFlight> work = AssembleBatch(std::move(batch));
-    if (work->eval != nullptr) {
-      // Clean batches only (fault requests are barriers): pin a null
-      // injector so a process-global injector cannot leak into the packed
-      // pass.
-      ScopedThreadFaultInjector scoped(nullptr);
-      work->eval->Prepare();
-    }
-    ConsumeBatch(work.get());
-    // Wall time of this batch from assembly through demux: the signal the
+    Stopwatch sw;
+    int64_t cost_us = 0;
+    ServeBatch(batch, batcher_->NowMicros(),
+               [&](size_t i, const EvalResponse& resp) {
+                 auto* conn =
+                     static_cast<Connection*>(batch.items[i].context.get());
+                 const Status write_status =
+                     WriteResponse(&conn->stream, &conn->write_mu, resp);
+                 if (!write_status.ok()) {
+                   LOG(WARNING) << "serve: batched response write failed: "
+                                << write_status.ToString();
+                 }
+                 cost_us = sw.ElapsedMicros();
+               });
+    // Wall time of this batch through its last reply: the signal the
     // deadline-risk flush rule needs.
-    batcher_->ReportBatchCost(work->sw.ElapsedMicros(),
-                              static_cast<int>(work->batch.items.size()));
+    batcher_->ReportBatchCost(cost_us, static_cast<int>(batch.items.size()));
   }
 }
 
@@ -641,24 +554,25 @@ Status PromptServer::ServeUnixSocket(const std::string& path) {
     ::close(listen_fd);
     return InternalError("listen failed: " + err);
   }
-  LOG(INFO) << "serve: listening on " << path << " with " << config_.workers
-            << " workers"
+  const int workers = std::max(1, config_.workers);
+  LOG(INFO) << "serve: listening on " << path
             << (batcher_ != nullptr
-                    ? ", batching window " +
+                    ? " with one batch worker, batching window " +
                           std::to_string(config_.batch_window_us) + "us max " +
                           std::to_string(config_.batch_max)
-                    : std::string(", batching off"));
+                    : " with " + std::to_string(workers) +
+                          " workers, batching off");
 
-  std::vector<std::thread> workers;
-  workers.reserve(static_cast<size_t>(std::max(1, config_.workers)));
-  for (int w = 0; w < std::max(1, config_.workers); ++w) {
-    workers.emplace_back([this] { WorkerLoop(); });
-  }
-  // One batch worker drives every micro-batch, one batch at a time (demux
-  // must serialize per batch anyway).
-  std::thread batch_worker;
+  // With batching on, one batch worker serves every micro-batch, one batch
+  // at a time (the demux must serialize per batch anyway); otherwise the
+  // worker pool drains the admission queue.
+  std::vector<std::thread> threads;
   if (batcher_ != nullptr) {
-    batch_worker = std::thread([this] { BatchWorkerLoop(); });
+    threads.emplace_back([this] { BatchWorkerLoop(); });
+  } else {
+    for (int w = 0; w < workers; ++w) {
+      threads.emplace_back([this] { WorkerLoop(); });
+    }
   }
 
   std::vector<std::thread> readers;
@@ -685,19 +599,18 @@ Status PromptServer::ServeUnixSocket(const std::string& path) {
   }
 
   // Graceful drain: stop accepting, unblock connection readers (their
-  // polls see the drain pipe), let the workers finish everything already
-  // admitted, then shut the queue down.
+  // polls see the drain pipe), then close the dispatcher: the workers
+  // finish everything already admitted (a closed batcher flushes every
+  // remaining queue at once) and exit.
   ::close(listen_fd);
   ::unlink(path.c_str());
   for (std::thread& t : readers) t.join();
-  queue_->Close();
-  for (std::thread& t : workers) t.join();
   if (batcher_ != nullptr) {
-    // Close() turns every remaining queue into an immediate kDrain flush;
-    // the batch worker evaluates them, answers, and exits.
     batcher_->Close();
-    if (batch_worker.joinable()) batch_worker.join();
+  } else {
+    queue_->Close();
   }
+  for (std::thread& t : threads) t.join();
   LOG(INFO) << "serve: drained, " << readers.size()
             << " connections closed";
   return Status::Ok();

@@ -2,13 +2,20 @@
 //
 // A PromptServer wraps a loaded GraphPrompterModel + dataset and answers
 // EvaluateInContext requests over the framed protocol (serve/frame.h).
-// Two transports:
-//   - ServePipe: single-threaded loop over a ByteStream pair. Fully
-//     deterministic — the replay tests prove a piped request log produces
-//     bitwise-identical results to calling EvaluateInContext directly.
-//   - ServeUnixSocket: accept loop + per-connection reader threads + a
-//     bounded admission queue drained by worker threads. SIGTERM-style
-//     graceful drain via RequestDrain() (signal-safe).
+// One private function, ServeBatch, evaluates every served request: it
+// answers one tenant's requests in admission order through one packed
+// BatchEvaluation (core/batch_eval.h), and Handle is a batch of one. Two
+// transports:
+//   - ServePipe: single-threaded loop over a ByteStream pair, one Handle
+//     per request. Fully deterministic — the replay tests prove a piped
+//     request log produces bitwise-identical results to calling
+//     EvaluateInContext directly.
+//   - ServeUnixSocket: accept loop + per-connection reader threads feeding
+//     one dispatcher. With batching off, a bounded admission queue drained
+//     by worker threads that call Handle; with batching on, per-tenant
+//     queues (serve/batcher.h) whose micro-batches one batch worker
+//     serves, a batch at a time. SIGTERM-style graceful drain via
+//     RequestDrain() (signal-safe).
 //
 // Robustness layers, outermost first:
 //   framing     torn/truncated/oversized/corrupt frames are rejected with
@@ -16,28 +23,31 @@
 //   admission   a full queue sheds the request immediately with
 //               kUnavailable (serve/shed) instead of queueing unboundedly
 //   deadlines   every request carries a budget (client value or server
-//               default); it is checked before work starts, at retry
-//               boundaries, and inside EvaluateInContext at stage
-//               boundaries (EvalConfig::deadline_us)
+//               default), which starts when Handle is called or when a
+//               socket reader admits the request; it is checked before
+//               the packed pass, at retry boundaries, and inside
+//               evaluation at stage boundaries (EvalConfig::deadline_us).
+//               A request whose budget is spent before the pass stays out
+//               of it and is answered kDeadlineExceeded
 //   retries     transient failures (injected via serve_fail) back off
-//               exponentially, capped by the remaining budget
+//               exponentially before the packed pass, capped by the
+//               remaining budget
 //   breakers    each tenant's circuit breaker (serve/tenant.h) degrades
 //               only that tenant to safe mode; fault injection is scoped
 //               per tenant, so chaos traffic cannot bleed across tenants
 //
-// Micro-batching (socket mode, opt-in via batch_window_us > 0): admitted
-// clean requests coalesce in per-tenant queues (serve/batcher.h) and run
-// through one packed BatchEvaluation pass (core/batch_eval.h), which one
-// batch worker runs a batch at a time. Every batched reply is bitwise
-// identical to the single-request path (DESIGN.md §11); fault-carrying
-// requests are barriers and take the full single-request path. A
-// kMetricsRequest frame is answered inline by the connection reader with a
-// deterministic JSON telemetry snapshot, bypassing admission.
+// Every reply is bitwise identical to the same request served alone
+// (DESIGN.md §11). Fault-carrying requests are barriers: they always come
+// as batches of one, because the injector draws in packed stage order, so
+// only they retry. A kMetricsRequest frame is answered inline by the
+// connection reader with a deterministic JSON telemetry snapshot,
+// bypassing admission.
 
 #ifndef GRAPHPROMPTER_SERVE_SERVER_H_
 #define GRAPHPROMPTER_SERVE_SERVER_H_
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -55,9 +65,10 @@
 namespace gp {
 
 struct ServeConfig {
+  // Threads serving the admission queue when batching is off.
   int workers = 2;
-  // Admission queue bound: requests beyond this are shed with
-  // kUnavailable rather than queued.
+  // Admission bound (the queue, or the batcher's queues together):
+  // requests beyond it are shed with kUnavailable rather than queued.
   int queue_capacity = 16;
   uint32_t max_frame_bytes = kDefaultMaxFrameBytes;
   // Budget for requests that do not carry their own deadline.
@@ -74,17 +85,15 @@ struct ServeConfig {
   // When true (default) each tenant keeps its augmenter cache warm across
   // requests; false falls back to a fresh per-request augmenter.
   bool persist_tenant_cache = true;
-  // Cross-request micro-batching (socket mode). <= 0 keeps batching off and
-  // every request on the single-request worker path. When > 0, admitted
-  // clean requests coalesce per tenant for up to batch_window_us — or until
-  // batch_max are queued, or the soonest deadline is at risk — and evaluate
-  // through one packed EvaluateInContextBatch pass. Time spent coalescing
+  // Cross-request micro-batching (socket mode). <= 0 keeps batching off:
+  // the worker pool serves requests one at a time. When > 0, one batch
+  // worker serves every admitted request: clean requests coalesce per
+  // tenant for up to batch_window_us — or until batch_max are queued, or
+  // the soonest deadline is at risk — and evaluate through one packed
+  // pass, while fault-carrying requests flush alone. Time spent coalescing
   // counts against each request's deadline budget.
   int64_t batch_window_us = 0;
   int batch_max = 8;
-  // Initial per-request cost estimate seeding the deadline-risk flush rule
-  // (refined at runtime by an EWMA of observed batch cost).
-  int64_t batch_est_cost_us = 2000;
   uint64_t seed = 1;
 };
 
@@ -98,9 +107,10 @@ class PromptServer {
   PromptServer(const PromptServer&) = delete;
   PromptServer& operator=(const PromptServer&) = delete;
 
-  // Processes one decoded request synchronously: tenant lookup, breaker,
-  // fault scoping, deadline + retry discipline, evaluation, accounting.
-  // Never fails — errors become the response's status_code.
+  // Serves one decoded request synchronously, as a batch of one: tenant
+  // lookup, fault scoping, deadline + retry discipline, evaluation,
+  // breaker accounting. Its budget starts at the call. Never fails —
+  // errors become the response's status_code.
   EvalResponse Handle(const EvalRequest& request);
 
   // Single-threaded serving loop: reads frames from `in`, writes responses
@@ -111,6 +121,7 @@ class PromptServer {
 
   // Binds `path`, accepts connections, and serves until RequestDrain().
   // Each connection gets a reader thread; requests funnel through the
+  // batcher into the batch worker, or with batching off through the
   // bounded admission queue into the worker pool. Returns after the drain
   // completes: in-flight requests finished, telemetry flushed.
   Status ServeUnixSocket(const std::string& path);
@@ -131,27 +142,30 @@ class PromptServer {
   };
   std::vector<TenantSnapshot> SnapshotTenants();
 
-  const ServeConfig& config() const { return config_; }
-
  private:
   struct Connection;
   struct WorkItem;
   class BoundedQueue;
-  struct BatchInFlight;
+
+  // Receives each reply of a batch, with the request's index in it.
+  using ReplyFn = std::function<void(size_t, const EvalResponse&)>;
+
+  // Answers one tenant's requests in admission order through one
+  // BatchEvaluation: the one place every served request is evaluated.
+  // Holds the tenant lock, one fault-injector scope and one PoolScope
+  // throughout, and hands each reply to `reply`, in admission order, as
+  // soon as it is ready; `reply` runs under the tenant lock. Each item's
+  // deadline_abs_us is on a clock that reads `now_us` at the call. A
+  // fault-carrying request must come as a batch of one.
+  void ServeBatch(const MicroBatch& batch, int64_t now_us,
+                  const ReplyFn& reply);
 
   TenantState* GetOrCreateTenant(const std::string& name);
   void WorkerLoop();
+  void BatchWorkerLoop();
   void ConnectionLoop(std::shared_ptr<Connection> conn);
   static Status WriteResponse(ByteStream* stream, std::mutex* write_mu,
                               const EvalResponse& response);
-
-  // Micro-batch execution: AssembleBatch builds the packed BatchEvaluation
-  // for a flushed batch; ConsumeBatch demuxes results per request in
-  // admission order under the tenant lock. BatchWorkerLoop takes one batch
-  // at a time through assembly, Prepare() and ConsumeBatch.
-  std::unique_ptr<BatchInFlight> AssembleBatch(MicroBatch batch);
-  void ConsumeBatch(BatchInFlight* work);
-  void BatchWorkerLoop();
 
   const GraphPrompterModel* model_;
   const DatasetBundle* dataset_;
@@ -160,8 +174,9 @@ class PromptServer {
   std::mutex tenants_mu_;
   std::map<std::string, std::unique_ptr<TenantState>> tenants_;
 
+  // Exactly one is non-null: the batcher iff batching is enabled.
   std::unique_ptr<BoundedQueue> queue_;
-  std::unique_ptr<MicroBatcher> batcher_;  // non-null iff batching enabled
+  std::unique_ptr<MicroBatcher> batcher_;
   int drain_pipe_[2] = {-1, -1};
 };
 

@@ -21,7 +21,9 @@
 //   --batch-window-us=N  coalesce admitted requests per tenant for up to
 //                        N microseconds and run them as one packed batch;
 //                        0 (default) disables batching. Falls back to the
-//                        GP_BATCH_WINDOW_US environment variable.
+//                        GP_BATCH_WINDOW_US environment variable. With
+//                        batching on, one batch worker serves every
+//                        request and --workers goes unused.
 //   --batch-max=N        batch size cap (default 8; env GP_BATCH_MAX)
 //   --pretrain-steps=N   pretrain when no checkpoint is given (default 0)
 //   --telemetry=PATH     write a telemetry snapshot on exit
