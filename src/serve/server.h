@@ -11,11 +11,10 @@
 //     request log produces bitwise-identical results to calling
 //     EvaluateInContext directly.
 //   - ServeUnixSocket: accept loop + per-connection reader threads feeding
-//     one dispatcher. With batching off, a bounded admission queue drained
-//     by worker threads that call Handle; with batching on, per-tenant
-//     queues (serve/batcher.h) whose micro-batches one batch worker
-//     serves, a batch at a time. SIGTERM-style graceful drain via
-//     RequestDrain() (signal-safe).
+//     one dispatcher: a bounded admission queue drained by worker threads
+//     that call Handle, or with batching on the per-tenant queues of
+//     serve/batcher.h, whose micro-batches one batch worker serves.
+//     SIGTERM-style graceful drain via RequestDrain() (signal-safe).
 //
 // Robustness layers, outermost first:
 //   framing     torn/truncated/oversized/corrupt frames are rejected with
@@ -23,25 +22,19 @@
 //   admission   a full queue sheds the request immediately with
 //               kUnavailable (serve/shed) instead of queueing unboundedly
 //   deadlines   every request carries a budget (client value or server
-//               default), which starts when Handle is called or when a
-//               socket reader admits the request; it is checked before
-//               the packed pass, at retry boundaries, and inside
-//               evaluation at stage boundaries (EvalConfig::deadline_us).
-//               A request whose budget is spent before the pass stays out
-//               of it and is answered kDeadlineExceeded
+//               default) from admission or the Handle call; it is checked
+//               before the packed pass, at retry boundaries, and inside
+//               evaluation at stage boundaries (EvalConfig::deadline_us)
 //   retries     transient failures (injected via serve_fail) back off
-//               exponentially before the packed pass, capped by the
-//               remaining budget
+//               exponentially, capped by the remaining budget
 //   breakers    each tenant's circuit breaker (serve/tenant.h) degrades
 //               only that tenant to safe mode; fault injection is scoped
 //               per tenant, so chaos traffic cannot bleed across tenants
 //
-// Every reply is bitwise identical to the same request served alone
-// (DESIGN.md §11). Fault-carrying requests are barriers: they always come
-// as batches of one, because the injector draws in packed stage order, so
-// only they retry. A kMetricsRequest frame is answered inline by the
-// connection reader with a deterministic JSON telemetry snapshot,
-// bypassing admission.
+// Every batched reply is bitwise identical to the same request served
+// alone (DESIGN.md §11); fault-carrying requests are barriers, batches of
+// one. A kMetricsRequest frame is answered inline by the connection reader
+// with a deterministic JSON telemetry snapshot, bypassing admission.
 
 #ifndef GRAPHPROMPTER_SERVE_SERVER_H_
 #define GRAPHPROMPTER_SERVE_SERVER_H_

@@ -1,5 +1,5 @@
 // A fixed multi-tenant request log that walks the serving daemon through
-// every reply path it has:
+// every reply path that does not depend on timing:
 //   - "clean": plain requests, which a batching server packs together,
 //     and one episode wider than the dataset (kInvalidArgument);
 //   - "chaos": corrupted embeddings and a poisoned augmenter cache trip
@@ -8,11 +8,11 @@
 //     and a malformed fault spec is rejected after that;
 //   - "flaky": transient failures that exhaust the retry budget and that
 //     recover through retries, then a clean request.
-// Every request carries a generous deadline, so no reply depends on
-// timing. golden_eval_test pins the pipe-mode replies and tenant
-// snapshots (tests/golden/serve_replies.golden); serve_batch_test replays
-// the log through a batching socket server and requires the same replies
-// and snapshots.
+// Every request carries a generous deadline, so none expires.
+// golden_eval_test pins the pipe-mode replies and tenant snapshots
+// (tests/golden/serve_replies.golden); serve_batch_test replays the log
+// through a batching socket server and requires the same replies and
+// snapshots.
 
 #ifndef GRAPHPROMPTER_TESTS_SERVE_CHAOS_LOG_H_
 #define GRAPHPROMPTER_TESTS_SERVE_CHAOS_LOG_H_
