@@ -38,25 +38,10 @@ Status TenantState::ConfigureFaults(const std::string& fault_spec) {
 
 bool TenantState::BeginRequestSafeMode() {
   ++requests_;
-  switch (breaker_state_) {
-    case BreakerState::kClosed:
-      return false;
-    case BreakerState::kOpen:
-      ++safe_mode_requests_;
-      if (--cooldown_remaining_ <= 0) {
-        // The *next* request is the half-open probe; this one still runs
-        // safe so the transition is observable in order.
-        breaker_state_ = BreakerState::kHalfOpen;
-        LOG(INFO) << "tenant " << name_
-                  << ": breaker cooled down, half-open (next request probes "
-                     "the full pipeline)";
-      }
-      return true;
-    case BreakerState::kHalfOpen:
-      // The probe runs the full pipeline.
-      return false;
-  }
-  return false;
+  // Closed traffic and the half-open probe run the full pipeline.
+  if (breaker_state_ != BreakerState::kOpen) return false;
+  ++safe_mode_requests_;
+  return true;
 }
 
 void TenantState::TripBreaker() {
@@ -86,7 +71,14 @@ void TenantState::FinishRequest(int64_t degradation_events,
       }
       break;
     case BreakerState::kOpen:
-      // Safe-mode outcomes carry no signal about upstream health.
+      // Safe-mode outcomes carry no signal about upstream health; each one
+      // only counts down the cooldown.
+      if (--cooldown_remaining_ <= 0) {
+        breaker_state_ = BreakerState::kHalfOpen;
+        LOG(INFO) << "tenant " << name_
+                  << ": breaker cooled down, half-open (next request probes "
+                     "the full pipeline)";
+      }
       break;
     case BreakerState::kHalfOpen:
       if (degraded) {

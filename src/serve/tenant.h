@@ -62,12 +62,14 @@ class TenantState {
   // ScopedThreadFaultInjector around the evaluation call.
   FaultInjector* fault_injector() { return fault_injector_.get(); }
 
-  // True when this request must run in safe mode (breaker open). Also
-  // advances Open -> HalfOpen bookkeeping.
+  // True when this request must run in safe mode (breaker open); counts
+  // the request, and a safe-mode one.
   bool BeginRequestSafeMode();
 
   // Feeds the request outcome (degradation events charged to the tenant
-  // plus whether the request exhausted retries) into the breaker.
+  // plus whether the request exhausted retries) into the breaker. While
+  // the breaker is open each request counts down the cooldown instead,
+  // and the last one half-opens it, so the next request is the probe.
   void FinishRequest(int64_t degradation_events, bool exhausted_retries);
 
   // Accumulated counters, under mu().

@@ -4,8 +4,9 @@
 //     and one episode wider than the dataset (kInvalidArgument);
 //   - "chaos": corrupted embeddings and a poisoned augmenter cache trip
 //     the tenant's circuit breaker; it cools down through safe-mode
-//     requests, re-trips on a corrupted one, cools down again and closes,
-//     and a malformed fault spec is rejected after that;
+//     requests, a corrupted half-open probe re-trips it, it cools down
+//     again, a malformed fault spec is rejected, and a clean probe closes
+//     it;
 //   - "flaky": transient failures that exhaust the retry budget and that
 //     recover through retries, then a clean request.
 // Every request carries a generous deadline, so none expires.
@@ -81,16 +82,16 @@ inline std::vector<EvalRequest> ChaosLog(int num_classes) {
       ChaosLogRequest("flaky", 5, "serve_fail=1,seed=4"),
       ChaosLogRequest("chaos", 6),  // safe mode
       ChaosLogRequest("clean", 7),
-      ChaosLogRequest("chaos", 8, corrupt),  // safe mode, degraded: re-trips
+      ChaosLogRequest("chaos", 8, corrupt),  // safe mode: half-opens
       ChaosLogRequest("flaky", 9, "serve_fail=0.5,seed=5"),
-      ChaosLogRequest("chaos", 10),  // safe mode
+      ChaosLogRequest("chaos", 10, corrupt),  // probe, degraded: re-trips
       too_wide,
-      ChaosLogRequest("chaos", 12),  // safe mode, clean: closes
+      ChaosLogRequest("chaos", 12),  // safe mode
       ChaosLogRequest("clean", 13),
-      ChaosLogRequest("chaos", 14, corrupt),
+      ChaosLogRequest("chaos", 14, corrupt),  // safe mode: half-opens
       ChaosLogRequest("chaos", 15, "no_such_fault=1"),  // rejected
       ChaosLogRequest("flaky", 16, "serve_fail=0.5,seed=5"),
-      ChaosLogRequest("chaos", 17),
+      ChaosLogRequest("chaos", 17),  // probe, clean: closes
       ChaosLogRequest("clean", 18),
       ChaosLogRequest("chaos", 19),
       ChaosLogRequest("flaky", 20),

@@ -228,6 +228,43 @@ TEST_F(ServeServerTest, BreakerTripsIntoSafeModeAndRecovers) {
   EXPECT_GE(tenants[0].safe_mode_requests, 2);
 }
 
+// The request after the last cooldown request is the half-open probe: it
+// runs the full pipeline, and a degraded probe re-trips the breaker.
+TEST_F(ServeServerTest, BreakerProbeRunsAfterCooldown) {
+  ServeConfig sc;
+  sc.breaker.trip_threshold = 2;
+  sc.breaker.cooldown_requests = 2;
+  PromptServer server(&model_, &dataset_, sc);
+  const std::string corrupt = "embed_nan=0.9,seed=6";
+  auto serve = [&server](uint64_t id, const std::string& fault_spec) {
+    EvalRequest req = TinyRequest("probed", id);
+    req.fault_spec = fault_spec;
+    return server.Handle(req);
+  };
+  auto tenant = [&server] {
+    const auto tenants = server.SnapshotTenants();
+    EXPECT_EQ(tenants.size(), 1u);
+    return tenants.at(0);
+  };
+
+  for (uint64_t id = 1; id <= 2; ++id) {
+    EXPECT_GT(serve(id, corrupt).degradation_events, 0u) << "request " << id;
+  }
+  EXPECT_EQ(tenant().breaker_state, BreakerState::kOpen);
+  for (uint64_t id = 3; id <= 4; ++id) {
+    EXPECT_EQ(serve(id, "").status_code,
+              static_cast<int32_t>(StatusCode::kOk));
+  }
+  EXPECT_EQ(tenant().safe_mode_requests, 2);
+  EXPECT_EQ(tenant().breaker_state, BreakerState::kHalfOpen);
+
+  // The probe is not a safe-mode request, and its degradation re-trips.
+  EXPECT_GT(serve(5, corrupt).degradation_events, 0u);
+  EXPECT_EQ(tenant().safe_mode_requests, 2);
+  EXPECT_EQ(tenant().breaker_trips, 2);
+  EXPECT_EQ(tenant().breaker_state, BreakerState::kOpen);
+}
+
 TEST_F(ServeServerTest, ChaosTenantNeverBleedsIntoCleanTenants) {
   PromptServer server(&model_, &dataset_, ServeConfig());
   // Interleave a heavily faulted tenant with two clean ones.
