@@ -11,8 +11,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
-#include <condition_variable>
-#include <deque>
 #include <functional>
 #include <thread>
 #include <vector>
@@ -42,6 +40,17 @@ int64_t RequestBudgetUs(const EvalRequest& request, const ServeConfig& config) {
                                  : config.default_deadline_us;
 }
 
+// The batcher admits every socket request. Batching off is a batch cap of
+// one with no window; batching on coalesces each tenant's clean requests.
+MicroBatcherOptions AdmissionOptions(const ServeConfig& config) {
+  const bool batching = config.batch_window_us > 0;
+  MicroBatcherOptions options;
+  options.window_us = batching ? config.batch_window_us : 0;
+  options.max_batch = batching ? std::max(1, config.batch_max) : 1;
+  options.capacity = std::max(1, config.queue_capacity);
+  return options;
+}
+
 // Hands the memory that set-up (dataset build, pretraining) freed back to
 // the OS before serving starts. glibc keeps freed memory resident in its
 // heap, and how much depends on heap layout, so without this a daemon's
@@ -60,71 +69,14 @@ struct PromptServer::Connection {
   std::mutex write_mu;
 };
 
-struct PromptServer::WorkItem {
-  EvalRequest request;
-  std::shared_ptr<Connection> conn;
-};
-
-// Mutex+cv bounded MPMC queue. TryPush never blocks: a full queue is the
-// admission-control signal, not a place to wait.
-class PromptServer::BoundedQueue {
- public:
-  explicit BoundedQueue(size_t capacity) : capacity_(capacity) {}
-
-  bool TryPush(WorkItem item) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (closed_ || items_.size() >= capacity_) return false;
-      items_.push_back(std::move(item));
-    }
-    cv_.notify_one();
-    return true;
-  }
-
-  // Blocks until an item is available or the queue is closed and drained.
-  bool Pop(WorkItem* out) {
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait(lock, [this] { return closed_ || !items_.empty(); });
-    if (items_.empty()) return false;
-    *out = std::move(items_.front());
-    items_.pop_front();
-    return true;
-  }
-
-  void Close() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      closed_ = true;
-    }
-    cv_.notify_all();
-  }
-
- private:
-  const size_t capacity_;
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::deque<WorkItem> items_;
-  bool closed_ = false;
-};
-
 PromptServer::PromptServer(const GraphPrompterModel* model,
                            const DatasetBundle* dataset,
                            const ServeConfig& config)
-    : model_(model), dataset_(dataset), config_(config) {
+    : model_(model),
+      dataset_(dataset),
+      config_(config),
+      batcher_(AdmissionOptions(config)) {
   ReturnFreedMemory();
-  // One dispatcher admits socket requests: the batcher when batching is
-  // on, else the bounded queue in front of the worker pool. Both take the
-  // same capacity and shed semantics.
-  const int capacity = std::max(1, config_.queue_capacity);
-  if (config_.batch_window_us > 0) {
-    MicroBatcherOptions bo;
-    bo.window_us = config_.batch_window_us;
-    bo.max_batch = std::max(1, config_.batch_max);
-    bo.capacity = capacity;
-    batcher_ = std::make_unique<MicroBatcher>(bo);
-  } else {
-    queue_ = std::make_unique<BoundedQueue>(static_cast<size_t>(capacity));
-  }
   if (::pipe(drain_pipe_) != 0) {
     LOG(WARNING) << "serve: drain pipe unavailable: " << ::strerror(errno);
     drain_pipe_[0] = drain_pipe_[1] = -1;
@@ -406,20 +358,6 @@ Status PromptServer::WriteResponse(ByteStream* stream, std::mutex* write_mu,
   return WriteFrame(stream, frame);
 }
 
-void PromptServer::WorkerLoop() {
-  WorkItem item;
-  while (queue_->Pop(&item)) {
-    const EvalResponse resp = Handle(item.request);
-    const Status write_status =
-        WriteResponse(&item.conn->stream, &item.conn->write_mu, resp);
-    if (!write_status.ok()) {
-      // The client is gone; the work is done and accounted, just undeliverable.
-      LOG(WARNING) << "serve: response write failed: "
-                   << write_status.ToString();
-    }
-  }
-}
-
 void PromptServer::ConnectionLoop(std::shared_ptr<Connection> conn) {
   static Counter* frames_rejected =
       Telemetry().GetCounter("serve/frames_rejected");
@@ -464,29 +402,19 @@ void PromptServer::ConnectionLoop(std::shared_ptr<Connection> conn) {
       continue;
     }
     const uint64_t request_id = request_or->request_id;
-    bool admitted = false;
-    if (batcher_ != nullptr) {
-      BatchItem bi;
-      bi.request = *std::move(request_or);
-      bi.context = conn;
-      // The deadline budget starts at admission: time spent coalescing in
-      // the batch queue counts against it.
-      bi.deadline_abs_us =
-          batcher_->NowMicros() + RequestBudgetUs(bi.request, config_);
-      // Fault-carrying requests are barriers: the injector's draw stream is
-      // order-dependent, so they flush as batches of one
-      // (core/batch_eval.h).
-      bi.barrier = !bi.request.fault_spec.empty();
-      admitted = batcher_->Enqueue(std::move(bi));
-    } else {
-      WorkItem item;
-      item.request = *std::move(request_or);
-      item.conn = conn;
-      admitted = queue_->TryPush(std::move(item));
-    }
-    if (!admitted) {
-      // Admission control: the queue is full, shed immediately instead of
-      // buffering unboundedly and blowing every queued deadline.
+    BatchItem item;
+    item.request = *std::move(request_or);
+    item.context = conn;
+    // The deadline budget starts at admission: time spent queued, and
+    // coalescing with batching on, counts against it.
+    item.deadline_abs_us =
+        batcher_.NowMicros() + RequestBudgetUs(item.request, config_);
+    // Fault-carrying requests are barriers: the injector's draw stream is
+    // order-dependent, so they flush as batches of one (core/batch_eval.h).
+    item.barrier = !item.request.fault_spec.empty();
+    if (!batcher_.Enqueue(std::move(item))) {
+      // Admission control: the batcher is at capacity, so shed immediately
+      // instead of buffering unboundedly and blowing every queued deadline.
       shed->Add(1);
       EvalResponse resp;
       resp.request_id = request_id;
@@ -501,24 +429,26 @@ void PromptServer::ConnectionLoop(std::shared_ptr<Connection> conn) {
 
 void PromptServer::BatchWorkerLoop() {
   MicroBatch batch;
-  while (batcher_->NextBatch(&batch)) {
+  while (batcher_.NextBatch(&batch)) {
     Stopwatch sw;
     int64_t cost_us = 0;
-    ServeBatch(batch, batcher_->NowMicros(),
+    ServeBatch(batch, batcher_.NowMicros(),
                [&](size_t i, const EvalResponse& resp) {
                  auto* conn =
                      static_cast<Connection*>(batch.items[i].context.get());
                  const Status write_status =
                      WriteResponse(&conn->stream, &conn->write_mu, resp);
                  if (!write_status.ok()) {
-                   LOG(WARNING) << "serve: batched response write failed: "
+                   // The client is gone; the work is done and accounted,
+                   // just undeliverable.
+                   LOG(WARNING) << "serve: response write failed: "
                                 << write_status.ToString();
                  }
                  cost_us = sw.ElapsedMicros();
                });
     // Wall time of this batch through its last reply: the signal the
     // deadline-risk flush rule needs.
-    batcher_->ReportBatchCost(cost_us, static_cast<int>(batch.items.size()));
+    batcher_.ReportBatchCost(cost_us, static_cast<int>(batch.items.size()));
   }
 }
 
@@ -554,25 +484,20 @@ Status PromptServer::ServeUnixSocket(const std::string& path) {
     ::close(listen_fd);
     return InternalError("listen failed: " + err);
   }
-  const int workers = std::max(1, config_.workers);
-  LOG(INFO) << "serve: listening on " << path
-            << (batcher_ != nullptr
-                    ? " with one batch worker, batching window " +
-                          std::to_string(config_.batch_window_us) + "us max " +
-                          std::to_string(config_.batch_max)
-                    : " with " + std::to_string(workers) +
-                          " workers, batching off");
-
   // With batching on, one batch worker serves every micro-batch, one batch
-  // at a time (the demux must serialize per batch anyway); otherwise the
-  // worker pool drains the admission queue.
+  // at a time (the demux must serialize per batch anyway); with batching
+  // off, `workers` batch workers each serve batches of one.
+  const bool batching = config_.batch_window_us > 0;
+  const int workers = batching ? 1 : std::max(1, config_.workers);
+  LOG(INFO) << "serve: listening on " << path
+            << (batching ? " with one batch worker, batching window " +
+                               std::to_string(config_.batch_window_us) +
+                               "us max " + std::to_string(config_.batch_max)
+                         : " with " + std::to_string(workers) +
+                               " workers, batching off");
   std::vector<std::thread> threads;
-  if (batcher_ != nullptr) {
+  for (int w = 0; w < workers; ++w) {
     threads.emplace_back([this] { BatchWorkerLoop(); });
-  } else {
-    for (int w = 0; w < workers; ++w) {
-      threads.emplace_back([this] { WorkerLoop(); });
-    }
   }
 
   std::vector<std::thread> readers;
@@ -599,17 +524,13 @@ Status PromptServer::ServeUnixSocket(const std::string& path) {
   }
 
   // Graceful drain: stop accepting, unblock connection readers (their
-  // polls see the drain pipe), then close the dispatcher: the workers
-  // finish everything already admitted (a closed batcher flushes every
-  // remaining queue at once) and exit.
+  // polls see the drain pipe), then close the batcher: the workers finish
+  // everything already admitted (a closed batcher flushes every remaining
+  // queue at once) and exit.
   ::close(listen_fd);
   ::unlink(path.c_str());
   for (std::thread& t : readers) t.join();
-  if (batcher_ != nullptr) {
-    batcher_->Close();
-  } else {
-    queue_->Close();
-  }
+  batcher_.Close();
   for (std::thread& t : threads) t.join();
   LOG(INFO) << "serve: drained, " << readers.size()
             << " connections closed";

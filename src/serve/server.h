@@ -10,21 +10,23 @@
 //     per request. Fully deterministic — the replay tests prove a piped
 //     request log produces bitwise-identical results to calling
 //     EvaluateInContext directly.
-//   - ServeUnixSocket: accept loop + per-connection reader threads feeding
-//     one dispatcher: a bounded admission queue drained by worker threads
-//     that call Handle, or with batching on the per-tenant queues of
-//     serve/batcher.h, whose micro-batches one batch worker serves.
-//     SIGTERM-style graceful drain via RequestDrain() (signal-safe).
+//   - ServeUnixSocket: accept loop + per-connection reader threads that
+//     admit every request to one MicroBatcher (serve/batcher.h). With
+//     batching on, one batch worker serves its micro-batches; with
+//     batching off its cap is one request and `workers` batch workers
+//     serve those batches of one. SIGTERM-style graceful drain via
+//     RequestDrain() (signal-safe).
 //
 // Robustness layers, outermost first:
 //   framing     torn/truncated/oversized/corrupt frames are rejected with
 //               typed errors (serve/frames_rejected), never a crash
-//   admission   a full queue sheds the request immediately with
+//   admission   a full batcher sheds the request immediately with
 //               kUnavailable (serve/shed) instead of queueing unboundedly
 //   deadlines   every request carries a budget (client value or server
-//               default) from admission or the Handle call; it is checked
-//               before the packed pass, at retry boundaries, and inside
-//               evaluation at stage boundaries (EvalConfig::deadline_us)
+//               default) from socket admission or the Handle call; it
+//               is checked before the packed pass, at retry boundaries,
+//               and inside evaluation at stage boundaries
+//               (EvalConfig::deadline_us)
 //   retries     transient failures (injected via serve_fail) back off
 //               exponentially, capped by the remaining budget
 //   breakers    each tenant's circuit breaker (serve/tenant.h) degrades
@@ -58,10 +60,11 @@
 namespace gp {
 
 struct ServeConfig {
-  // Threads serving the admission queue when batching is off.
+  // Batch workers draining the batcher when batching is off, each serving
+  // one request at a time. Batching on runs one batch worker.
   int workers = 2;
-  // Admission bound (the queue, or the batcher's queues together):
-  // requests beyond it are shed with kUnavailable rather than queued.
+  // Admission bound, over the batcher's queues together: requests beyond
+  // it are shed with kUnavailable rather than queued.
   int queue_capacity = 16;
   uint32_t max_frame_bytes = kDefaultMaxFrameBytes;
   // Budget for requests that do not carry their own deadline.
@@ -78,13 +81,15 @@ struct ServeConfig {
   // When true (default) each tenant keeps its augmenter cache warm across
   // requests; false falls back to a fresh per-request augmenter.
   bool persist_tenant_cache = true;
-  // Cross-request micro-batching (socket mode). <= 0 keeps batching off:
-  // the worker pool serves requests one at a time. When > 0, one batch
-  // worker serves every admitted request: clean requests coalesce per
-  // tenant for up to batch_window_us — or until batch_max are queued, or
-  // the soonest deadline is at risk — and evaluate through one packed
-  // pass, while fault-carrying requests flush alone. Time spent coalescing
-  // counts against each request's deadline budget.
+  // Cross-request micro-batching (socket mode). Every socket request is
+  // admitted to the batcher, and its deadline budget starts there, so time
+  // spent queued or coalescing counts against it. <= 0 keeps batching off:
+  // a batch cap of one with no window, drained by `workers` batch workers.
+  // When > 0, one batch worker serves every admitted request: clean
+  // requests coalesce per tenant for up to batch_window_us — or until
+  // batch_max are queued, or the soonest deadline is at risk — and
+  // evaluate through one packed pass, while fault-carrying requests flush
+  // alone.
   int64_t batch_window_us = 0;
   int batch_max = 8;
   uint64_t seed = 1;
@@ -114,9 +119,9 @@ class PromptServer {
 
   // Binds `path`, accepts connections, and serves until RequestDrain().
   // Each connection gets a reader thread; requests funnel through the
-  // batcher into the batch worker, or with batching off through the
-  // bounded admission queue into the worker pool. Returns after the drain
-  // completes: in-flight requests finished, telemetry flushed.
+  // batcher into its batch workers (one with batching on, `workers` with
+  // it off). Returns after the drain completes: in-flight requests
+  // finished, telemetry flushed.
   Status ServeUnixSocket(const std::string& path);
 
   // Starts a graceful drain. Async-signal-safe (one write to a pipe), so
@@ -137,8 +142,6 @@ class PromptServer {
 
  private:
   struct Connection;
-  struct WorkItem;
-  class BoundedQueue;
 
   // Receives each reply of a batch, with the request's index in it.
   using ReplyFn = std::function<void(size_t, const EvalResponse&)>;
@@ -154,7 +157,6 @@ class PromptServer {
                   const ReplyFn& reply);
 
   TenantState* GetOrCreateTenant(const std::string& name);
-  void WorkerLoop();
   void BatchWorkerLoop();
   void ConnectionLoop(std::shared_ptr<Connection> conn);
   static Status WriteResponse(ByteStream* stream, std::mutex* write_mu,
@@ -167,9 +169,8 @@ class PromptServer {
   std::mutex tenants_mu_;
   std::map<std::string, std::unique_ptr<TenantState>> tenants_;
 
-  // Exactly one is non-null: the batcher iff batching is enabled.
-  std::unique_ptr<BoundedQueue> queue_;
-  std::unique_ptr<MicroBatcher> batcher_;
+  // Admits every socket request.
+  MicroBatcher batcher_;
   int drain_pipe_[2] = {-1, -1};
 };
 

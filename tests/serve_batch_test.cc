@@ -4,8 +4,8 @@
 //   - core: EvaluateInContextBatch vs sequential EvaluateInContext,
 //   - scheduler: MicroBatcher flush reasons, FIFO order, capacity shed,
 //   - server: a batching socket server vs an unbatched one over the same
-//     request stream, reply for reply, and vs pipe mode over a chaos log
-//     with warm tenant caches, reply for reply and tenant for tenant,
+//     request stream, reply for reply, and each vs pipe mode over a chaos
+//     log with warm tenant caches, reply for reply and tenant for tenant,
 //   - plus the metrics frame and the FdStream write-side stall bound that
 //     ride along with the batching subsystem.
 
@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstring>
 #include <functional>
 #include <map>
@@ -493,11 +494,13 @@ TEST(ServeBatchSocketTest, BatchedRepliesMatchUnbatchedBitwise) {
   }
 }
 
-// The chaos log (tests/serve_chaos_log.h) through a batching server with
+// The chaos log (tests/serve_chaos_log.h) through a socket server with
 // warm tenant caches, one connection per tenant, gets the replies and the
-// tenant states that pipe mode gives it. Each tenant's requests reach its
-// state in the same order on both paths, so caches, breakers and fault
-// draws evolve alike while the clean requests ride in packed batches.
+// tenant states that pipe mode gives it, with batching on and with
+// batching off. Each tenant's requests reach its state in the same order
+// on every path, so caches, breakers and fault draws evolve alike while
+// the clean requests ride in packed batches (batching on) or one at a
+// time (batching off, one worker).
 TEST(ServeBatchSocketTest, ChaosLogMatchesPipeMode) {
   DatasetBundle dataset = ChaosLogDataset();
   GraphPrompterModel model(ChaosLogModelConfig(dataset.graph.feature_dim()));
@@ -507,34 +510,42 @@ TEST(ServeBatchSocketTest, ChaosLogMatchesPipeMode) {
   const std::vector<EvalResponse> piped =
       ServeLogThroughPipe(&pipe_server, log);
   ASSERT_EQ(piped.size(), log.size());
-
-  ServeConfig sc = ChaosLogServeConfig();
-  sc.queue_capacity = 64;
-  sc.batch_window_us = 2000;
-  sc.batch_max = 4;
-  const SocketPhase batched =
-      RunSocketPhase(&model, &dataset, sc, log, "chaos_log");
-
-  ASSERT_EQ(batched.replies.size(), log.size());
-  for (const EvalResponse& resp : piped) {
-    const auto it = batched.replies.find(resp.request_id);
-    ASSERT_NE(it, batched.replies.end())
-        << "request " << resp.request_id << " missing";
-    EXPECT_TRUE(it->second == BitsOf(resp))
-        << "request " << resp.request_id << " differs from pipe mode";
-  }
   const std::vector<PromptServer::TenantSnapshot> piped_tenants =
       pipe_server.SnapshotTenants();
-  ASSERT_EQ(batched.tenants.size(), piped_tenants.size());
-  for (size_t t = 0; t < piped_tenants.size(); ++t) {
-    const PromptServer::TenantSnapshot& want = piped_tenants[t];
-    const PromptServer::TenantSnapshot& got = batched.tenants[t];
-    EXPECT_EQ(got.name, want.name);
-    EXPECT_EQ(got.requests, want.requests) << want.name;
-    EXPECT_EQ(got.safe_mode_requests, want.safe_mode_requests) << want.name;
-    EXPECT_EQ(got.breaker_trips, want.breaker_trips) << want.name;
-    EXPECT_EQ(got.degradation_events, want.degradation_events) << want.name;
-    EXPECT_EQ(got.breaker_state, want.breaker_state) << want.name;
+
+  ServeConfig batching = ChaosLogServeConfig();
+  batching.queue_capacity = 64;
+  batching.batch_window_us = 2000;
+  batching.batch_max = 4;
+  ServeConfig unbatched = ChaosLogServeConfig();
+  unbatched.queue_capacity = 64;
+  unbatched.workers = 1;
+  for (const ServeConfig& sc : {batching, unbatched}) {
+    SCOPED_TRACE(sc.batch_window_us > 0 ? "batching on" : "batching off");
+    const SocketPhase phase =
+        RunSocketPhase(&model, &dataset, sc, log, "chaos_log");
+
+    ASSERT_EQ(phase.replies.size(), log.size());
+    for (const EvalResponse& resp : piped) {
+      const auto it = phase.replies.find(resp.request_id);
+      ASSERT_NE(it, phase.replies.end())
+          << "request " << resp.request_id << " missing";
+      EXPECT_TRUE(it->second == BitsOf(resp))
+          << "request " << resp.request_id << " differs from pipe mode";
+    }
+    ASSERT_EQ(phase.tenants.size(), piped_tenants.size());
+    for (size_t t = 0; t < piped_tenants.size(); ++t) {
+      const PromptServer::TenantSnapshot& want = piped_tenants[t];
+      const PromptServer::TenantSnapshot& got = phase.tenants[t];
+      EXPECT_EQ(got.name, want.name);
+      EXPECT_EQ(got.requests, want.requests) << want.name;
+      EXPECT_EQ(got.safe_mode_requests, want.safe_mode_requests)
+          << want.name;
+      EXPECT_EQ(got.breaker_trips, want.breaker_trips) << want.name;
+      EXPECT_EQ(got.degradation_events, want.degradation_events)
+          << want.name;
+      EXPECT_EQ(got.breaker_state, want.breaker_state) << want.name;
+    }
   }
 }
 
@@ -584,6 +595,55 @@ TEST(ServeBatchSocketTest, BatchedDeadlineMessageNamesRequestBudget) {
   }();
   // The queue behind the first batches outlasts a 1ms budget.
   EXPECT_GT(expired, 0);
+  server.RequestDrain();
+  server_thread.join();
+  ::unlink(path.c_str());
+}
+
+// With batching off a request's budget starts at admission too: a request
+// that outwaits its budget behind a slow one is answered
+// kDeadlineExceeded, naming its own budget.
+TEST(ServeBatchSocketTest, UnbatchedBudgetStartsAtAdmission) {
+  DatasetBundle dataset = MakeArxivSim(0.25, 2);
+  GraphPrompterModel model(TinyConfig(dataset.graph.feature_dim()));
+  ServeConfig sc;
+  sc.workers = 1;
+  PromptServer server(&model, &dataset, sc);
+  const std::string path = TestSocketPath("unbatched_budget");
+  std::thread server_thread([&server, &path] {
+    const Status status = server.ServeUnixSocket(path);
+    EXPECT_TRUE(status.ok()) << status.ToString();
+  });
+
+  // A lambda, so a failed ASSERT still reaches the drain and join below.
+  [&] {
+    FdStream slow(ConnectOrDie(path), /*owns_fd=*/true);
+    FdStream hurried(ConnectOrDie(path), /*owns_fd=*/true);
+    // Its one query batch sleeps for a second and holds the only worker.
+    EvalRequest hold = SocketRequest("slow", 1);
+    hold.fault_spec = "slow_every=1,slow_ms=1000";
+    const std::string hold_wire = EvalRequestWire(hold);
+    ASSERT_TRUE(slow.Write(hold_wire.data(), hold_wire.size()).ok());
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    EvalRequest req = SocketRequest("hurried", 2);
+    req.deadline_us = 400'000;
+    const std::string wire = EvalRequestWire(req);
+    ASSERT_TRUE(hurried.Write(wire.data(), wire.size()).ok());
+
+    auto reply = ReadFrame(&hurried);
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    auto resp = DecodeEvalResponse(reply->payload);
+    ASSERT_TRUE(resp.ok());
+    EXPECT_EQ(resp->status_code,
+              static_cast<int32_t>(StatusCode::kDeadlineExceeded));
+    EXPECT_EQ(resp->message, "deadline of 400000us expired");
+
+    auto held = ReadFrame(&slow);
+    ASSERT_TRUE(held.ok()) << held.status().ToString();
+    auto held_resp = DecodeEvalResponse(held->payload);
+    ASSERT_TRUE(held_resp.ok());
+    EXPECT_EQ(held_resp->status_code, static_cast<int32_t>(StatusCode::kOk));
+  }();
   server.RequestDrain();
   server_thread.join();
   ::unlink(path.c_str());
