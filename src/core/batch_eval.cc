@@ -631,7 +631,6 @@ std::vector<EvalResult> EvaluateInContextBatch(
   for (int i = 0; i < batch.size(); ++i) {
     BatchStage3Options options;
     options.disable_augmenter = configs[i].disable_augmenter;
-    options.shared_augmenter = configs[i].shared_augmenter;
     results.push_back(batch.FinishRequest(i, options));
   }
   return results;

@@ -47,8 +47,12 @@ namespace gp {
 // request, because they depend on the breaker outcome of the previous
 // request (BeginRequestSafeMode).
 struct BatchStage3Options {
-  bool disable_augmenter = false;           // tenant safe mode
-  PromptAugmenter* shared_augmenter = nullptr;  // persistent tenant cache
+  bool disable_augmenter = false;  // tenant safe mode
+  // When set, stage 3 uses this caller-owned augmenter (and its LFU cache)
+  // instead of a per-trial instance, so cache state persists across
+  // requests: the tenant's warm cache. Health accounting is delta-based,
+  // so shared state never double-counts. The caller serializes its use.
+  PromptAugmenter* shared_augmenter = nullptr;
 };
 
 class BatchEvaluation {

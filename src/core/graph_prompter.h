@@ -106,16 +106,10 @@ struct EvalConfig {
   // on expiry the evaluation stops early, sets EvalResult::deadline_expired,
   // and reports only the trials that finished.
   int64_t deadline_us = 0;
-  // Skips the augmenter stage regardless of the model config. The serving
-  // circuit breaker uses this as its safe degraded mode while open.
+  // Skips the augmenter stage regardless of the model config: the
+  // evaluation a serving tenant gets in safe mode, which the daemon asks
+  // for per request through BatchStage3Options (core/batch_eval.h).
   bool disable_augmenter = false;
-  // When set, Stage 3 uses this caller-owned augmenter (and its LFU cache +
-  // index) instead of a per-trial instance, so cache state persists across
-  // calls — the per-tenant warm cache in the serving daemon. Health
-  // accounting is delta-based, so shared state never double-counts. The
-  // caller is responsible for thread-safety and for matching ways/dim
-  // across calls (ValidateCache evicts mismatched entries otherwise).
-  PromptAugmenter* shared_augmenter = nullptr;
 };
 
 struct EvalResult {
