@@ -4,7 +4,10 @@
 // checkpoint) over a named synthetic dataset and serves EvaluateInContext
 // requests over the framed binary protocol (src/serve).
 //
-//   # socket mode (daemon): serve until SIGTERM, then drain gracefully
+//   # socket mode (daemon): serve until SIGTERM, then drain gracefully.
+//   # Every request is admitted to one batcher (--queue bounds it; a full
+//   # one sheds with kUnavailable) and its deadline budget starts there.
+//   # With batching off, --workers threads serve it one request at a time.
 //   ./tools/gp_serve --socket=/tmp/gp.sock [--workers=2] [--queue=16]
 //
 //   # pipe mode: frames on stdin/stdout, single-threaded, deterministic
@@ -20,11 +23,10 @@
 //   --retries=N          transient-failure retries per request (default 2)
 //   --batch-window-us=N  coalesce admitted requests per tenant for up to
 //                        N microseconds and run them as one packed batch;
-//                        0 (default) disables batching. Falls back to the
-//                        GP_BATCH_WINDOW_US environment variable. With
-//                        batching on, one batch worker serves every
-//                        request and --workers goes unused.
-//   --batch-max=N        batch size cap (default 8; env GP_BATCH_MAX)
+//                        0 (default) disables batching. With batching on,
+//                        one batch worker serves every request and
+//                        --workers goes unused.
+//   --batch-max=N        batch size cap with batching on (default 8)
 //   --pretrain-steps=N   pretrain when no checkpoint is given (default 0)
 //   --telemetry=PATH     write a telemetry snapshot on exit
 //
@@ -34,7 +36,6 @@
 #include <signal.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "core/graph_prompter.h"
@@ -55,20 +56,6 @@ PromptServer* g_server = nullptr;
 void HandleTermination(int) {
   // Async-signal-safe: RequestDrain is one pipe write.
   if (g_server != nullptr) g_server->RequestDrain();
-}
-
-// Flag value if given, else the environment variable, else `def` — so a
-// deployment can switch batching on without editing the service unit's
-// command line.
-int64_t IntFlagOrEnv(const Flags& flags, const std::string& flag,
-                     const char* env, int64_t def) {
-  const int64_t sentinel = -9223372036854775807LL;
-  const int64_t from_flag = flags.GetInt(flag, sentinel);
-  if (from_flag != sentinel) return from_flag;
-  if (const char* value = std::getenv(env); value != nullptr && *value) {
-    return std::strtoll(value, nullptr, 10);
-  }
-  return def;
 }
 
 DatasetBundle MakeNamedDataset(const std::string& name, double scale,
@@ -125,10 +112,8 @@ int Run(int argc, char** argv) {
   sc.queue_capacity = static_cast<int>(flags.GetInt("queue", 16));
   sc.default_deadline_us = flags.GetInt("deadline-us", 250000);
   sc.max_retries = static_cast<int>(flags.GetInt("retries", 2));
-  sc.batch_window_us = IntFlagOrEnv(flags, "batch-window-us",
-                                    "GP_BATCH_WINDOW_US", 0);
-  sc.batch_max =
-      static_cast<int>(IntFlagOrEnv(flags, "batch-max", "GP_BATCH_MAX", 8));
+  sc.batch_window_us = flags.GetInt("batch-window-us", 0);
+  sc.batch_max = static_cast<int>(flags.GetInt("batch-max", 8));
   sc.seed = seed;
   PromptServer server(&model, &dataset, sc);
   g_server = &server;
