@@ -235,8 +235,8 @@ struct ReplyRecord {
 // One comparison-phase client: keeps `depth` requests in flight on a
 // single connection (send a window, then lockstep read-one/send-one), so
 // the server sees the same offered load whether or not it coalesces.
-// Replies may arrive out of request order from the unbatched worker pool,
-// so latency and records match by request id.
+// Replies may arrive out of request order from a batching-off server's
+// workers, so latency and records match by request id.
 void RunPipelinedClient(const std::string& socket_path,
                         const std::string& tenant, int requests, int depth,
                         uint64_t id_base, std::mutex* stats_mu,
@@ -338,7 +338,7 @@ void RunPipelinedClient(const std::string& socket_path,
 // batching on or off via `batch_window_us`. The warm per-tenant augmenter
 // cache is disabled for these phases only — it couples a reply to the
 // order of its predecessors, which legitimately differs between the
-// worker-pool and batched schedules, and the point here is that every
+// batching-off and batched schedules, and the point here is that every
 // reply is a pure function of its request.
 PhaseStats RunComparePhase(const GraphPrompterModel& model,
                            const DatasetBundle& dataset,

@@ -50,10 +50,13 @@ echo "=== serving: chaos soak smoke + isolation + batching gates ==="
 # cross-tenant degradation bleed, zero crashes, zero clean-tenant
 # deadline violations, zero bitwise reply mismatches between the batched
 # and unbatched phases. At smoke scale the speedup/p99 gates are relaxed
-# (floor 1.0, slack 1.5 — a loaded single-core runner makes small-sample
-# throughput ratios noisy); the committed full-scale report re-gates at
-# the real 1.5x floor below. The full-scale soak is
-# ./build/bench/bench_serving with defaults (>= 10k chaos requests).
+# (floor 1.0, slack 1.5): 96 requests per phase make the throughput ratio
+# noisy, the more so on a shared multi-core host, where the unbatched
+# phase's two workers run in parallel and its rate swings from run to
+# run, so even the relaxed floor fails now and then. The committed
+# full-scale report re-gates at the real 1.5x floor below. The full-scale
+# soak is ./build/bench/bench_serving with defaults (>= 10k chaos
+# requests).
 # The socket-mode concurrency and batch-determinism tests run under TSan
 # below via the `concurrency` label.
 run ./build/bench/bench_serving --scale=0.2 --steps=5 --tenants=4 \

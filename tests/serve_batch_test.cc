@@ -472,7 +472,8 @@ TEST(ServeBatchSocketTest, BatchedRepliesMatchUnbatchedBitwise) {
   sc.default_deadline_us = 30'000'000;
   // Comparison across schedules requires per-request augmenters: a warm
   // tenant cache couples a reply to its predecessors' order, which
-  // legitimately differs between the worker pool and the batch worker.
+  // legitimately differs between two batching-off workers and the one
+  // batch worker.
   sc.persist_tenant_cache = false;
   sc.batch_max = 4;
 

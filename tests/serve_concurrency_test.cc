@@ -62,9 +62,9 @@ int ConnectOrDie(const std::string& path) {
 }
 
 // The soak body, parameterized on the server config so the same chaos
-// mix runs against both the single-request worker pool and the
-// micro-batching path (where clean traffic coalesces and fault-carrying
-// requests flush as barriers).
+// mix runs against both batching off (two workers serving batches of
+// one) and the micro-batching path (where clean traffic coalesces and
+// fault-carrying requests flush as barriers).
 void RunChaosSoak(const ServeConfig& sc, const char* tag) {
   DatasetBundle dataset = MakeArxivSim(0.25, 2);
   GraphPrompterModel model(TinyConfig(dataset.graph.feature_dim()));
