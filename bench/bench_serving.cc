@@ -28,8 +28,8 @@
 // default of 10000 exercises the breaker through many trip/recover
 // cycles); --clean-requests sizes the latency-measurement phase and
 // --compare-requests the two batching-comparison phases. Writes
-// results/BENCH_serving.json, which tools/check_serving gates in
-// scripts/check.sh.
+// results/BENCH_serving.json, which scripts/check.sh gates with
+// tools/check_bench.
 
 #include <algorithm>
 #include <atomic>
@@ -515,7 +515,7 @@ void Run(const bench::Env& env, const ServingOptions& opt,
                     static_cast<double>(chaos_tenant_degradation), "events");
   report->AddMetric("serve/chaos/faulty_tenant_breaker_trips",
                     static_cast<double>(chaos_tenant_trips), "trips");
-  // The three gates tools/check_serving requires to be exactly zero:
+  // The three chaos metrics scripts/check.sh gates to exactly zero:
   report->AddMetric("serve/chaos/cross_tenant_degradation_events",
                     static_cast<double>(bleed), "events");
   report->AddMetric("serve/chaos/crashes",
@@ -607,7 +607,7 @@ void Run(const bench::Env& env, const ServingOptions& opt,
                                           before_batched.CounterValue(name)),
                       "batches");
   }
-  // The gates tools/check_serving requires of the batched phase:
+  // The batched phase's metrics scripts/check.sh gates to exactly zero:
   report->AddMetric("serve/batched/bitwise_mismatches",
                     static_cast<double>(mismatches), "replies");
   report->AddMetric("serve/batched/clean_deadline_violations",

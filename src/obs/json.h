@@ -3,8 +3,8 @@
 // JsonWriter emits syntactically valid JSON (objects, arrays, scalars) with
 // comma/indent bookkeeping handled by a small state stack; the Parse
 // function implements enough of RFC 8259 to round-trip everything the
-// exporters write (used by trace_export_test and the telemetry schema
-// checker tool). Neither side depends on anything beyond util/status, so
+// exporters write (used by trace_export_test and the tools/check_bench
+// report gate). Neither side depends on anything beyond util/status, so
 // every layer of the library can link them.
 
 #ifndef GRAPHPROMPTER_OBS_JSON_H_
