@@ -3,8 +3,11 @@
 // bench report schema — all round-tripped through the bundled JSON parser.
 
 #include <fstream>
+#include <map>
+#include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -69,20 +72,43 @@ TEST_F(TraceExportTest, NestedSpansRecordParentLinks) {
   EXPECT_TRUE(CollectTraceEvents().empty());
 }
 
+// Nested spans on two threads: every exported event is a complete event
+// with a string name, numeric start and duration, and its thread's id.
 TEST_F(TraceExportTest, ChromeTraceJsonParses) {
   SetTracingEnabled(true);
-  { GP_TRACE_SPAN("export_test/chrome"); }
+  auto nested = [] {
+    GP_TRACE_SPAN("export_test/chrome_outer");
+    GP_TRACE_SPAN("export_test/chrome_inner");
+  };
+  nested();
+  std::thread(nested).join();
   const auto root_or = json::ParseJson(ChromeTraceToJson());
   ASSERT_TRUE(root_or.ok()) << root_or.status().ToString();
   const JsonValue* events = root_or->Find("traceEvents");
   ASSERT_NE(events, nullptr);
   ASSERT_TRUE(events->IsArray());
-  ASSERT_EQ(events->elements.size(), 1u);
-  const JsonValue& event = events->elements[0];
-  EXPECT_EQ(event.Find("name")->string_value, "export_test/chrome");
-  EXPECT_EQ(event.Find("ph")->string_value, "X");
-  EXPECT_TRUE(event.Find("ts")->IsNumber());
-  EXPECT_TRUE(event.Find("dur")->IsNumber());
+  ASSERT_EQ(events->elements.size(), 4u);
+  std::set<double> tids;
+  std::map<std::string, int> names;
+  for (const JsonValue& event : events->elements) {
+    const JsonValue* name = event.Find("name");
+    const JsonValue* ph = event.Find("ph");
+    const JsonValue* ts = event.Find("ts");
+    const JsonValue* dur = event.Find("dur");
+    const JsonValue* tid = event.Find("tid");
+    ASSERT_TRUE(name != nullptr && name->IsString());
+    ASSERT_TRUE(ph != nullptr && ph->IsString());
+    ASSERT_TRUE(ts != nullptr && ts->IsNumber());
+    ASSERT_TRUE(dur != nullptr && dur->IsNumber());
+    ASSERT_TRUE(tid != nullptr && tid->IsNumber());
+    EXPECT_EQ(ph->string_value, "X");
+    EXPECT_GE(dur->number_value, 0.0);
+    ++names[name->string_value];
+    tids.insert(tid->number_value);
+  }
+  EXPECT_EQ(names["export_test/chrome_outer"], 2);
+  EXPECT_EQ(names["export_test/chrome_inner"], 2);
+  EXPECT_EQ(tids.size(), 2u);
 }
 
 TEST_F(TraceExportTest, TelemetrySnapshotJsonSchema) {
