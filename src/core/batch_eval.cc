@@ -629,9 +629,7 @@ std::vector<EvalResult> EvaluateInContextBatch(
   std::vector<EvalResult> results;
   results.reserve(configs.size());
   for (int i = 0; i < batch.size(); ++i) {
-    BatchStage3Options options;
-    options.disable_augmenter = configs[i].disable_augmenter;
-    results.push_back(batch.FinishRequest(i, options));
+    results.push_back(batch.FinishRequest(i, BatchStage3Options{}));
   }
   return results;
 }

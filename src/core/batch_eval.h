@@ -89,10 +89,10 @@ class BatchEvaluation {
   bool prepared_ = false;
 };
 
-// Prepare + FinishRequest for every config in order, with each request's
-// stage-3 options taken from its own EvalConfig, all under one PoolScope
-// (the pool drains once per call). On a clean run, equivalent to calling
-// EvaluateInContext once per config.
+// Prepare + FinishRequest for every config in order, each with default
+// stage-3 options (the augmenter as the model config sets it, a per-trial
+// cache), all under one PoolScope (the pool drains once per call). On a
+// clean run, equivalent to calling EvaluateInContext once per config.
 std::vector<EvalResult> EvaluateInContextBatch(
     const GraphPrompterModel& model, const DatasetBundle& dataset,
     const std::vector<EvalConfig>& configs);

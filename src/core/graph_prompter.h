@@ -97,8 +97,8 @@ struct EvalConfig {
   // When true, keeps the final trial's data-node embeddings for Fig. 7.
   bool keep_embeddings = false;
 
-  // ---- Serving extensions (src/serve). Defaults leave batch evaluation
-  // bitwise identical to the pre-serving pipeline.
+  // ---- Serving extension (src/serve). The default leaves batch
+  // evaluation bitwise identical to the pre-serving pipeline.
 
   // Wall-clock budget for the whole call, in microseconds; 0 disables the
   // deadline. Checked at stage boundaries (before sampling a trial, before
@@ -106,10 +106,6 @@ struct EvalConfig {
   // on expiry the evaluation stops early, sets EvalResult::deadline_expired,
   // and reports only the trials that finished.
   int64_t deadline_us = 0;
-  // Skips the augmenter stage regardless of the model config: the
-  // evaluation a serving tenant gets in safe mode, which the daemon asks
-  // for per request through BatchStage3Options (core/batch_eval.h).
-  bool disable_augmenter = false;
 };
 
 struct EvalResult {
@@ -137,7 +133,9 @@ struct EvalResult {
 // queries, selects prompts (kNN + selection layer + voting, or random for
 // the Prodigy configuration), streams query batches through the task graph
 // with optional cache augmentation, and scores accuracy. Runs as a batch
-// of one through BatchEvaluation (core/batch_eval.h).
+// of one through BatchEvaluation (core/batch_eval.h) with default stage-3
+// options; a serving tenant's safe mode, which skips the augmenter, is one
+// of those options (BatchStage3Options), not an EvalConfig field.
 //
 // Fault tolerance: non-finite candidate embeddings are quarantined and the
 // selector degrades along kNN -> selection-layer-only -> random; non-finite

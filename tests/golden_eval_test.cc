@@ -41,6 +41,7 @@
 #include "serve/server.h"
 #include "serve_chaos_log.h"
 #include "tensor/autograd.h"
+#include "tensor/buffer_pool.h"
 #include "util/checksum.h"
 #include "util/parallel.h"
 #include "util/rng.h"
@@ -114,23 +115,41 @@ std::string RenderEvalGolden() {
 // Variants of the quickstart evaluation, one golden file each, covering
 // the stage-3 and selector branches the quickstart run does not take.
 // Request-side variants run on the quickstart model; model-side variants
-// run the quickstart request.
+// run the quickstart request. The augmenter-disabled variant is a serving
+// tenant's safe mode, a stage-3 option of the request.
 struct RequestVariant {
   std::string golden;
   EvalConfig eval;
+  BatchStage3Options options;
 };
 
 std::vector<RequestVariant> RequestVariants() {
   const EvalConfig eval = QuickstartEval();
-  EvalConfig no_augmenter = eval;
-  no_augmenter.disable_augmenter = true;
   EvalConfig batch3 = eval;
   batch3.query_batch = 3;
   EvalConfig keep = eval;
   keep.keep_embeddings = true;
-  return {{"disable_augmenter_eval.golden", no_augmenter},
-          {"query_batch3_eval.golden", batch3},
-          {"keep_embeddings_eval.golden", keep}};
+  return {{"disable_augmenter_eval.golden", eval, {.disable_augmenter = true}},
+          {"query_batch3_eval.golden", batch3, {}},
+          {"keep_embeddings_eval.golden", keep, {}}};
+}
+
+// Runs `variants` packed as one BatchEvaluation, finishing each request
+// with its own stage-3 options, under one PoolScope as
+// EvaluateInContextBatch does.
+std::vector<EvalResult> EvaluateVariants(
+    const GraphPrompterModel& model, const DatasetBundle& dataset,
+    const std::vector<RequestVariant>& variants) {
+  std::vector<EvalConfig> configs;
+  for (const RequestVariant& v : variants) configs.push_back(v.eval);
+  PoolScope pool_scope;
+  BatchEvaluation batch(model, dataset, configs);
+  batch.Prepare();
+  std::vector<EvalResult> results;
+  for (int i = 0; i < batch.size(); ++i) {
+    results.push_back(batch.FinishRequest(i, variants[i].options));
+  }
+  return results;
 }
 
 struct ModelVariant {
@@ -406,9 +425,8 @@ TEST(GoldenEvalTest, EvalVariantsMatchGolden) {
   GraphPrompterModel full(FullGraphPrompterConfig(feature_dim, 7));
   for (const RequestVariant& v : RequestVariants()) {
     SCOPED_TRACE(v.golden);
-    CheckGolden(v.golden,
-                RenderEvalResult(downstream,
-                                 EvaluateInContext(full, downstream, v.eval)));
+    const EvalResult result = EvaluateVariants(full, downstream, {v})[0];
+    CheckGolden(v.golden, RenderEvalResult(downstream, result));
   }
   for (const ModelVariant& v : ModelVariants(feature_dim)) {
     SCOPED_TRACE(v.golden);
@@ -426,20 +444,17 @@ TEST(GoldenEvalTest, EvalVariantsMatchGolden) {
 TEST(GoldenEvalTest, PackedBatchMatchesGoldens) {
   if (UpdateRequested()) GTEST_SKIP() << "goldens come from standalone runs";
   const DatasetBundle downstream = GoldenDownstream();
-  std::vector<std::string> goldens = {"quickstart_eval.golden"};
-  std::vector<EvalConfig> configs = {QuickstartEval()};
-  for (const RequestVariant& v : RequestVariants()) {
-    goldens.push_back(v.golden);
-    configs.push_back(v.eval);
-  }
+  std::vector<RequestVariant> variants = {
+      {"quickstart_eval.golden", QuickstartEval(), {}}};
+  for (const RequestVariant& v : RequestVariants()) variants.push_back(v);
   GraphPrompterModel model(
       FullGraphPrompterConfig(downstream.graph.feature_dim(), 7));
   const std::vector<EvalResult> results =
-      EvaluateInContextBatch(model, downstream, configs);
-  ASSERT_EQ(results.size(), configs.size());
+      EvaluateVariants(model, downstream, variants);
+  ASSERT_EQ(results.size(), variants.size());
   for (size_t i = 0; i < results.size(); ++i) {
-    SCOPED_TRACE(goldens[i]);
-    CheckGolden(goldens[i], RenderEvalResult(downstream, results[i]));
+    SCOPED_TRACE(variants[i].golden);
+    CheckGolden(variants[i].golden, RenderEvalResult(downstream, results[i]));
   }
 }
 

@@ -149,10 +149,9 @@ TEST_F(BatchEvalTest, PerRequestAugmenterDisableMatchesStandalone) {
   const EvalResult batched1 = eval.FinishRequest(1, disabled);
 
   const EvalResult serial0 = EvaluateInContext(model_, dataset_, configs[0]);
-  EvalConfig disabled_cfg = configs[1];
-  disabled_cfg.disable_augmenter = true;
-  const EvalResult serial1 =
-      EvaluateInContext(model_, dataset_, disabled_cfg);
+  BatchEvaluation alone(model_, dataset_, {configs[1]});
+  alone.Prepare();
+  const EvalResult serial1 = alone.FinishRequest(0, disabled);
   ExpectBitwiseEqual(batched0, serial0, "augmenter on");
   ExpectBitwiseEqual(batched1, serial1, "augmenter off");
 }
