@@ -3,8 +3,7 @@
 //
 // Determinism contract: at SimdLevel::kScalar (GP_SIMD=off) every kernel
 // sums its terms in ascending index order with double-precision
-// accumulators — exactly the order the original fused
-// CosineSimilarity/EuclideanDistance kernels used — so a score computed
+// accumulators, so a score computed
 // through this header is bitwise identical no matter which call site
 // computed it. At SimdLevel::kAvx2 (the default on capable CPUs) the same
 // kernels run 4-lane double accumulators reduced in a fixed order: still

@@ -1402,66 +1402,6 @@ Tensor GatherAddLeakyRelu(const Tensor& s, const std::vector<int>& src,
       });
 }
 
-Tensor AddScalarDiv(const Tensor& a, const Tensor& b, float s) {
-  const Broadcast mode = BroadcastModeOf(a, b);
-  const int rows = a.rows();
-  const int cols = a.cols();
-  std::vector<float> out = AcquireBuffer(a.data().size());
-  const float* adata = a.data().data();
-  const float* bdata = b.data().data();
-  ParallelRange(rows, cols, [&](int64_t first, int64_t last) {
-    for (int r = static_cast<int>(first); r < last; ++r) {
-      for (int c = 0; c < cols; ++c) {
-        const size_t i = static_cast<size_t>(r) * cols + c;
-        out[i] = adata[i] / (bdata[BIndex(mode, r, c, cols)] + s);
-      }
-    }
-  });
-  auto pa = a.impl();
-  auto pb = b.impl();
-  return FinishOp(
-      rows, cols, std::move(out), {pa, pb},
-      [pa, pb, mode, rows, cols, s](TensorImpl& node) {
-        if (WantsGrad(pa)) {
-          pa->EnsureGrad();
-          ParallelRange(rows, cols, [&](int64_t first, int64_t last) {
-            for (int r = static_cast<int>(first); r < last; ++r) {
-              for (int c = 0; c < cols; ++c) {
-                const size_t i = static_cast<size_t>(r) * cols + c;
-                pa->grad[i] += node.grad[i] /
-                               (pb->data[BIndex(mode, r, c, cols)] + s);
-              }
-            }
-          });
-        }
-        if (WantsGrad(pb)) {
-          std::vector<float> scaled = AcquireBuffer(node.grad.size());
-          ParallelRange(rows, cols, [&](int64_t first, int64_t last) {
-            for (int r = static_cast<int>(first); r < last; ++r) {
-              for (int c = 0; c < cols; ++c) {
-                const size_t i = static_cast<size_t>(r) * cols + c;
-                const float bv =
-                    pb->data[BIndex(mode, r, c, cols)] + s;
-                scaled[i] = -node.grad[i] * pa->data[i] / (bv * bv);
-              }
-            }
-          });
-          // In the unfused graph the reduce lands in AddScalar's node grad
-          // (zero-initialised) and only the reduced totals flow on into b,
-          // so reduce into scratch first to keep per-element add order
-          // identical.
-          std::vector<float> t_grad = AcquireZeroedBuffer(pb->data.size());
-          ReduceBroadcastInto(scaled, rows, cols, mode, t_grad.data());
-          ReleaseBuffer(std::move(scaled));
-          pb->EnsureGrad();
-          for (size_t i = 0; i < pb->grad.size(); ++i) {
-            pb->grad[i] += t_grad[i];
-          }
-          ReleaseBuffer(std::move(t_grad));
-        }
-      });
-}
-
 Tensor CachedOnesColumn(int rows) {
   CHECK_GE(rows, 0);
   // Thread-local so concurrent eval trials never share a mutable impl.
@@ -1684,51 +1624,6 @@ std::vector<int> ArgmaxRows(const Tensor& a) {
     out[r] = best;
   }
   return out;
-}
-
-std::vector<float> RowMax(const Tensor& a) {
-  std::vector<float> out(a.rows());
-  for (int r = 0; r < a.rows(); ++r) {
-    float best = a.at(r, 0);
-    for (int c = 1; c < a.cols(); ++c) best = std::max(best, a.at(r, c));
-    out[r] = best;
-  }
-  return out;
-}
-
-float CosineSimilarity(const std::vector<float>& a,
-                       const std::vector<float>& b) {
-  CHECK_EQ(a.size(), b.size());
-  double dot = 0.0, na = 0.0, nb = 0.0;
-  for (size_t i = 0; i < a.size(); ++i) {
-    dot += static_cast<double>(a[i]) * b[i];
-    na += static_cast<double>(a[i]) * a[i];
-    nb += static_cast<double>(b[i]) * b[i];
-  }
-  const double denom = std::sqrt(na) * std::sqrt(nb);
-  if (denom < 1e-12) return 0.0f;
-  return static_cast<float>(dot / denom);
-}
-
-float EuclideanDistance(const std::vector<float>& a,
-                        const std::vector<float>& b) {
-  CHECK_EQ(a.size(), b.size());
-  double total = 0.0;
-  for (size_t i = 0; i < a.size(); ++i) {
-    const double d = static_cast<double>(a[i]) - b[i];
-    total += d * d;
-  }
-  return static_cast<float>(std::sqrt(total));
-}
-
-float ManhattanDistance(const std::vector<float>& a,
-                        const std::vector<float>& b) {
-  CHECK_EQ(a.size(), b.size());
-  double total = 0.0;
-  for (size_t i = 0; i < a.size(); ++i) {
-    total += std::abs(static_cast<double>(a[i]) - b[i]);
-  }
-  return static_cast<float>(total);
 }
 
 namespace internal {

@@ -126,10 +126,6 @@ Tensor GatherAddLeakyRelu(const Tensor& s, const std::vector<int>& src,
                           const Tensor& a, const std::vector<int>& key,
                           float negative_slope);
 
-// Fuses Div(a, AddScalar(b, s)): out = a / (b + s), same broadcast rules
-// as Div.
-Tensor AddScalarDiv(const Tensor& a, const Tensor& b, float s);
-
 // Thread-cached all-ones column (rows x 1). Callers must treat the result
 // as read-only: the same impl is shared until a different row count is
 // requested. Replaces per-call Tensor::Full(rows, 1, 1.0f) in hot loops.
@@ -166,15 +162,6 @@ Tensor SegmentMeanRows(const Tensor& src, const std::vector<int>& segment,
 
 // Index of the max entry of each row.
 std::vector<int> ArgmaxRows(const Tensor& a);
-// Row-wise max value.
-std::vector<float> RowMax(const Tensor& a);
-// Cosine similarity between two equal-length vectors.
-float CosineSimilarity(const std::vector<float>& a,
-                       const std::vector<float>& b);
-float EuclideanDistance(const std::vector<float>& a,
-                        const std::vector<float>& b);
-float ManhattanDistance(const std::vector<float>& a,
-                        const std::vector<float>& b);
 
 namespace internal {
 

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/distance.h"
 #include "data/synthetic.h"
 #include "tensor/ops.h"
 
@@ -75,12 +76,16 @@ TEST(SyntheticNodeGraphTest, FeaturesClusterByClass) {
   config.feature_noise = 0.3;
   Graph g = MakeNodeClassificationGraph(config);
   // Mean intra-class cosine similarity should exceed inter-class.
+  const Tensor& features = g.node_features();
+  const int dim = features.cols();
   double intra = 0, inter = 0;
   int intra_n = 0, inter_n = 0;
   for (int i = 0; i < 100; ++i) {
     for (int j = i + 1; j < 100; ++j) {
-      const float sim = CosineSimilarity(g.node_features().Row(i),
-                                         g.node_features().Row(j));
+      const float sim = SimilarityRaw(
+          features.data().data() + static_cast<size_t>(i) * dim,
+          features.data().data() + static_cast<size_t>(j) * dim, dim,
+          DistanceMetric::kCosine);
       if (g.node_label(i) == g.node_label(j)) {
         intra += sim;
         ++intra_n;

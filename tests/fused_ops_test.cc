@@ -377,34 +377,6 @@ TEST(FusedOpsTest, GatherAddLeakyReluOneKeyPerEdge) {
       MakeLogitInputs(7, 24, src, dst, key, 59), 0.2f);
 }
 
-TEST(FusedOpsTest, AddScalarDivMatchesUnfusedAllBroadcastModes) {
-  Rng rng(17);
-  struct Case {
-    int brows, bcols;
-  };
-  for (const Case& c : {Case{6, 4}, Case{1, 4}, Case{6, 1}, Case{1, 1}}) {
-    Tensor a_a = Tensor::Randn(6, 4, &rng, 1.0f, /*requires_grad=*/true);
-    Tensor b_a = Tensor::Full(c.brows, c.bcols, 0.0f, /*requires_grad=*/true);
-    for (auto& v : b_a.mutable_data()) v = rng.UniformFloat() + 0.5f;
-    Tensor a_b = a_a.Clone();
-    Tensor b_b = b_a.Clone();
-
-    Tensor ref_fwd;
-    {
-      Tensor out = Div(a_a, AddScalar(b_a, 0.75f));
-      ref_fwd = out.Detach();
-      Backward(SumAll(Mul(out, out)));
-    }
-    {
-      Tensor out = AddScalarDiv(a_b, b_b, 0.75f);
-      ExpectBitwiseEqual(out.data(), ref_fwd.data());
-      Backward(SumAll(Mul(out, out)));
-    }
-    ExpectBitwiseEqual(a_b.grad(), a_a.grad());
-    ExpectBitwiseEqual(b_b.grad(), b_a.grad());
-  }
-}
-
 TEST(FusedOpsTest, GemmAccumulateSkipTogglesAgreeOnDenseInputs) {
   Rng rng(23);
   const int rows = 12, inner = 17, cols = 33;

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/distance.h"
 #include "tensor/autograd.h"
 #include "tensor/ops.h"
 
@@ -22,7 +23,7 @@ float MinimiseQuadratic(MakeOptimizer make, int steps) {
     Backward(SumAll(Square(Sub(x, target))));
     optimizer->Step();
   }
-  return EuclideanDistance(x.Row(0), target.Row(0));
+  return -NegEuclideanRaw(x.data().data(), target.data().data(), 2);
 }
 
 TEST(SgdTest, ConvergesOnQuadratic) {

@@ -270,19 +270,9 @@ TEST(OpsTest, DropoutScalesSurvivors) {
   EXPECT_NEAR(zeros / 1000.0, 0.5, 0.07);
 }
 
-TEST(OpsTest, ArgmaxAndRowMax) {
+TEST(OpsTest, ArgmaxRows) {
   Tensor a = Tensor::FromData(2, 3, {1, 5, 2, 9, 0, 3});
   EXPECT_EQ(ArgmaxRows(a), (std::vector<int>{1, 0}));
-  EXPECT_EQ(RowMax(a), (std::vector<float>{5, 9}));
-}
-
-TEST(OpsTest, DistanceHelpers) {
-  std::vector<float> a = {1, 0};
-  std::vector<float> b = {0, 1};
-  EXPECT_NEAR(CosineSimilarity(a, a), 1.0f, 1e-6f);
-  EXPECT_NEAR(CosineSimilarity(a, b), 0.0f, 1e-6f);
-  EXPECT_NEAR(EuclideanDistance(a, b), std::sqrt(2.0f), 1e-6f);
-  EXPECT_NEAR(ManhattanDistance(a, b), 2.0f, 1e-6f);
 }
 
 TEST(OpsTest, ActivationValues) {
