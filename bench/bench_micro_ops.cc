@@ -181,6 +181,44 @@ BENCHMARK(BM_GemmAccumulate)
     ->Args({1, 0})
     ->Args({1, 1});
 
+// The forward GEMM at the dense layers' shapes: 512 rows x inner ->
+// cols, issued in the row chunks MatMul's ParallelRange hands the kernel
+// (at least 2^15 multiply-adds per call, one call below twice that): 8
+// rows at 64 -> 64, 4 at 128 -> 64, all 512 at 64 -> 1. relu=1 clamps A
+// at zero, so about half its entries are zero, like a ReLU output.
+// Items are output rows.
+void BM_GemmLayerShapes(benchmark::State& state) {
+  const int inner = static_cast<int>(state.range(0));
+  const int cols = static_cast<int>(state.range(1));
+  const bool relu = state.range(2) == 1;
+  const int chunk = static_cast<int>(state.range(3));
+  const int rows = 512;
+  Rng rng(41);
+  Tensor a = Tensor::Randn(rows, inner, &rng);
+  if (relu) {
+    for (float& x : a.mutable_data()) x = std::max(x, 0.0f);
+  }
+  Tensor b = Tensor::Randn(inner, cols, &rng);
+  std::vector<float> out(static_cast<size_t>(rows) * cols);
+  for (auto _ : state) {
+    std::fill(out.begin(), out.end(), 0.0f);
+    for (int r = 0; r < rows; r += chunk) {
+      internal::GemmAccumulate(a.data().data() + static_cast<size_t>(r) * inner,
+                               b.data().data(),
+                               out.data() + static_cast<size_t>(r) * cols,
+                               std::min(chunk, rows - r), inner, cols);
+    }
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * rows);
+}
+BENCHMARK(BM_GemmLayerShapes)
+    ->ArgNames({"inner", "cols", "relu", "chunk"})
+    ->Args({64, 64, 1, 8})
+    ->Args({128, 64, 0, 4})
+    ->Args({64, 1, 0, 512});
+
 void BM_MatMulBackward(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   Rng rng(3);

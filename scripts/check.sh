@@ -3,7 +3,8 @@
 # under AddressSanitizer and UndefinedBehaviorSanitizer. The sanitizer
 # passes focus on the `robustness` ctest label, where fault injection
 # deliberately pushes NaN/Inf values and corrupted bytes through the
-# pipeline, but can run everything with CHECK_ALL=1.
+# pipeline, and build only the test binaries they run; CHECK_ALL=1 builds
+# the whole tree and runs every test.
 #
 # Usage: scripts/check.sh [-j N]
 set -euo pipefail
@@ -119,14 +120,31 @@ if [[ "${CHECK_ALL:-0}" == "1" ]]; then
   label_args=()
 fi
 
+# Builds, in the configured build dir $1, what `ctest <args>` would run:
+# every test the labels select is a gp_add_test binary named after its
+# target, and none runs a bench, example or tool. CHECK_ALL=1 builds the
+# whole tree.
+build_tests() {
+  local dir="$1"
+  shift
+  if [[ "${CHECK_ALL:-0}" == "1" ]]; then
+    run cmake --build "$dir" -j "$JOBS"
+    return
+  fi
+  local targets
+  mapfile -t targets < <(ctest --test-dir "$dir" -N "$@" |
+    sed -n 's/^ *Test *#[0-9]*: //p')
+  run cmake --build "$dir" -j "$JOBS" --target "${targets[@]}"
+}
+
 echo "=== ASan: address-sanitized robustness tests ==="
 run cmake -B build-asan -S . -DGP_SANITIZE=address
-run cmake --build build-asan -j "$JOBS"
+build_tests build-asan "${label_args[@]}"
 run ctest --test-dir build-asan "${label_args[@]}" --output-on-failure
 
 echo "=== UBSan: undefined-behavior-sanitized robustness tests ==="
 run cmake -B build-ubsan -S . -DGP_SANITIZE=undefined
-run cmake --build build-ubsan -j "$JOBS"
+build_tests build-ubsan "${label_args[@]}"
 run ctest --test-dir build-ubsan "${label_args[@]}" --output-on-failure
 
 echo "=== TSan: thread-sanitized concurrency tests ==="
@@ -134,7 +152,7 @@ echo "=== TSan: thread-sanitized concurrency tests ==="
 # determinism pins across ParallelFor widths, the eval chaos soaks and the
 # socket-mode serving soaks.
 run cmake -B build-tsan -S . -DGP_SANITIZE=thread
-run cmake --build build-tsan -j "$JOBS"
+build_tests build-tsan -L concurrency
 run ctest --test-dir build-tsan -L concurrency --output-on-failure
 
 echo "all checks passed"

@@ -180,15 +180,24 @@ void GemmAccumulate(const float* a, const float* b, float* out, int rows,
 void GemmGradAccumulate(const float* g, const float* a, const float* b,
                         float* da, float* db, int rows, int inner, int cols);
 
-// AVX2 variant of the blocked GEMM row kernel (tensor/gemm_avx2.cc),
-// dispatched behind MatMul/LinearRelu when Avx2Enabled(). The panel update
-// vectorizes over the j (output-column) axis only — an elementwise
-// mul-then-add per lane, never a cross-lane reduction — and deliberately
-// avoids FMA contraction, so each out element still accumulates its
-// ascending-k products with scalar-identical rounding: this kernel is
-// bitwise identical to the scalar micro-kernel (pinned by
-// tests/simd_kernels_test.cc and, transitively, tests/fused_ops_test.cc
-// and the golden pins, which hold at any simd level).
+// AVX2 variant of the GEMM row kernel (tensor/gemm_avx2.cc), dispatched
+// behind MatMul, LinearRelu and GatherConcatLinear when Avx2Enabled().
+// Each out element starts from its stored value and adds its products in
+// ascending k, mul then add without FMA contraction, skipping zero
+// operands when `skip_zeros` is set, so it is bitwise identical to the
+// scalar micro-kernel (pinned by tests/simd_kernels_test.cc and,
+// transitively, tests/fused_ops_test.cc and the golden pins, which hold
+// at any simd level). Lanes never reduce across each other:
+//   * cols >= 8: lanes on output columns. Per row and 256-k block, the k
+//     of the nonzero operands are compacted into a stack list without a
+//     branch, and each panel of up to 64 columns (8 registers; then 32,
+//     16 and 8, then a scalar tail) stays in registers over that list
+//     and is stored once.
+//   * cols < 8: lanes on 8 rows. A's column is gathered per k, and a
+//     skipped operand's product is replaced with -0, which leaves the
+//     accumulator's bits as the skip does. Leftover rows take the row
+//     path.
+// No heap scratch and no per-call set-up.
 void GemmRowsAvx2(const float* a, const float* b, float* out,
                   int64_t row_begin, int64_t row_end, int inner, int cols,
                   bool skip_zeros);

@@ -126,10 +126,61 @@ TEST_F(SimdKernelsTest, Avx2MatchesScalarWithinUlps) {
   EXPECT_EQ(NegManhattanRaw(a.data(), a.data(), 64), 0.0f);
 }
 
-// The GEMM panel is the exception to the ULP story: its vectorization is
-// elementwise (independent j-lane accumulators, explicit mul-then-add, no
-// FMA contraction), so AVX2 output must be bitwise identical to scalar —
-// this is what keeps the golden pins level-independent.
+bool SameBits(const std::vector<float>& x, const std::vector<float>& y) {
+  return x.size() == y.size() &&
+         std::memcmp(x.data(), y.data(), x.size() * sizeof(float)) == 0;
+}
+
+bool AnyNan(const std::vector<float>& v) {
+  return std::any_of(v.begin(), v.end(), [](float x) { return std::isnan(x); });
+}
+
+float SignedZero(Rng* rng) { return rng->UniformInt(2) ? 0.0f : -0.0f; }
+
+// Operands and starting output of one forward GEMM call.
+struct GemmCase {
+  int rows = 0, inner = 0, cols = 0;
+  std::vector<float> a, b, out;
+};
+
+// A like a ReLU output: about half its entries ±0, and row 0 all ±0, so
+// that row's out keeps its starting signed zeros only if every zero
+// operand is skipped. About one entry in eight of B and of the starting
+// out is ±0.
+GemmCase ReluLikeGemmCase(Rng* rng, int rows, int inner, int cols) {
+  GemmCase c;
+  c.rows = rows;
+  c.inner = inner;
+  c.cols = cols;
+  c.a = RandomVec(rng, rows * inner);
+  c.b = RandomVec(rng, inner * cols);
+  c.out = RandomVec(rng, rows * cols);
+  for (int i = 0; i < rows * inner; ++i) {
+    if (i < inner || rng->UniformInt(2) == 0) c.a[i] = SignedZero(rng);
+  }
+  for (std::vector<float>* v : {&c.b, &c.out}) {
+    for (float& x : *v) {
+      if (rng->UniformInt(8) == 0) x = SignedZero(rng);
+    }
+  }
+  return c;
+}
+
+// out after one forward call at `level`.
+std::vector<float> GemmAt(SimdLevel level, const GemmCase& c,
+                          bool skip_zeros) {
+  SetSimdLevel(level);
+  std::vector<float> out = c.out;
+  internal::GemmAccumulate(c.a.data(), c.b.data(), out.data(), c.rows,
+                           c.inner, c.cols, skip_zeros);
+  return out;
+}
+
+// The GEMM kernels are the exception to the ULP story: their
+// vectorization is elementwise (independent lane accumulators, explicit
+// mul-then-add, no FMA contraction), so AVX2 output must be bitwise
+// identical to scalar — this is what keeps the golden pins
+// level-independent.
 TEST_F(SimdKernelsTest, GemmBitwiseIdenticalAcrossLevels) {
   if (DetectedSimdLevel() != SimdLevel::kAvx2) {
     GTEST_SKIP() << "no AVX2 on this CPU";
@@ -139,30 +190,83 @@ TEST_F(SimdKernelsTest, GemmBitwiseIdenticalAcrossLevels) {
   // ragged tails; dense and one-hot A to exercise both skip_zeros arms.
   const int shapes[][3] = {
       {3, 5, 7}, {2, 300, 150}, {4, 256, 128}, {1, 257, 129}, {5, 64, 200}};
-  for (const auto& shape : shapes) {
-    const int rows = shape[0], inner = shape[1], cols = shape[2];
-    std::vector<float> a = RandomVec(&rng, rows * inner);
-    const std::vector<float> b = RandomVec(&rng, inner * cols);
+  for (const auto& [rows, inner, cols] : shapes) {
+    GemmCase c;
+    c.rows = rows;
+    c.inner = inner;
+    c.cols = cols;
+    c.a = RandomVec(&rng, rows * inner);
+    c.b = RandomVec(&rng, inner * cols);
+    c.out.assign(rows * cols, 0.25f);
     for (int onehot = 0; onehot < 2; ++onehot) {
       if (onehot) {
-        std::fill(a.begin(), a.end(), 0.0f);
+        std::fill(c.a.begin(), c.a.end(), 0.0f);
         for (int r = 0; r < rows; ++r) {
-          a[r * inner + static_cast<int>(rng.UniformInt(inner))] = 1.0f;
+          c.a[r * inner + static_cast<int>(rng.UniformInt(inner))] = 1.0f;
         }
       }
       for (const bool skip_zeros : {true, false}) {
-        std::vector<float> out_scalar(rows * cols, 0.25f);
-        std::vector<float> out_avx2 = out_scalar;
-        SetSimdLevel(SimdLevel::kScalar);
-        internal::GemmAccumulate(a.data(), b.data(), out_scalar.data(), rows,
-                                 inner, cols, skip_zeros);
-        SetSimdLevel(SimdLevel::kAvx2);
-        internal::GemmAccumulate(a.data(), b.data(), out_avx2.data(), rows,
-                                 inner, cols, skip_zeros);
-        EXPECT_EQ(0, std::memcmp(out_scalar.data(), out_avx2.data(),
-                                 out_scalar.size() * sizeof(float)))
+        EXPECT_TRUE(SameBits(GemmAt(SimdLevel::kScalar, c, skip_zeros),
+                             GemmAt(SimdLevel::kAvx2, c, skip_zeros)))
             << rows << "x" << inner << "x" << cols
             << " skip_zeros=" << skip_zeros << " onehot=" << onehot;
+      }
+    }
+  }
+
+  // The workload's widths (1 for the attention logits and importance
+  // head, 5 for a task graph's per-way scores, 24 and 64 for the
+  // layers), each of the 64-, 32-, 16- and 8-column panels (40 = 32 + 8,
+  // 65 = 64 + a scalar column), and inner sizes on both sides of the
+  // 256-k block. Rows 8, 9 and 17 give a narrow output one or two
+  // 8-row lane groups, with and without a leftover row.
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  for (const int rows : {8, 9, 17}) {
+    for (const int inner : {64, 128, 257}) {
+      for (const int cols : {1, 5, 8, 16, 24, 32, 40, 64, 65}) {
+        GemmCase c = ReluLikeGemmCase(&rng, rows, inner, cols);
+        for (const bool skip_zeros : {true, false}) {
+          EXPECT_TRUE(SameBits(GemmAt(SimdLevel::kScalar, c, skip_zeros),
+                               GemmAt(SimdLevel::kAvx2, c, skip_zeros)))
+              << rows << "x" << inner << "x" << cols
+              << " skip_zeros=" << skip_zeros;
+        }
+
+        // Two rows of B that only ±0 operands reach: +Inf in row k1 and
+        // NaN in row k2, each in every third column. With the skip, no
+        // output may turn non-finite; without it, exactly the columns
+        // holding one of them turn NaN. No element meets two NaNs, so
+        // the NaN payloads must match bit for bit too.
+        const int k1 = inner / 3, k2 = inner - 1;
+        for (int r = 0; r < rows; ++r) {
+          c.a[r * inner + k1] = SignedZero(&rng);
+          c.a[r * inner + k2] = SignedZero(&rng);
+        }
+        for (int j = 0; j < cols; ++j) {
+          if (j % 3 == 0) c.b[k1 * cols + j] = inf;
+          if (j % 3 == 1) c.b[k2 * cols + j] = nan;
+        }
+        for (const bool skip_zeros : {true, false}) {
+          const std::vector<float> scalar =
+              GemmAt(SimdLevel::kScalar, c, skip_zeros);
+          const std::vector<float> avx2 =
+              GemmAt(SimdLevel::kAvx2, c, skip_zeros);
+          EXPECT_TRUE(SameBits(scalar, avx2))
+              << "non-finite B " << rows << "x" << inner << "x" << cols
+              << " skip_zeros=" << skip_zeros;
+          int wrong = 0;
+          for (const std::vector<float>* out : {&scalar, &avx2}) {
+            for (int i = 0; i < rows * cols; ++i) {
+              const bool poisoned = !skip_zeros && (i % cols) % 3 != 2;
+              const float v = (*out)[i];
+              wrong += poisoned ? !std::isnan(v) : !std::isfinite(v);
+            }
+          }
+          EXPECT_EQ(wrong, 0)
+              << "non-finite B " << rows << "x" << inner << "x" << cols
+              << " skip_zeros=" << skip_zeros;
+        }
       }
     }
   }
@@ -216,15 +320,6 @@ GemmGrads GemmGradAt(SimdLevel level, const GemmGradCase& c) {
                                out.da.data(), out.db.data(), c.rows, c.inner,
                                c.cols);
   return out;
-}
-
-bool SameBits(const std::vector<float>& x, const std::vector<float>& y) {
-  return x.size() == y.size() &&
-         std::memcmp(x.data(), y.data(), x.size() * sizeof(float)) == 0;
-}
-
-bool AnyNan(const std::vector<float>& v) {
-  return std::any_of(v.begin(), v.end(), [](float x) { return std::isnan(x); });
 }
 
 // The autograd GEMM backward kernels keep the scalar loops' per-element
