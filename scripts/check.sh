@@ -115,15 +115,17 @@ fi
 # puts the mmap shard readers and the sampler under ASan/UBSan;
 # `kernels` covers the fused ops' index arithmetic into projections and
 # gradients and the AVX2 GEMM forward/backward bitwise pins.
-label_args=(-L 'robustness|fuzz|selector|store|kernels')
+sanitizer_labels=(robustness fuzz selector store kernels)
+label_args=(-L "$(IFS='|'; echo "${sanitizer_labels[*]}")")
 if [[ "${CHECK_ALL:-0}" == "1" ]]; then
   label_args=()
 fi
 
-# Builds, in the configured build dir $1, what `ctest <args>` would run:
-# every test the labels select is a gp_add_test binary named after its
-# target, and none runs a bench, example or tool. CHECK_ALL=1 builds the
-# whole tree.
+# Builds, in the configured build dir $1, the test binaries of the labels
+# that follow, through their tests_<label> targets (tests/CMakeLists.txt):
+# no labelled test runs a bench, example or tool. One target per label,
+# because a Makefile build runs several targets one after another.
+# CHECK_ALL=1 builds the whole tree.
 build_tests() {
   local dir="$1"
   shift
@@ -131,20 +133,17 @@ build_tests() {
     run cmake --build "$dir" -j "$JOBS"
     return
   fi
-  local targets
-  mapfile -t targets < <(ctest --test-dir "$dir" -N "$@" |
-    sed -n 's/^ *Test *#[0-9]*: //p')
-  run cmake --build "$dir" -j "$JOBS" --target "${targets[@]}"
+  run cmake --build "$dir" -j "$JOBS" --target "${@/#/tests_}"
 }
 
 echo "=== ASan: address-sanitized robustness tests ==="
 run cmake -B build-asan -S . -DGP_SANITIZE=address
-build_tests build-asan "${label_args[@]}"
+build_tests build-asan "${sanitizer_labels[@]}"
 run ctest --test-dir build-asan "${label_args[@]}" --output-on-failure
 
 echo "=== UBSan: undefined-behavior-sanitized robustness tests ==="
 run cmake -B build-ubsan -S . -DGP_SANITIZE=undefined
-build_tests build-ubsan "${label_args[@]}"
+build_tests build-ubsan "${sanitizer_labels[@]}"
 run ctest --test-dir build-ubsan "${label_args[@]}" --output-on-failure
 
 echo "=== TSan: thread-sanitized concurrency tests ==="
@@ -152,7 +151,7 @@ echo "=== TSan: thread-sanitized concurrency tests ==="
 # determinism pins across ParallelFor widths, the eval chaos soaks and the
 # socket-mode serving soaks.
 run cmake -B build-tsan -S . -DGP_SANITIZE=thread
-build_tests build-tsan -L concurrency
+build_tests build-tsan concurrency
 run ctest --test-dir build-tsan -L concurrency --output-on-failure
 
 echo "all checks passed"
