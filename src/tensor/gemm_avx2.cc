@@ -17,8 +17,8 @@
 //     each panel of up to 64 columns is held in registers over that list
 //     and stored once. Narrower outputs put the lanes on 8 rows, gather
 //     A's column, and replace a zero operand's product with -0, which
-//     leaves every accumulator's bits as the skip does (x + -0 == x,
-//     +0 and -0 included).
+//     leaves every accumulator's bits as the skip does (x + -0 has x's
+//     bits for every x but a signaling NaN, which no arithmetic makes).
 //   * GemmGradAAvx2 mirrors GemmGradA's `acc` loop with the lanes over k:
 //     each accumulator starts at +0, adds g[i][j] * B^T[j][k] in
 //     ascending j with no zero skip, then is added once into dA.
