@@ -6,9 +6,10 @@
 // selector's top-k selections, vote totals, and hit counts, (d) a short
 // pretraining run's per-step losses and final parameter bytes, (e) the
 // random-walk sampler's data graphs for node and edge items, (f) the
-// task graph's outputs at eval_manyway's shape, and (g) the serving
+// task graph's outputs at eval_manyway's shape, (g) the serving
 // daemon's replies to a chaos request log and its tenant snapshots after
-// it, for fixed seeds into tests/golden/. Values are rendered with %.17g, so any change
+// it, and (h) GNN_D's center-row embeddings and gradients for every
+// architecture and depth, for fixed seeds into tests/golden/. Values are rendered with %.17g, so any change
 // to retrieval or scoring that shifts predictions by even one ULP fails
 // loudly. The selector goldens pin the exact scan that scores every
 // (candidate, query) pair, the many-way one at eval_manyway's shape; the
@@ -37,11 +38,13 @@
 #include "core/prompt_generator.h"
 #include "core/task_graph.h"
 #include "data/datasets.h"
+#include "gnn/encoder.h"
 #include "graph/sampler.h"
 #include "serve/server.h"
 #include "serve_chaos_log.h"
 #include "tensor/autograd.h"
 #include "tensor/buffer_pool.h"
+#include "tensor/ops.h"
 #include "util/checksum.h"
 #include "util/parallel.h"
 #include "util/rng.h"
@@ -328,6 +331,143 @@ std::string RenderTaskGraphGolden() {
   return out.str();
 }
 
+// GNN_D over a packed union shaped like the generator's: the data graphs
+// of three FB15K-sim edge items (two centers each), a three-node path that
+// no center reaches, a lone center with no edges, requested twice as a
+// self-loop edge item's center is, and a six-node chain read from one end,
+// so that each layer reaches one row further. Every architecture, at one to three
+// layers, with and without edge weights, renders a CRC-32 of the center
+// rows' embeddings without autograd and with it, then, after Backward from
+// a fixed weighted sum of those rows, of every parameter's grad, the
+// edge-weight grad and x's grad. A second request reads the edge items'
+// centers alone.
+struct EncoderUnion {
+  int num_rows = 0;
+  std::vector<int> src, dst;
+  std::vector<int> centers;       // every center row, packed order
+  std::vector<int> item_centers;  // the edge items' center rows only
+};
+
+EncoderUnion GoldenEncoderUnion() {
+  const DatasetBundle fb = MakeFb15kSim(0.1, 5);
+  SamplerConfig walk;
+  walk.num_hops = 3;
+  walk.max_nodes = 20;
+  walk.num_walks = 2;
+  const GraphAdapter view(fb.graph);
+  const Sampler sampler(&view, walk);
+  Rng rng(23);
+  std::vector<Subgraph> parts;
+  for (int c = 0; c < 3; ++c) {
+    parts.push_back(
+        sampler.SampleAroundEdge(fb.train_items_by_class[c][0], &rng));
+  }
+  Subgraph path;
+  path.nodes = {1, 2, 3};
+  path.edge_src = {0, 1, 1, 2};
+  path.edge_dst = {1, 0, 2, 1};
+  Subgraph lone;
+  lone.nodes = {0};
+  lone.center_local = {0, 0};
+  Subgraph chain;
+  chain.nodes = {4, 5, 6, 7, 8, 9};
+  chain.center_local = {0};
+  for (int i = 0; i + 1 < chain.num_nodes(); ++i) {
+    chain.edge_src.insert(chain.edge_src.end(), {i, i + 1});
+    chain.edge_dst.insert(chain.edge_dst.end(), {i + 1, i});
+  }
+  parts.insert(parts.begin() + 2, {path, lone, chain});
+
+  EncoderUnion u;
+  for (const Subgraph& sg : parts) {
+    for (int e = 0; e < sg.num_edges(); ++e) {
+      u.src.push_back(sg.edge_src[e] + u.num_rows);
+      u.dst.push_back(sg.edge_dst[e] + u.num_rows);
+    }
+    for (int local : sg.center_local) {
+      u.centers.push_back(local + u.num_rows);
+      if (sg.center_local.size() == 2 && sg.num_edges() > 0) {
+        u.item_centers.push_back(local + u.num_rows);
+      }
+    }
+    u.num_rows += sg.num_nodes();
+  }
+  return u;
+}
+
+// GNN_D's embeddings of `rows` of the union.
+Tensor EncodeRows(const GnnEncoder& encoder, const Tensor& x,
+                  const EncoderUnion& u, const Tensor& edge_weight,
+                  const std::vector<int>& rows) {
+  return GatherRows(encoder.Forward(x, u.src, u.dst, edge_weight), rows);
+}
+
+std::string GradCrc(const Tensor& t) {
+  if (t.grad().empty()) return "none";
+  return std::to_string(
+      Crc32(t.grad().data(), t.grad().size() * sizeof(float)));
+}
+
+std::string RenderEncoderRowsGolden() {
+  const EncoderUnion u = GoldenEncoderUnion();
+  const int in_dim = 12, out_dim = 10;
+  const int num_edges = static_cast<int>(u.src.size());
+  Rng data_rng(29);
+  const Tensor x_values = Tensor::Randn(u.num_rows, in_dim, &data_rng);
+  std::vector<float> w_values(num_edges);
+  for (float& v : w_values) v = 0.05f + 0.9f * data_rng.UniformFloat();
+
+  std::ostringstream out;
+  out << "rows " << u.num_rows << " edges " << num_edges << " centers "
+      << u.centers.size() << " item_centers " << u.item_centers.size()
+      << "\n";
+  for (GnnArch arch : {GnnArch::kSage, GnnArch::kGcn, GnnArch::kGat}) {
+    for (int layers = 1; layers <= 3; ++layers) {
+      for (const bool weighted : {false, true}) {
+        GnnEncoderConfig config;
+        config.arch = arch;
+        config.in_dim = in_dim;
+        config.hidden_dim = 20;
+        config.out_dim = out_dim;
+        config.num_layers = layers;
+        for (const std::vector<int>* rows : {&u.centers, &u.item_centers}) {
+          Rng init_rng(7);
+          const GnnEncoder encoder(config, &init_rng);
+          out << GnnArchName(arch) << " layers " << layers
+              << (weighted ? " weighted" : " unweighted")
+              << (rows == &u.centers ? " centers" : " item_centers") << "\n";
+          const Tensor readout =
+              Tensor::Randn(static_cast<int>(rows->size()), out_dim,
+                            &data_rng);
+          {
+            NoGradGuard no_grad;
+            const Tensor w = weighted
+                                 ? Tensor::FromData(num_edges, 1, w_values)
+                                 : Tensor();
+            out << "no_grad crc32 "
+                << TensorCrc(EncodeRows(encoder, x_values, u, w, *rows))
+                << "\n";
+          }
+          Tensor x = Tensor::FromData(u.num_rows, in_dim, x_values.data(),
+                                      /*requires_grad=*/true);
+          Tensor w = weighted ? Tensor::FromData(num_edges, 1, w_values,
+                                                 /*requires_grad=*/true)
+                              : Tensor();
+          const Tensor embedded = EncodeRows(encoder, x, u, w, *rows);
+          out << "grad crc32 " << TensorCrc(embedded) << "\n";
+          Backward(SumAll(Mul(embedded, readout)));
+          for (const auto& [name, param] : encoder.NamedParameters()) {
+            out << "grad " << name << " crc32 " << GradCrc(param) << "\n";
+          }
+          if (weighted) out << "grad edge_weight crc32 " << GradCrc(w) << "\n";
+          out << "grad x crc32 " << GradCrc(x) << "\n";
+        }
+      }
+    }
+  }
+  return out.str();
+}
+
 // The serving daemon's pipe-mode replies to the request log in
 // tests/serve_chaos_log.h, then every tenant's snapshot. Each reply renders
 // its status, retries, degradation events, accuracy and message; the
@@ -413,6 +553,10 @@ TEST(GoldenEvalTest, PretrainLossesAndParametersMatchGolden) {
 
 TEST(GoldenEvalTest, SamplerOutputsMatchGolden) {
   CheckGolden("sampler.golden", RenderSamplerGolden());
+}
+
+TEST(GoldenEvalTest, EncoderRowsMatchGolden) {
+  CheckGolden("encoder_rows.golden", RenderEncoderRowsGolden());
 }
 
 TEST(GoldenEvalTest, ServeRepliesMatchGolden) {
