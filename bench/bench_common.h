@@ -8,7 +8,9 @@
 //   --threads=N   worker threads for parallel kernels
 //                 (default GP_NUM_THREADS env, else hardware concurrency;
 //                 results are bitwise identical at any thread count)
-//   --outdir=DIR  CSV output directory            (default "results")
+//   --outdir=DIR  CSV output directory            (default "bench_out",
+//                 git-ignored; pass --outdir=results to regenerate a
+//                 committed results/BENCH_*.json baseline)
 //   --telemetry=PATH  write a telemetry snapshot (JSON, or CSV by
 //                 extension) at exit; GP_TELEMETRY env is the fallback
 //   --trace=PATH  record trace spans and write Chrome trace JSON (or CSV
@@ -49,7 +51,7 @@ struct Env {
   int queries = 50;
   uint64_t seed = 1;
   int threads = 0;  // resolved to the actual pool size by ParseEnv
-  std::string outdir = "results";
+  std::string outdir = "bench_out";
   std::string telemetry_path;  // empty = GP_TELEMETRY env, else disabled
   std::string trace_path;      // empty = GP_TRACE env, else disabled
   SimdLevel simd = SimdLevel::kScalar;  // resolved --simd/GP_SIMD level

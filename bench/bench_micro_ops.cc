@@ -12,7 +12,9 @@
 // fused-kernel and allocator gains stay pinned in the perf trajectory.
 //
 // Flags (in addition to google-benchmark's own --benchmark_* flags):
-//   --outdir=DIR        report directory (default "results")
+//   --outdir=DIR        report directory (default "bench_out", git-ignored;
+//                       --outdir=results regenerates the committed
+//                       results/BENCH_micro_ops.json)
 //   --headline_reps=N   repetitions per headline measurement (default 15)
 
 #include <benchmark/benchmark.h>
@@ -507,7 +509,7 @@ void RunHeadline(const std::string& outdir, int reps) {
 // stripped before google-benchmark sees the command line.
 int main(int argc, char** argv) {
   gp::Flags flags(argc, argv);
-  const std::string outdir = flags.GetString("outdir", "results");
+  const std::string outdir = flags.GetString("outdir", "bench_out");
   const int reps =
       static_cast<int>(flags.GetInt("headline_reps", 15));
   std::vector<char*> bench_argv;

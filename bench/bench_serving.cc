@@ -28,7 +28,8 @@
 // default of 10000 exercises the breaker through many trip/recover
 // cycles); --clean-requests sizes the latency-measurement phase and
 // --compare-requests the two batching-comparison phases. Writes
-// results/BENCH_serving.json, which scripts/check.sh gates with
+// <outdir>/BENCH_serving.json; the committed results/BENCH_serving.json
+// (regenerated with --outdir=results) is what scripts/check.sh gates with
 // tools/check_bench.
 
 #include <algorithm>

@@ -114,7 +114,8 @@ fi
 # per-query top-k buffers and the augmenter's cache scan; `store`
 # puts the mmap shard readers and the sampler under ASan/UBSan;
 # `kernels` covers the fused ops' index arithmetic into projections and
-# gradients and the AVX2 GEMM forward/backward bitwise pins.
+# gradients, the GNN layers' per-call row and edge lists, and the AVX2
+# GEMM forward/backward bitwise pins.
 sanitizer_labels=(robustness fuzz selector store kernels)
 label_args=(-L "$(IFS='|'; echo "${sanitizer_labels[*]}")")
 if [[ "${CHECK_ALL:-0}" == "1" ]]; then

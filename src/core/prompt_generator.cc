@@ -135,12 +135,24 @@ Tensor PromptGenerator::EmbedSubgraphs(const GraphView& view,
   static Counter* embedded = Telemetry().GetCounter("generator/subgraphs");
   embedded->Add(num_subgraphs);
 
-  Tensor features = view.GatherFeatureRows(packed.nodes);
+  // The readout reads only the center rows, so GNN_D computes their
+  // receptive field alone, and only its rows' features and its first
+  // layer's edges are gathered and weighed.
+  GnnPlan plan;
+  {
+    GP_TRACE_SPAN("generator/encode");
+    plan = encoder_->Plan(static_cast<int>(packed.nodes.size()), packed.src,
+                          packed.dst, packed.center_rows);
+  }
+  std::vector<int> nodes;
+  nodes.reserve(plan.rows.size());
+  for (int r : plan.rows) nodes.push_back(packed.nodes[r]);
+  Tensor features = view.GatherFeatureRows(nodes);
   if (feature_offset.defined()) {
     features = Add(features, feature_offset);  // broadcast row
   }
   Tensor edge_weight;  // undefined = unit weights
-  if (config_.use_reconstruction && !packed.src.empty()) {
+  if (config_.use_reconstruction && !plan.edges.empty()) {
     GP_TRACE_SPAN("generator/reconstruct");
     if (!GradEnabled()) {
       // Inference: the Eq. 2-3 weight of an edge is a pure function of its
@@ -157,22 +169,22 @@ Tensor PromptGenerator::EmbedSubgraphs(const GraphView& view,
           Telemetry().GetCounter("generator/recon_edges");
       static Counter* recon_unique =
           Telemetry().GetCounter("generator/recon_unique_edges");
-      const size_t num_edges = packed.src.size();
-      std::vector<int> rep_src, rep_dst;  // first-occurrence union rows
+      const size_t num_edges = plan.edges.size();
+      std::vector<int> rep_src, rep_dst;  // first-occurrence feature rows
       std::vector<int> occurrence(num_edges);
       std::unordered_map<uint64_t, int> unique_index;
       unique_index.reserve(num_edges * 2);
       for (size_t e = 0; e < num_edges; ++e) {
         const uint64_t key =
             (static_cast<uint64_t>(
-                 static_cast<uint32_t>(packed.nodes[packed.src[e]]))
+                 static_cast<uint32_t>(nodes[plan.edge_src[e]]))
              << 32) |
-            static_cast<uint32_t>(packed.nodes[packed.dst[e]]);
+            static_cast<uint32_t>(nodes[plan.edge_dst[e]]);
         const auto [it, inserted] =
             unique_index.emplace(key, static_cast<int>(rep_src.size()));
         if (inserted) {
-          rep_src.push_back(packed.src[e]);
-          rep_dst.push_back(packed.dst[e]);
+          rep_src.push_back(plan.edge_src[e]);
+          rep_dst.push_back(plan.edge_dst[e]);
         }
         occurrence[e] = it->second;
       }
@@ -183,18 +195,16 @@ Tensor PromptGenerator::EmbedSubgraphs(const GraphView& view,
                         ? std::move(unique_weights)
                         : GatherRows(unique_weights, occurrence);
     } else {
-      edge_weight = EdgeWeightsFor(features, packed.src, packed.dst);
+      edge_weight = EdgeWeightsFor(features, plan.edge_src, plan.edge_dst);
     }
   }
-  Tensor node_embeddings;
+  Tensor centers;
   {
     GP_TRACE_SPAN("generator/encode");
-    node_embeddings =
-        encoder_->Forward(features, packed.src, packed.dst, edge_weight);
+    centers = encoder_->Forward(features, plan, edge_weight);
   }
 
   // Readout: mean of each subgraph's center-node embeddings.
-  Tensor centers = GatherRows(node_embeddings, packed.center_rows);
   return SegmentMeanRows(centers, packed.center_segment, num_subgraphs);
 }
 

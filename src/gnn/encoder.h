@@ -1,6 +1,6 @@
-// GnnEncoder: a configurable stack of message-passing layers producing node
-// embeddings, plus the subgraph readout that yields the data-graph embedding
-// G_i of Eq. 4.
+// GnnEncoder: a configurable stack of message-passing layers producing the
+// node embeddings whose center-row mean is the data-graph embedding G_i of
+// Eq. 4. Each call computes only the rows its caller reads (see Plan).
 
 #ifndef GRAPHPROMPTER_GNN_ENCODER_H_
 #define GRAPHPROMPTER_GNN_ENCODER_H_
@@ -11,8 +11,8 @@
 
 #include "gnn/gat_conv.h"
 #include "gnn/gcn_conv.h"
+#include "gnn/layer_plan.h"
 #include "gnn/sage_conv.h"
-#include "graph/sampler.h"
 #include "nn/module.h"
 
 namespace gp {
@@ -30,27 +30,48 @@ struct GnnEncoderConfig {
   int num_layers = 2;
 };
 
+// What one Forward call computes over a graph of packed rows and edges:
+// the requested rows' receptive field. The last layer computes the
+// requested rows, and each earlier layer the rows the next one reads: its
+// own rows plus the sources of the edges into them.
+struct GnnPlan {
+  std::vector<int> rows;   // rows the first layer reads, ascending
+  std::vector<int> edges;  // edges the first layer reads, in graph order
+  // The ends of `edges` as indices into `rows`.
+  std::vector<int> edge_src, edge_dst;
+  std::vector<GnnLayerPlan> layers;  // one per layer, first to last
+  // Output row of the last layer for each requested row; empty when the
+  // requested rows are ascending and distinct, which is that output.
+  std::vector<int> order;
+};
+
 // Stacks `num_layers` convolutions with ReLU in between. All layers accept
-// an optional (E x 1) edge-weight tensor, through which the Prompt
-// Generator's reconstruction gradients flow.
+// an optional edge-weight column, through which the Prompt Generator's
+// reconstruction gradients flow.
 class GnnEncoder : public Module {
  public:
   GnnEncoder(const GnnEncoderConfig& config, Rng* rng);
 
-  // Returns per-node embeddings (N x out_dim).
-  Tensor Forward(const Tensor& x, const std::vector<int>& src,
-                 const std::vector<int>& dst, const Tensor& edge_weight) const;
+  // Plans a Forward call that returns the embeddings of `rows` (any order,
+  // repeats allowed) of a graph with `num_rows` rows and the directed
+  // edges src[e] -> dst[e]. Built from byte masks over the rows in
+  // O(num_layers * edges), with no hash map.
+  GnnPlan Plan(int num_rows, const std::vector<int>& src,
+               const std::vector<int>& dst,
+               const std::vector<int>& rows) const;
 
-  // Readout: mean of the center-node embeddings -> a single (1 x out_dim)
-  // subgraph embedding. For node inputs this is the center node; for edge
-  // inputs the mean of head and tail.
-  Tensor Readout(const Subgraph& subgraph, const Tensor& node_embeddings) const;
+  // Embeds the planned rows: x holds one row per plan.rows entry, and
+  // edge_weight, when defined, one weight per plan.edges entry. Returns
+  // (requested rows x out_dim), each row bitwise equal to the same row of
+  // a run over the whole graph; under autograd every gradient is bitwise
+  // equal too (DESIGN.md §9).
+  Tensor Forward(const Tensor& x, const GnnPlan& plan,
+                 const Tensor& edge_weight) const;
 
   const GnnEncoderConfig& config() const { return config_; }
 
  private:
-  Tensor ApplyLayer(int layer, const Tensor& x, const std::vector<int>& src,
-                    const std::vector<int>& dst,
+  Tensor ApplyLayer(int layer, const Tensor& x, const GnnLayerPlan& plan,
                     const Tensor& edge_weight) const;
 
   GnnEncoderConfig config_;

@@ -6,8 +6,8 @@
 #define GRAPHPROMPTER_GNN_GAT_CONV_H_
 
 #include <memory>
-#include <vector>
 
+#include "gnn/layer_plan.h"
 #include "nn/linear.h"
 #include "nn/module.h"
 
@@ -22,8 +22,11 @@ class GatConv : public Module {
  public:
   GatConv(int in_dim, int out_dim, Rng* rng, float negative_slope = 0.2f);
 
-  Tensor Forward(const Tensor& x, const std::vector<int>& src,
-                 const std::vector<int>& dst, const Tensor& edge_weight) const;
+  // As SageConv::Forward. Wx and its source scores run on the input rows,
+  // which messages read; the residual and the destination scores run on
+  // the output rows.
+  Tensor Forward(const Tensor& x, const GnnLayerPlan& layer,
+                 const Tensor& edge_weight) const;
 
   int in_dim() const { return linear_->in_features(); }
   int out_dim() const { return linear_->out_features(); }

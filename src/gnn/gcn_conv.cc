@@ -11,33 +11,34 @@ GcnConv::GcnConv(int in_dim, int out_dim, Rng* rng) {
   RegisterModule("linear", linear_.get());
 }
 
-Tensor GcnConv::Forward(const Tensor& x, const std::vector<int>& src,
-                        const std::vector<int>& dst,
+Tensor GcnConv::Forward(const Tensor& x, const GnnLayerPlan& layer,
                         const Tensor& edge_weight) const {
-  CHECK_EQ(src.size(), dst.size());
-  const int num_nodes = x.rows();
-
-  // Degrees (+1 for the implicit self loop); constants w.r.t. autograd.
-  std::vector<float> degree(num_nodes, 1.0f);
-  for (int d : dst) degree[d] += 1.0f;
+  CHECK_EQ(layer.src.size(), layer.dst.size());
+  CHECK_EQ(static_cast<int>(layer.degree.size()), x.rows());
+  const int num_out = layer.num_out();
+  const std::vector<float>& degree = layer.degree;  // constants for autograd
 
   // Self term: x_i / (d_i + 1).
-  std::vector<float> self_coeff(num_nodes);
-  for (int i = 0; i < num_nodes; ++i) self_coeff[i] = 1.0f / degree[i];
-  Tensor agg = RowScale(x, Tensor::FromData(num_nodes, 1, self_coeff));
+  std::vector<float> self_coeff(num_out);
+  for (int i = 0; i < num_out; ++i) {
+    self_coeff[i] = 1.0f / degree[layer.self[i]];
+  }
+  Tensor agg = RowScale(GatherRows(x, layer.self),
+                        Tensor::FromData(num_out, 1, std::move(self_coeff)));
 
-  if (!src.empty()) {
-    const int num_edges = static_cast<int>(src.size());
+  if (!layer.src.empty()) {
+    const int num_edges = static_cast<int>(layer.src.size());
     std::vector<float> norm(num_edges);
     for (int e = 0; e < num_edges; ++e) {
-      norm[e] = 1.0f / std::sqrt(degree[src[e]] * degree[dst[e]]);
+      norm[e] = 1.0f / std::sqrt(degree[layer.src[e]] *
+                                 degree[layer.self[layer.dst[e]]]);
     }
     Tensor coeff = Tensor::FromData(num_edges, 1, std::move(norm));
     if (edge_weight.defined()) {
-      CHECK_EQ(edge_weight.rows(), num_edges);
-      coeff = Mul(edge_weight, coeff);
+      coeff = Mul(GatherRows(edge_weight, layer.weight), coeff);
     }
-    agg = Add(agg, GatherScaleScatterSum(x, src, dst, num_nodes, coeff));
+    agg = Add(agg,
+              GatherScaleScatterSum(x, layer.src, layer.dst, num_out, coeff));
   }
   return linear_->Forward(agg);
 }

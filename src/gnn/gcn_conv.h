@@ -5,8 +5,8 @@
 #define GRAPHPROMPTER_GNN_GCN_CONV_H_
 
 #include <memory>
-#include <vector>
 
+#include "gnn/layer_plan.h"
 #include "nn/linear.h"
 #include "nn/module.h"
 
@@ -17,8 +17,10 @@ class GcnConv : public Module {
  public:
   GcnConv(int in_dim, int out_dim, Rng* rng);
 
-  Tensor Forward(const Tensor& x, const std::vector<int>& src,
-                 const std::vector<int>& dst, const Tensor& edge_weight) const;
+  // As SageConv::Forward. d_i and d_j are read from layer.degree, which
+  // counts in-edges over the whole packed edge list.
+  Tensor Forward(const Tensor& x, const GnnLayerPlan& layer,
+                 const Tensor& edge_weight) const;
 
   int in_dim() const { return linear_->in_features(); }
   int out_dim() const { return linear_->out_features(); }

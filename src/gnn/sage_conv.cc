@@ -12,23 +12,21 @@ SageConv::SageConv(int in_dim, int out_dim, Rng* rng) {
   RegisterModule("neighbor", neighbor_.get());
 }
 
-Tensor SageConv::Forward(const Tensor& x, const std::vector<int>& src,
-                         const std::vector<int>& dst,
+Tensor SageConv::Forward(const Tensor& x, const GnnLayerPlan& layer,
                          const Tensor& edge_weight) const {
-  CHECK_EQ(src.size(), dst.size());
-  const int num_nodes = x.rows();
-  Tensor out = self_->Forward(x);
-  if (src.empty()) return out;
+  CHECK_EQ(layer.src.size(), layer.dst.size());
+  Tensor out = self_->Forward(GatherRows(x, layer.self));
+  if (layer.src.empty()) return out;
 
-  if (edge_weight.defined()) {
-    CHECK_EQ(edge_weight.rows(), static_cast<int>(src.size()));
-    CHECK_EQ(edge_weight.cols(), 1);
-  }
   // Weighted mean over incoming messages, in one fused kernel (no
   // per-edge message matrix or ones column is materialised); epsilon
-  // guards isolated nodes / all-zero weights.
-  Tensor mean =
-      GatherScaleScatterMean(x, src, dst, num_nodes, edge_weight, 1e-6f);
+  // guards isolated nodes / all-zero weights. The kernel reads each
+  // edge's weight through layer.weight, so its two gradient terms per
+  // edge land in the caller's weight grad one by one, as over the full
+  // edge list.
+  Tensor mean = GatherScaleScatterMean(x, layer.src, layer.dst,
+                                       layer.num_out(), edge_weight, 1e-6f,
+                                       layer.weight);
   return Add(out, neighbor_->Forward(mean));
 }
 

@@ -6,8 +6,8 @@
 #define GRAPHPROMPTER_GNN_SAGE_CONV_H_
 
 #include <memory>
-#include <vector>
 
+#include "gnn/layer_plan.h"
 #include "nn/linear.h"
 #include "nn/module.h"
 
@@ -22,10 +22,12 @@ class SageConv : public Module {
  public:
   SageConv(int in_dim, int out_dim, Rng* rng);
 
-  // x: (N x in). src/dst: directed edges j -> i (message flows src to dst).
-  // edge_weight: (E x 1) or undefined.
-  Tensor Forward(const Tensor& x, const std::vector<int>& src,
-                 const std::vector<int>& dst, const Tensor& edge_weight) const;
+  // x: (input rows x in). Computes the rows and edges of `layer` (messages
+  // flow src to dst) and returns (layer.num_out() x out). edge_weight:
+  // (rows x 1) indexed by layer.weight, or undefined. The self projection
+  // runs on the output rows only.
+  Tensor Forward(const Tensor& x, const GnnLayerPlan& layer,
+                 const Tensor& edge_weight) const;
 
   int in_dim() const { return self_->in_features(); }
   int out_dim() const { return self_->out_features(); }

@@ -952,12 +952,18 @@ Tensor RowScale(const Tensor& a, const Tensor& weights) {
 
 namespace {
 
-// out[dst[e]] += x[src[e]] * w[e], edges in ascending order. `w` may be
-// null (unit weights — no multiply is performed, matching the unfused
-// chain without its RowScale node).
+// Row of the edge-weight tensor that weighs edge e: wrow[e], or e itself
+// when `wrow` is null.
+inline int WeightRow(const int* wrow, int e) {
+  return wrow != nullptr ? wrow[e] : e;
+}
+
+// out[dst[e]] += x[src[e]] * w[WeightRow(wrow, e)], edges in ascending
+// order. `w` may be null (unit weights — no multiply is performed,
+// matching the unfused chain without its RowScale node).
 void FusedScatterForward(const float* x, int x_rows, const int* src,
-                         const float* w, const int* dst, int num_edges,
-                         int num_rows, int cols, float* out) {
+                         const float* w, const int* wrow, const int* dst,
+                         int num_edges, int num_rows, int cols, float* out) {
   for (int e = 0; e < num_edges; ++e) {
     DCHECK_GE(src[e], 0);
     DCHECK_LT(src[e], x_rows);
@@ -966,7 +972,7 @@ void FusedScatterForward(const float* x, int x_rows, const int* src,
     const float* s = x + static_cast<size_t>(src[e]) * cols;
     float* o = out + static_cast<size_t>(dst[e]) * cols;
     if (w != nullptr) {
-      const float we = w[e];
+      const float we = w[WeightRow(wrow, e)];
       for (int c = 0; c < cols; ++c) o[c] += s[c] * we;
     } else {
       for (int c = 0; c < cols; ++c) o[c] += s[c];
@@ -974,21 +980,22 @@ void FusedScatterForward(const float* x, int x_rows, const int* src,
   }
 }
 
-// Backward core: d_x[src[e]] += g[dst[e]] * w[e] and
-// d_w[e] += <g[dst[e]], x[src[e]]>. d_x and d_w are disjoint, and each
-// element of either receives its additions in ascending edge order, so the
-// per-edge interleaving here matches the two-pass unfused backward
+// Backward core, with k = WeightRow(wrow, e): d_x[src[e]] += g[dst[e]] *
+// w[k] and d_w[k] += <g[dst[e]], x[src[e]]>. d_x and d_w are disjoint, and
+// each element of either receives its additions in ascending edge order,
+// so the per-edge interleaving here matches the two-pass unfused backward
 // element for element.
 void FusedScatterBackward(const float* g, const float* x, const int* src,
-                          const float* w, const int* dst, int num_edges,
-                          int cols, float* d_x, float* d_w) {
+                          const float* w, const int* wrow, const int* dst,
+                          int num_edges, int cols, float* d_x, float* d_w) {
   for (int e = 0; e < num_edges; ++e) {
     const size_t srow = static_cast<size_t>(src[e]) * cols;
     const float* grow = g + static_cast<size_t>(dst[e]) * cols;
+    const int k = WeightRow(wrow, e);
     if (d_x != nullptr) {
       float* d = d_x + srow;
       if (w != nullptr) {
-        const float we = w[e];
+        const float we = w[k];
         for (int c = 0; c < cols; ++c) d[c] += grow[c] * we;
       } else {
         for (int c = 0; c < cols; ++c) d[c] += grow[c];
@@ -998,7 +1005,7 @@ void FusedScatterBackward(const float* g, const float* x, const int* src,
       const float* xs = x + srow;
       float acc = 0.0f;
       for (int c = 0; c < cols; ++c) acc += grow[c] * xs[c];
-      d_w[e] += acc;
+      d_w[k] += acc;
     }
   }
 }
@@ -1020,7 +1027,8 @@ Tensor GatherScaleScatterSum(const Tensor& x, const std::vector<int>& src,
       AcquireZeroedBuffer(static_cast<size_t>(num_rows) * cols);
   FusedScatterForward(x.data().data(), x.rows(), src.data(),
                       weighted ? edge_weight.data().data() : nullptr,
-                      dst.data(), num_edges, num_rows, cols, out.data());
+                      /*wrow=*/nullptr, dst.data(), num_edges, num_rows, cols,
+                      out.data());
   auto px = x.impl();
   auto pw = weighted ? edge_weight.impl() : TensorImplPtr();
   auto src_copy = KeepForBackward(src);
@@ -1035,7 +1043,8 @@ Tensor GatherScaleScatterSum(const Tensor& x, const std::vector<int>& src,
         if (want_w) pw->EnsureGrad();
         FusedScatterBackward(node.grad.data(), px->data.data(),
                              src_copy->data(),
-                             pw ? pw->data.data() : nullptr, dst_copy->data(),
+                             pw ? pw->data.data() : nullptr,
+                             /*wrow=*/nullptr, dst_copy->data(),
                              static_cast<int>(src_copy->size()), cols,
                              want_x ? px->grad.data() : nullptr,
                              want_w ? pw->grad.data() : nullptr);
@@ -1044,27 +1053,38 @@ Tensor GatherScaleScatterSum(const Tensor& x, const std::vector<int>& src,
 
 Tensor GatherScaleScatterMean(const Tensor& x, const std::vector<int>& src,
                               const std::vector<int>& dst, int num_rows,
-                              const Tensor& edge_weight, float eps) {
+                              const Tensor& edge_weight, float eps,
+                              const std::vector<int>& weight_row) {
   CHECK_EQ(src.size(), dst.size());
   const int cols = x.cols();
   const int num_edges = static_cast<int>(src.size());
   const bool weighted = edge_weight.defined();
+  const bool indexed = !weight_row.empty();
   if (weighted) {
-    CHECK_EQ(edge_weight.rows(), num_edges);
     CHECK_EQ(edge_weight.cols(), 1);
+    if (indexed) {
+      CHECK_EQ(static_cast<int>(weight_row.size()), num_edges);
+      for (int k : weight_row) {
+        DCHECK_GE(k, 0);
+        DCHECK_LT(k, edge_weight.rows());
+      }
+    } else {
+      CHECK_EQ(edge_weight.rows(), num_edges);
+    }
   }
   std::vector<float> out =
       AcquireZeroedBuffer(static_cast<size_t>(num_rows) * cols);
   const float* wd = weighted ? edge_weight.data().data() : nullptr;
-  FusedScatterForward(x.data().data(), x.rows(), src.data(), wd, dst.data(),
-                      num_edges, num_rows, cols, out.data());
+  const int* wrow = weighted && indexed ? weight_row.data() : nullptr;
+  FusedScatterForward(x.data().data(), x.rows(), src.data(), wd, wrow,
+                      dst.data(), num_edges, num_rows, cols, out.data());
   // Denominator: per-destination weight totals accumulated from zero in
   // edge order, then + eps last — the same order as the unfused
   // AddScalar(ScatterAddRows(w_or_ones, dst, n), eps). Plain vector: it is
   // stashed for backward.
   std::vector<float> denom(static_cast<size_t>(num_rows), 0.0f);
   for (int e = 0; e < num_edges; ++e) {
-    denom[dst[e]] += weighted ? wd[e] : 1.0f;
+    denom[dst[e]] += weighted ? wd[WeightRow(wrow, e)] : 1.0f;
   }
   for (int r = 0; r < num_rows; ++r) denom[r] += eps;
   const bool build_graph =
@@ -1088,10 +1108,11 @@ Tensor GatherScaleScatterMean(const Tensor& x, const std::vector<int>& src,
   auto pw = weighted ? edge_weight.impl() : TensorImplPtr();
   auto src_copy = KeepForBackward(src);
   auto dst_copy = KeepForBackward(dst);
+  auto wrow_copy = wrow != nullptr ? KeepForBackward(weight_row) : nullptr;
   auto denom_ptr = std::make_shared<std::vector<float>>(std::move(denom));
   return FinishOp(
       num_rows, cols, std::move(out), {px, pw},
-      [px, pw, src_copy, dst_copy, sums_ptr, denom_ptr, num_rows,
+      [px, pw, src_copy, dst_copy, wrow_copy, sums_ptr, denom_ptr, num_rows,
        cols](TensorImpl& node) {
         const bool want_x = WantsGrad(px);
         const bool want_w = WantsGrad(pw);
@@ -1126,15 +1147,19 @@ Tensor GatherScaleScatterMean(const Tensor& x, const std::vector<int>& src,
             }
           }
           pw->EnsureGrad();
+          const int* wrow = wrow_copy ? wrow_copy->data() : nullptr;
           for (size_t e = 0; e < dst_copy->size(); ++e) {
-            pw->grad[e] += d_wsum[(*dst_copy)[e]];
+            pw->grad[WeightRow(wrow, static_cast<int>(e))] +=
+                d_wsum[(*dst_copy)[e]];
           }
           ReleaseBuffer(std::move(d_wsum));
         }
         if (want_x) px->EnsureGrad();
         FusedScatterBackward(d_sums.data(), px->data.data(),
                              src_copy->data(),
-                             pw ? pw->data.data() : nullptr, dst_copy->data(),
+                             pw ? pw->data.data() : nullptr,
+                             wrow_copy ? wrow_copy->data() : nullptr,
+                             dst_copy->data(),
                              static_cast<int>(src_copy->size()), cols,
                              want_x ? px->grad.data() : nullptr,
                              want_w ? pw->grad.data() : nullptr);

@@ -90,10 +90,15 @@ Tensor GatherScaleScatterSum(const Tensor& x, const std::vector<int>& src,
 //   Div(ScatterAddRows(RowScale(GatherRows(x, src), w), dst, n),
 //       AddScalar(ScatterAddRows(w_or_ones, dst, n), eps))
 // used by the GNN convolutions. Undefined `edge_weight` = unit weights
-// (and no per-message multiply).
+// (and no per-message multiply). A non-empty `weight_row` weighs edge e
+// by edge_weight row weight_row[e] and adds its gradient terms straight
+// into that row's grad: the same adds, in the same order, as the chain
+// over a full edge list in which every other edge's terms are zero, where
+// a GatherRows of the weights would sum each edge's two terms first.
 Tensor GatherScaleScatterMean(const Tensor& x, const std::vector<int>& src,
                               const std::vector<int>& dst, int num_rows,
-                              const Tensor& edge_weight, float eps);
+                              const Tensor& edge_weight, float eps,
+                              const std::vector<int>& weight_row = {});
 
 // Fuses Relu(Add(MatMul(x, weight), bias)); `bias` (1 x C) may be
 // undefined for bias-free layers. Uses the same blocked GEMM kernel as

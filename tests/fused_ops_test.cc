@@ -117,6 +117,41 @@ TEST(FusedOpsTest, GatherScaleScatterMeanMatchesUnfusedGradients) {
   ExpectBitwiseEqual(g.w.grad(), dw_ref);
 }
 
+// With weight rows, the op computes a subset of the destinations — here
+// rows 1 and 2, over the edges into them — and weighs each edge by its row
+// of the full weight column. Its forward rows and x's and w's grads must
+// equal the full op's when only those rows' outputs matter, even when
+// w.grad already holds a term, where summing each edge's two terms first
+// (a GatherRows of w) would round differently.
+TEST(FusedOpsTest, GatherScaleScatterMeanWeightRowsMatchFullEdgeList) {
+  const std::vector<int> rows{1, 2};
+  const std::vector<int> keep{0, 2, 5, 6};  // the edges into rows 1 and 2
+  Rng rng(5);
+  const Tensor readout = Tensor::Randn(2, 3, &rng);
+  const Tensor other = Tensor::Randn(7, 1, &rng);
+  auto loss = [&](const Tensor& rows_out, const Tensor& w) {
+    return Add(SumAll(Mul(rows_out, readout)), SumAll(Mul(w, other)));
+  };
+
+  EdgeFixture f;
+  const Tensor full = GatherRows(
+      GatherScaleScatterMean(f.x, f.src, f.dst, 5, f.w, 1e-6f), rows);
+  Backward(loss(full, f.w));
+
+  EdgeFixture g;
+  std::vector<int> src, dst;
+  for (int e : keep) {
+    src.push_back(g.src[e]);
+    dst.push_back(g.dst[e] == 1 ? 0 : 1);
+  }
+  const Tensor part =
+      GatherScaleScatterMean(g.x, src, dst, 2, g.w, 1e-6f, keep);
+  ExpectBitwiseEqual(part.data(), full.data());
+  Backward(loss(part, g.w));
+  ExpectBitwiseEqual(g.x.grad(), f.x.grad());
+  ExpectBitwiseEqual(g.w.grad(), f.w.grad());
+}
+
 TEST(FusedOpsTest, LinearReluMatchesUnfusedForwardAndGradients) {
   Rng rng(11);
   Tensor x_a = Tensor::Randn(9, 6, &rng, 1.0f, /*requires_grad=*/true);

@@ -395,11 +395,15 @@ EncoderUnion GoldenEncoderUnion() {
   return u;
 }
 
-// GNN_D's embeddings of `rows` of the union.
+// GNN_D's embeddings of `rows` of the union, computed over their
+// receptive field alone (the golden was rendered over the whole union).
 Tensor EncodeRows(const GnnEncoder& encoder, const Tensor& x,
                   const EncoderUnion& u, const Tensor& edge_weight,
                   const std::vector<int>& rows) {
-  return GatherRows(encoder.Forward(x, u.src, u.dst, edge_weight), rows);
+  const GnnPlan plan = encoder.Plan(u.num_rows, u.src, u.dst, rows);
+  return encoder.Forward(
+      GatherRows(x, plan.rows), plan,
+      edge_weight.defined() ? GatherRows(edge_weight, plan.edges) : Tensor());
 }
 
 std::string GradCrc(const Tensor& t) {

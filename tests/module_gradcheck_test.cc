@@ -57,16 +57,31 @@ struct TinyGraphData {
                                0.2f, 0.4f, 0.7f, -0.3f, 0.6f});
   std::vector<int> src = {0, 1, 1, 2, 2, 3};
   std::vector<int> dst = {1, 0, 2, 1, 3, 2};
+
+  // A plan for `rows` of an encoder with `config`'s depth and arch.
+  GnnPlan Plan(const GnnEncoderConfig& config,
+               const std::vector<int>& rows) const {
+    Rng rng(0);
+    return GnnEncoder(config, &rng).Plan(x.rows(), src, dst, rows);
+  }
+  // One layer that computes every row.
+  GnnLayerPlan Layer(GnnArch arch) const {
+    GnnEncoderConfig config;
+    config.arch = arch;
+    config.num_layers = 1;
+    return Plan(config, {0, 1, 2, 3}).layers[0];
+  }
 };
 
 TEST(ModuleGradCheckTest, SageConvWeights) {
   Rng rng(1);
   SageConv conv(3, 2, &rng);
   TinyGraphData g;
+  const GnnLayerPlan layer = g.Layer(GnnArch::kSage);
   Tensor w = Tensor::Full(6, 1, 0.7f);
   for (Tensor param : conv.Parameters()) {
     CheckParamGradient(
-        [&]() { return Reduce(conv.Forward(g.x, g.src, g.dst, w)); }, param);
+        [&]() { return Reduce(conv.Forward(g.x, layer, w)); }, param);
   }
 }
 
@@ -74,19 +89,21 @@ TEST(ModuleGradCheckTest, SageConvEdgeWeights) {
   Rng rng(2);
   SageConv conv(3, 2, &rng);
   TinyGraphData g;
+  const GnnLayerPlan layer = g.Layer(GnnArch::kSage);
   Tensor w = Tensor::Full(6, 1, 0.6f, /*requires_grad=*/true);
   CheckParamGradient(
-      [&]() { return Reduce(conv.Forward(g.x, g.src, g.dst, w)); }, w);
+      [&]() { return Reduce(conv.Forward(g.x, layer, w)); }, w);
 }
 
 TEST(ModuleGradCheckTest, GcnConvWeights) {
   Rng rng(3);
   GcnConv conv(3, 2, &rng);
   TinyGraphData g;
+  const GnnLayerPlan layer = g.Layer(GnnArch::kGcn);
   for (Tensor param : conv.Parameters()) {
     CheckParamGradient(
         [&]() {
-          return Reduce(conv.Forward(g.x, g.src, g.dst, Tensor()));
+          return Reduce(conv.Forward(g.x, layer, Tensor()));
         },
         param);
   }
@@ -96,10 +113,11 @@ TEST(ModuleGradCheckTest, GatConvAttentionParams) {
   Rng rng(4);
   GatConv conv(3, 2, &rng);
   TinyGraphData g;
+  const GnnLayerPlan layer = g.Layer(GnnArch::kGat);
   for (Tensor param : conv.Parameters()) {
     CheckParamGradient(
         [&]() {
-          return Reduce(conv.Forward(g.x, g.src, g.dst, Tensor()));
+          return Reduce(conv.Forward(g.x, layer, Tensor()));
         },
         param);
   }
@@ -117,13 +135,36 @@ TEST(ModuleGradCheckTest, TwoLayerEncoder) {
   // Check a couple of representative parameters (first and last).
   auto params = encoder.Parameters();
   ASSERT_GE(params.size(), 2u);
+  const GnnPlan plan = g.Plan(config, {0, 1, 2, 3});
   for (Tensor param : {params.front(), params.back()}) {
     CheckParamGradient(
-        [&]() {
-          return Reduce(encoder.Forward(g.x, g.src, g.dst, Tensor()));
-        },
+        [&]() { return Reduce(encoder.Forward(g.x, plan, Tensor())); },
         param);
   }
+}
+
+// A three-layer SAGE encoder read out at two rows, out of order: the
+// trimmed layers' parameter and edge-weight gradients (the weights reach
+// each layer's edges through the plan's weight rows).
+TEST(ModuleGradCheckTest, ThreeLayerEncoderOnRequestedRows) {
+  Rng rng(8);
+  GnnEncoderConfig config;
+  config.in_dim = 3;
+  config.hidden_dim = 4;
+  config.out_dim = 2;
+  config.num_layers = 3;
+  GnnEncoder encoder(config, &rng);
+  TinyGraphData g;
+  const GnnPlan plan = g.Plan(config, {3, 1});
+  const Tensor x = GatherRows(g.x, plan.rows);
+  Tensor w = Tensor::Full(static_cast<int>(plan.edges.size()), 1, 0.6f,
+                          /*requires_grad=*/true);
+  auto loss = [&]() { return Reduce(encoder.Forward(x, plan, w)); };
+  auto params = encoder.Parameters();
+  for (Tensor param : {params.front(), params.back()}) {
+    CheckParamGradient(loss, param);
+  }
+  CheckParamGradient(loss, w);
 }
 
 TEST(ModuleGradCheckTest, TaskGraphScoresWrtPromptEmbeddings) {
