@@ -17,8 +17,8 @@ class GcnConv : public Module {
  public:
   GcnConv(int in_dim, int out_dim, Rng* rng);
 
-  // As SageConv::Forward. d_i and d_j are read from layer.degree, which
-  // counts in-edges over the whole packed edge list.
+  // As SageConv::Forward. d_i + 1 and d_j + 1 are read from
+  // layer.degree, which counts in-edges over the whole packed edge list.
   Tensor Forward(const Tensor& x, const GnnLayerPlan& layer,
                  const Tensor& edge_weight) const;
 
