@@ -1,7 +1,10 @@
 #include "core/prompt_generator.h"
 
+#include <cstring>
+
 #include <gtest/gtest.h>
 
+#include "obs/telemetry.h"
 #include "tensor/autograd.h"
 #include "tensor/ops.h"
 
@@ -125,12 +128,48 @@ TEST_F(PromptGeneratorTest, BatchedEqualsPerItemEmbedding) {
         dataset_, dataset_.train_items_by_class[i][0], &sample_rng));
   }
   Tensor batched = generator.EmbedSubgraphs(view_, subgraphs);
+  const size_t row_bytes = sizeof(float) * batched.cols();
   for (int i = 0; i < 4; ++i) {
     Tensor single = generator.EmbedSubgraphs(view_, {subgraphs[i]});
-    for (int c = 0; c < batched.cols(); ++c) {
-      EXPECT_NEAR(batched.at(i, c), single.at(0, c), 1e-4f);
-    }
+    ASSERT_EQ(single.cols(), batched.cols());
+    EXPECT_EQ(std::memcmp(batched.data().data() + i * batched.cols(),
+                          single.data().data(), row_bytes),
+              0)
+        << "subgraph " << i;
   }
+}
+
+TEST_F(PromptGeneratorTest, InferenceDedupMatchesPerOccurrencePath) {
+  // Subgraphs sampled around a few repeated items share nodes and edges.
+  // Inference weighs each distinct edge once and scatters the weight back;
+  // under autograd every occurrence is weighed. Both must give the same
+  // embeddings, bit for bit.
+  Rng rng(16);
+  PromptGenerator generator(SmallConfig(dataset_.graph.feature_dim()), &rng);
+  Rng sample_rng(17);
+  std::vector<Subgraph> subgraphs;
+  for (int i = 0; i < 12; ++i) {
+    subgraphs.push_back(generator.SampleForItem(
+        dataset_, dataset_.train_items_by_class[i % 3][0], &sample_rng));
+  }
+  const Tensor with_grad = generator.EmbedSubgraphs(view_, subgraphs);
+  ASSERT_TRUE(with_grad.requires_grad());
+  Counter* edges = Telemetry().GetCounter("generator/recon_edges");
+  Counter* unique = Telemetry().GetCounter("generator/recon_unique_edges");
+  const int64_t edges_before = edges->Value();
+  const int64_t unique_before = unique->Value();
+  Tensor no_grad;
+  {
+    NoGradGuard guard;
+    no_grad = generator.EmbedSubgraphs(view_, subgraphs);
+  }
+  // The union repeats edges, so the dedup has work to do.
+  EXPECT_LT(unique->Value() - unique_before, edges->Value() - edges_before);
+  ASSERT_EQ(no_grad.rows(), 12);
+  ASSERT_EQ(no_grad.data().size(), with_grad.data().size());
+  EXPECT_EQ(std::memcmp(no_grad.data().data(), with_grad.data().data(),
+                        sizeof(float) * no_grad.data().size()),
+            0);
 }
 
 TEST_F(PromptGeneratorTest, GradientsFlowThroughReconstruction) {
