@@ -9,7 +9,9 @@
 // task graph's outputs at eval_manyway's shape, (g) the serving
 // daemon's replies to a chaos request log and its tenant snapshots after
 // it, and (h) GNN_D's center-row embeddings and gradients for every
-// architecture and depth, for fixed seeds into tests/golden/. Values are rendered with %.17g, so any change
+// architecture and depth, and (i) the Prompt Generator's embeddings and
+// parameter gradients over overlapping data graphs, for fixed seeds into
+// tests/golden/. Values are rendered with %.17g, so any change
 // to retrieval or scoring that shifts predictions by even one ULP fails
 // loudly. The selector goldens pin the exact scan that scores every
 // (candidate, query) pair, the many-way one at eval_manyway's shape; the
@@ -40,6 +42,7 @@
 #include "data/datasets.h"
 #include "gnn/encoder.h"
 #include "graph/sampler.h"
+#include "obs/telemetry.h"
 #include "serve/server.h"
 #include "serve_chaos_log.h"
 #include "tensor/autograd.h"
@@ -472,6 +475,54 @@ std::string RenderEncoderRowsGolden() {
   return out.str();
 }
 
+// The Prompt Generator over a packed union of twelve overlapping FB15K-sim
+// data graphs, where MLP_phi weighs every edge occurrence under autograd
+// and each distinct edge once at inference: the inference embedding, one
+// data graph's Eq. 3 weights, the autograd embedding, and every generator
+// parameter's grad after Backward from a fixed weighted sum.
+std::string RenderGeneratorGolden() {
+  const DatasetBundle ds = MakeFb15kSim(0.2, 11);
+  PromptGeneratorConfig config;
+  config.gnn.in_dim = ds.graph.feature_dim();
+  config.gnn.hidden_dim = 16;
+  config.gnn.out_dim = 12;
+  config.sampler.max_nodes = 14;
+  Rng init_rng(3);
+  const PromptGenerator generator(config, &init_rng);
+  Rng sample_rng(5);
+  std::vector<Subgraph> subgraphs;
+  for (int i = 0; i < 12; ++i) {
+    subgraphs.push_back(generator.SampleForItem(
+        ds, ds.train_items_by_class[i % 3][i % 2], &sample_rng));
+  }
+  const GraphAdapter view(ds.graph);
+  Counter* edges = Telemetry().GetCounter("generator/recon_edges");
+  Counter* unique = Telemetry().GetCounter("generator/recon_unique_edges");
+  const int64_t edges_before = edges->Value();
+  const int64_t unique_before = unique->Value();
+  std::ostringstream out;
+  {
+    NoGradGuard no_grad;
+    out << "no_grad crc32 "
+        << TensorCrc(generator.EmbedSubgraphs(view, subgraphs)) << "\n";
+    out << "recon_edges " << edges->Value() - edges_before
+        << " recon_unique_edges " << unique->Value() - unique_before << "\n";
+    out << "edge_weights crc32 "
+        << TensorCrc(generator.ReconstructEdgeWeights(view, subgraphs[0]))
+        << "\n";
+  }
+  const Tensor embedded = generator.EmbedSubgraphs(view, subgraphs);
+  out << "grad crc32 " << TensorCrc(embedded) << "\n";
+  Rng data_rng(7);
+  const Tensor readout =
+      Tensor::Randn(embedded.rows(), embedded.cols(), &data_rng);
+  Backward(SumAll(Mul(embedded, readout)));
+  for (const auto& [name, param] : generator.NamedParameters()) {
+    out << "grad " << name << " crc32 " << GradCrc(param) << "\n";
+  }
+  return out.str();
+}
+
 // The serving daemon's pipe-mode replies to the request log in
 // tests/serve_chaos_log.h, then every tenant's snapshot. Each reply renders
 // its status, retries, degradation events, accuracy and message; the
@@ -561,6 +612,10 @@ TEST(GoldenEvalTest, SamplerOutputsMatchGolden) {
 
 TEST(GoldenEvalTest, EncoderRowsMatchGolden) {
   CheckGolden("encoder_rows.golden", RenderEncoderRowsGolden());
+}
+
+TEST(GoldenEvalTest, GeneratorEmbeddingsAndGradsMatchGolden) {
+  CheckGolden("generator.golden", RenderGeneratorGolden());
 }
 
 TEST(GoldenEvalTest, ServeRepliesMatchGolden) {
