@@ -270,6 +270,57 @@ BENCHMARK(BM_LinearReluBackward)
     ->Args({0, 1200, 128})
     ->Args({1, 1200, 128});
 
+// The generator's edge scorer MLP_phi (d = H = 64) as one EdgeMlpSigmoid
+// call (fused=1) against the chain it replaced, Sigmoid(Mlp::Forward(
+// ConcatCols(GatherRows, GatherRows))) (fused=0), at eval_manyway's
+// inference shape (train=0: 1,125 distinct endpoint nodes, 11,410 unique
+// edges, no grad) and pretrain's (train=1: 260 feature rows, 811 edges,
+// forward and backward). per_edge is the wall time per scored edge.
+void BM_EdgeMlpSigmoid(benchmark::State& state) {
+  const bool fused = state.range(0) == 1;
+  const bool train = state.range(1) == 1;
+  const int rows = train ? 260 : 1125;
+  const int edges = train ? 811 : 11410;
+  const int dim = 64;
+  Rng rng(43);
+  Tensor x = Tensor::Randn(rows, dim, &rng);
+  Mlp mlp({2 * dim, 64, 1}, &rng);
+  std::vector<int> src(edges), dst(edges);
+  for (int e = 0; e < edges; ++e) {
+    src[e] = static_cast<int>(rng.UniformInt(rows));
+    dst[e] = static_cast<int>(rng.UniformInt(rows));
+  }
+  const Linear& hidden = mlp.layer(0);
+  const Linear& out = mlp.layer(1);
+  auto weights = [&] {
+    if (fused) {
+      return EdgeMlpSigmoid(x, src, dst, hidden.weight(), hidden.bias(),
+                            out.weight(), out.bias());
+    }
+    return Sigmoid(
+        mlp.Forward(ConcatCols(GatherRows(x, src), GatherRows(x, dst))));
+  };
+  for (auto _ : state) {
+    if (train) {
+      Backward(SumAll(weights()));
+      mlp.ZeroGrad();
+    } else {
+      NoGradGuard no_grad;
+      benchmark::DoNotOptimize(weights().raw());
+    }
+  }
+  state.counters["per_edge"] = benchmark::Counter(
+      edges, benchmark::Counter::kIsIterationInvariantRate |
+                 benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_EdgeMlpSigmoid)
+    ->UseRealTime()
+    ->ArgNames({"fused", "train"})
+    ->Args({0, 0})
+    ->Args({1, 0})
+    ->Args({0, 1})
+    ->Args({1, 1});
+
 // A training-style step (MLP forward + backward) with the buffer pool on
 // vs off: the op graph churns dozens of same-shaped tensors per step, so
 // recycled storage is the difference between malloc traffic and reuse.

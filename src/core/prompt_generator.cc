@@ -1,7 +1,7 @@
 #include "core/prompt_generator.h"
 
 #include <cmath>
-#include <unordered_map>
+#include <cstdint>
 
 #include "obs/telemetry.h"
 #include "obs/trace.h"
@@ -64,21 +64,18 @@ Tensor PromptGenerator::EdgeWeightsFor(const Tensor& features,
   // Eq. 2: z_uv = MLP_phi(V(u), V(v), E(u,v)). Node features of the two
   // endpoints are concatenated; the initial edge embedding in our datasets
   // is itself derived from the endpoints, so this input covers both the
-  // node- and edge-classification forms.
-  Tensor logits;
+  // node- and edge-classification forms. Eq. 3: w_uv = sigmoid(z_uv).
   if (config_.recon_arch == ReconArch::kMlp) {
-    Tensor endpoint_pairs =
-        ConcatCols(GatherRows(features, src), GatherRows(features, dst));
-    logits = recon_mlp_->Forward(endpoint_pairs);
-  } else {
-    // Bilinear variant: z_uv = x_u^T W x_v / sqrt(d).
-    Tensor projected = recon_bilinear_->Forward(GatherRows(features, src));
-    logits = Scale(
-        SumCols(Mul(projected, GatherRows(features, dst))),
-        1.0f / std::sqrt(static_cast<float>(config_.gnn.in_dim)));
+    const Linear& hidden = recon_mlp_->layer(0);
+    const Linear& out = recon_mlp_->layer(1);
+    return EdgeMlpSigmoid(features, src, dst, hidden.weight(), hidden.bias(),
+                          out.weight(), out.bias());
   }
-  // Eq. 3: w_uv = sigmoid(z_uv).
-  return Sigmoid(logits);
+  // Bilinear variant: z_uv = x_u^T W x_v / sqrt(d).
+  Tensor projected = recon_bilinear_->Forward(GatherRows(features, src));
+  return Sigmoid(
+      Scale(SumCols(Mul(projected, GatherRows(features, dst))),
+            1.0f / std::sqrt(static_cast<float>(config_.gnn.in_dim))));
 }
 
 Tensor PromptGenerator::ReconstructEdgeWeights(const GraphView& view,
@@ -104,7 +101,18 @@ struct PackedUnion {
 };
 
 PackedUnion PackSubgraphs(const std::vector<Subgraph>& subgraphs) {
+  size_t num_nodes = 0, num_edges = 0, num_centers = 0;
+  for (const Subgraph& sg : subgraphs) {
+    num_nodes += sg.nodes.size();
+    num_edges += sg.edge_src.size();
+    num_centers += sg.center_local.size();
+  }
   PackedUnion packed;
+  packed.nodes.reserve(num_nodes);
+  packed.src.reserve(num_edges);
+  packed.dst.reserve(num_edges);
+  packed.center_rows.reserve(num_centers);
+  packed.center_segment.reserve(num_centers);
   int offset = 0;
   for (size_t b = 0; b < subgraphs.size(); ++b) {
     const Subgraph& sg = subgraphs[b];
@@ -122,6 +130,76 @@ PackedUnion PackSubgraphs(const std::vector<Subgraph>& subgraphs) {
     offset += sg.num_nodes();
   }
   return packed;
+}
+
+// The distinct endpoint nodes and the distinct (u, v) edges of an edge list
+// over rows of x, where row r holds node nodes[r].
+struct UniqueEdges {
+  std::vector<int> rows;        // one row of x per distinct endpoint node
+  std::vector<int> src, dst;    // each unique edge's ends, indices into rows
+  std::vector<int> occurrence;  // the unique edge of each listed edge
+};
+
+// Node ids get compact ids in first-seen order through an open-addressing
+// table sized from the row count. Edges are then grouped by compact source
+// with a counting sort, and a stamp per compact destination marks the ones
+// the current source already reaches. O(rows + edges), no hash map.
+UniqueEdges DedupEdges(const std::vector<int>& nodes,
+                       const std::vector<int>& src,
+                       const std::vector<int>& dst) {
+  const size_t num_edges = src.size();
+  UniqueEdges unique;
+  std::vector<int> compact(nodes.size(), -1);  // per row, once read
+  int bits = 4;
+  while ((size_t{1} << bits) < 2 * nodes.size()) ++bits;
+  const size_t mask = (size_t{1} << bits) - 1;
+  std::vector<int> slot(mask + 1, -1);  // the first row read of a node
+  auto compact_id = [&](int row) {
+    if (compact[row] < 0) {
+      const int node = nodes[row];
+      size_t s = (static_cast<uint32_t>(node) * 2654435761u) >> (32 - bits);
+      while (slot[s] >= 0 && nodes[slot[s]] != node) s = (s + 1) & mask;
+      if (slot[s] < 0) {
+        slot[s] = row;
+        compact[row] = static_cast<int>(unique.rows.size());
+        unique.rows.push_back(row);
+      } else {
+        compact[row] = compact[slot[s]];
+      }
+    }
+    return compact[row];
+  };
+  for (size_t e = 0; e < num_edges; ++e) {
+    compact_id(src[e]);
+    compact_id(dst[e]);
+  }
+  const int num_nodes = static_cast<int>(unique.rows.size());
+  // Edges of compact source s are by_source[first[s] .. first[s + 1]).
+  std::vector<int> first(num_nodes + 1, 0);
+  for (size_t e = 0; e < num_edges; ++e) ++first[compact[src[e]] + 1];
+  for (int s = 0; s < num_nodes; ++s) first[s + 1] += first[s];
+  std::vector<int> by_source(num_edges);
+  std::vector<int> next(first.begin(), first.end() - 1);
+  for (size_t e = 0; e < num_edges; ++e) {
+    by_source[next[compact[src[e]]]++] = static_cast<int>(e);
+  }
+  std::vector<int> stamp(num_nodes, -1);  // last source to reach each node
+  std::vector<int> edge_to(num_nodes);    // its unique edge from there
+  unique.occurrence.resize(num_edges);
+  for (int s = 0; s < num_nodes; ++s) {
+    for (int i = first[s]; i < first[s + 1]; ++i) {
+      const int e = by_source[i];
+      const int d = compact[dst[e]];
+      if (stamp[d] != s) {
+        stamp[d] = s;
+        edge_to[d] = static_cast<int>(unique.src.size());
+        unique.src.push_back(s);
+        unique.dst.push_back(d);
+      }
+      unique.occurrence[e] = edge_to[d];
+    }
+  }
+  return unique;
 }
 
 }  // namespace
@@ -159,41 +237,28 @@ Tensor PromptGenerator::EmbedSubgraphs(const GraphView& view,
       // two endpoint node ids (identical gathered feature rows, identical
       // broadcast offset), and a packed union repeats the same graph edge
       // across overlapping subgraphs — heavily so when a cross-request
-      // micro-batch packs many episodes over the same class pools. Run
-      // MLP_phi once per unique (u, v) and scatter to every occurrence:
-      // bitwise identical, because Linear/Mlp row results are independent
-      // of which other rows share the matrix. Under autograd the
-      // per-occurrence path is kept — deduplication would reorder the
-      // gradient accumulation over repeated edges.
+      // micro-batch packs many episodes over the same class pools. So
+      // MLP_phi reads one feature row per distinct endpoint node, projects
+      // its x_u half once, weighs each unique (u, v) once, and the weights
+      // are scattered to every occurrence: bitwise identical, because each
+      // row's result is independent of which other rows share the matrix.
+      // Under autograd the per-occurrence path is kept — deduplication
+      // would reorder the gradient accumulation over repeated edges.
       static Counter* recon_edges =
           Telemetry().GetCounter("generator/recon_edges");
       static Counter* recon_unique =
           Telemetry().GetCounter("generator/recon_unique_edges");
-      const size_t num_edges = plan.edges.size();
-      std::vector<int> rep_src, rep_dst;  // first-occurrence feature rows
-      std::vector<int> occurrence(num_edges);
-      std::unordered_map<uint64_t, int> unique_index;
-      unique_index.reserve(num_edges * 2);
-      for (size_t e = 0; e < num_edges; ++e) {
-        const uint64_t key =
-            (static_cast<uint64_t>(
-                 static_cast<uint32_t>(nodes[plan.edge_src[e]]))
-             << 32) |
-            static_cast<uint32_t>(nodes[plan.edge_dst[e]]);
-        const auto [it, inserted] =
-            unique_index.emplace(key, static_cast<int>(rep_src.size()));
-        if (inserted) {
-          rep_src.push_back(plan.edge_src[e]);
-          rep_dst.push_back(plan.edge_dst[e]);
-        }
-        occurrence[e] = it->second;
-      }
-      recon_edges->Add(static_cast<int64_t>(num_edges));
-      recon_unique->Add(static_cast<int64_t>(rep_src.size()));
-      Tensor unique_weights = EdgeWeightsFor(features, rep_src, rep_dst);
-      edge_weight = rep_src.size() == num_edges
-                        ? std::move(unique_weights)
-                        : GatherRows(unique_weights, occurrence);
+      static Counter* recon_nodes =
+          Telemetry().GetCounter("generator/recon_nodes");
+      const UniqueEdges unique =
+          DedupEdges(nodes, plan.edge_src, plan.edge_dst);
+      recon_edges->Add(static_cast<int64_t>(plan.edge_src.size()));
+      recon_unique->Add(static_cast<int64_t>(unique.src.size()));
+      recon_nodes->Add(static_cast<int64_t>(unique.rows.size()));
+      edge_weight = GatherRows(
+          EdgeWeightsFor(GatherRows(features, unique.rows), unique.src,
+                         unique.dst),
+          unique.occurrence);
     } else {
       edge_weight = EdgeWeightsFor(features, plan.edge_src, plan.edge_dst);
     }

@@ -31,6 +31,7 @@ class Mlp : public Module {
   int in_features() const { return layers_.front()->in_features(); }
   int out_features() const { return layers_.back()->out_features(); }
   int num_layers() const { return static_cast<int>(layers_.size()); }
+  const Linear& layer(int i) const { return *layers_.at(i); }
 
  private:
   std::vector<std::unique_ptr<Linear>> layers_;

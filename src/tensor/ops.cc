@@ -285,6 +285,18 @@ void ReduceIntoBroadcast(const std::vector<float>& g, int rows, int cols,
   ReduceBroadcastInto(g, rows, cols, mode, b->grad.data());
 }
 
+// The Sigmoid op's value, split by sign so exp never overflows, and its
+// derivative from the output y; EdgeMlpSigmoid applies the same two.
+inline float SigmoidValue(float v) {
+  if (v >= 0.0f) {
+    return 1.0f / (1.0f + std::exp(-v));
+  }
+  const float e = std::exp(v);
+  return e / (1.0f + e);
+}
+
+inline float SigmoidGrad(float y) { return y * (1.0f - y); }
+
 // Generic elementwise unary op: value(v) and derivative expressed with the
 // input value x and the output value y.
 template <typename ValueFn, typename GradFn>
@@ -565,16 +577,8 @@ Tensor Transpose(const Tensor& a) {
 
 Tensor Sigmoid(const Tensor& a) {
   return UnaryOp(
-      a,
-      [](float v) {
-        // Split by sign to avoid overflow in exp.
-        if (v >= 0.0f) {
-          return 1.0f / (1.0f + std::exp(-v));
-        }
-        const float e = std::exp(v);
-        return e / (1.0f + e);
-      },
-      [](float, float y) { return y * (1.0f - y); });
+      a, [](float v) { return SigmoidValue(v); },
+      [](float, float y) { return SigmoidGrad(y); });
 }
 
 Tensor Relu(const Tensor& a) {
@@ -1364,6 +1368,170 @@ Tensor GatherConcatLinear(const Tensor& x, const std::vector<int>& index,
           }
         }
         ReleaseBuffer(std::move(d_cat));
+      });
+}
+
+// Floats in EdgeMlpSigmoid's stack block: a block of edges' x[dst] rows
+// and, at inference, their hidden rows.
+constexpr int kEdgeMlpBlockFloats = 8192;  // 32 KiB
+
+Tensor EdgeMlpSigmoid(const Tensor& x, const std::vector<int>& src,
+                      const std::vector<int>& dst, const Tensor& w0,
+                      const Tensor& b0, const Tensor& w1, const Tensor& b1) {
+  CHECK(!x.requires_grad()) << "EdgeMlpSigmoid computes no gradient for x";
+  CHECK_EQ(src.size(), dst.size());
+  const int rows = static_cast<int>(src.size());
+  const int x_rows = x.rows();
+  const int dim = x.cols();
+  const int hidden = w0.cols();
+  CHECK_EQ(w0.rows(), 2 * dim);
+  CHECK_EQ(b0.rows(), 1);
+  CHECK_EQ(b0.cols(), hidden);
+  CHECK_EQ(w1.rows(), hidden);
+  CHECK_EQ(w1.cols(), 1);
+  CHECK_EQ(b1.rows(), 1);
+  CHECK_EQ(b1.cols(), 1);
+  auto px = x.impl();
+  auto pw0 = w0.impl();
+  auto pb0 = b0.impl();
+  auto pw1 = w1.impl();
+  auto pb1 = b1.impl();
+  // The backward reads the post-ReLU rows; inference keeps each block's
+  // only until its logits are done.
+  const bool keep_hidden =
+      GradEnabled() && (WantsGrad(pw0) || WantsGrad(pb0) || WantsGrad(pw1) ||
+                        WantsGrad(pb1));
+  const int block_rows =
+      kEdgeMlpBlockFloats / (dim + (keep_hidden ? 0 : hidden));
+  CHECK_GE(block_rows, 1) << "one edge's rows exceed the stack block";
+  const float* xd = x.data().data();
+  const float* w0d = w0.data().data();
+  const float* b0d = b0.data().data();
+  const float* w1d = w1.data().data();
+  const float b1v = b1.data()[0];
+  // Edge e's first d k steps read only x[src[e]], so run them once per row
+  // of x.
+  std::vector<float> proj =
+      AcquireZeroedBuffer(static_cast<size_t>(x_rows) * hidden);
+  ParallelRange(x_rows, static_cast<int64_t>(dim) * hidden,
+                [&](int64_t first, int64_t last) {
+                  GemmRowsDispatch<true>(xd, w0d, proj.data(), first, last,
+                                         dim, hidden);
+                });
+  std::vector<float> kept;
+  if (keep_hidden) kept = AcquireBuffer(static_cast<size_t>(rows) * hidden);
+  std::vector<float> out = AcquireZeroedBuffer(static_cast<size_t>(rows));
+  ParallelRange(
+      rows, static_cast<int64_t>(dim + 2) * hidden,
+      [&](int64_t first, int64_t last) {
+        alignas(32) float block[kEdgeMlpBlockFloats];
+        for (int64_t e0 = first; e0 < last; e0 += block_rows) {
+          const int n =
+              static_cast<int>(std::min<int64_t>(block_rows, last - e0));
+          float* x_dst = block;
+          float* h = keep_hidden
+                         ? kept.data() + static_cast<size_t>(e0) * hidden
+                         : block + static_cast<size_t>(block_rows) * dim;
+          for (int i = 0; i < n; ++i) {
+            const int64_t e = e0 + i;
+            DCHECK_GE(src[e], 0);
+            DCHECK_LT(src[e], x_rows);
+            DCHECK_GE(dst[e], 0);
+            DCHECK_LT(dst[e], x_rows);
+            std::copy_n(proj.data() + static_cast<size_t>(src[e]) * hidden,
+                        hidden, h + static_cast<size_t>(i) * hidden);
+            std::copy_n(xd + static_cast<size_t>(dst[e]) * dim, dim,
+                        x_dst + static_cast<size_t>(i) * dim);
+          }
+          // Each row's accumulation resumes at k = d from the copied
+          // partial, in the same ascending-k, zero-skipping order; then
+          // LinearRelu's bias and ReLU.
+          GemmRowsDispatch<true>(x_dst,
+                                 w0d + static_cast<size_t>(dim) * hidden, h,
+                                 0, n, dim, hidden);
+          for (int i = 0; i < n; ++i) {
+            float* hrow = h + static_cast<size_t>(i) * hidden;
+            for (int j = 0; j < hidden; ++j) {
+              const float z = hrow[j] + b0d[j];
+              hrow[j] = z > 0.0f ? z : 0.0f;
+            }
+          }
+          // Layer 2 as MatMul runs it (from zero, zero operands skipped),
+          // then Add's bias and the Sigmoid op's formula.
+          float* logit = out.data() + e0;
+          GemmRowsDispatch<true>(h, w1d, logit, 0, n, hidden, 1);
+          for (int i = 0; i < n; ++i) logit[i] = SigmoidValue(logit[i] + b1v);
+        }
+      });
+  ReleaseBuffer(std::move(proj));
+  // A tensor, so the kept rows go back to the pool with the graph.
+  TensorImplPtr ph;
+  if (keep_hidden) ph = Tensor::FromData(rows, hidden, std::move(kept)).impl();
+  auto src_copy = KeepForBackward(src);
+  auto dst_copy = KeepForBackward(dst);
+  return FinishOp(
+      rows, 1, std::move(out), {px, pw0, pb0, pw1, pb1},
+      [px, pw0, pb0, pw1, pb1, ph, src_copy, dst_copy, rows, dim,
+       hidden](TensorImpl& node) {
+        const bool want_w0 = WantsGrad(pw0);
+        const bool want_b0 = WantsGrad(pb0);
+        const bool want_hidden = want_w0 || want_b0;
+        const float* hd = ph->data.data();
+        // Sigmoid's, then Add's backward: the logit's grad, added into a
+        // zeroed grad as the chain's is.
+        std::vector<float> g = AcquireZeroedBuffer(static_cast<size_t>(rows));
+        for (int e = 0; e < rows; ++e) {
+          g[e] += node.grad[e] * SigmoidGrad(node.data[e]);
+        }
+        if (WantsGrad(pb1)) {
+          ReduceIntoBroadcast(g, rows, 1, Broadcast::kScalar, pb1.get());
+        }
+        // MatMul's backward: dA into a zeroed grad for the hidden rows,
+        // then dW1.
+        std::vector<float> d_hidden;
+        if (want_hidden) {
+          d_hidden = AcquireZeroedBuffer(static_cast<size_t>(rows) * hidden);
+          GemmGradA(g.data(), pw1->data.data(), d_hidden.data(), rows, hidden,
+                    1);
+        }
+        if (WantsGrad(pw1)) {
+          pw1->EnsureGrad();
+          GemmGradB(
+              [hd, hidden](int i, int k) {
+                return hd[static_cast<size_t>(i) * hidden + k];
+              },
+              g.data(), pw1->grad.data(), rows, hidden, 1);
+        }
+        ReleaseBuffer(std::move(g));
+        if (!want_hidden) return;
+        // LinearRelu's backward: the ReLU mask as a multiply, the b0
+        // reduce, then dW0 reading [x[src[i]] | x[dst[i]]] in place.
+        ParallelRange(static_cast<int64_t>(d_hidden.size()), 1,
+                      [&](int64_t first, int64_t last) {
+                        for (int64_t i = first; i < last; ++i) {
+                          d_hidden[i] =
+                              d_hidden[i] * (hd[i] > 0.0f ? 1.0f : 0.0f);
+                        }
+                      });
+        if (want_b0) {
+          pb0->EnsureGrad();
+          ReduceBroadcastInto(d_hidden, rows, hidden, Broadcast::kRow,
+                              pb0->grad.data());
+        }
+        if (want_w0) {
+          pw0->EnsureGrad();
+          const float* xd = px->data.data();
+          const int* si = src_copy->data();
+          const int* di = dst_copy->data();
+          GemmGradB(
+              [xd, si, di, dim](int i, int k) {
+                return k < dim
+                           ? xd[static_cast<size_t>(si[i]) * dim + k]
+                           : xd[static_cast<size_t>(di[i]) * dim + (k - dim)];
+              },
+              d_hidden.data(), pw0->grad.data(), rows, 2 * dim, hidden);
+        }
+        ReleaseBuffer(std::move(d_hidden));
       });
 }
 

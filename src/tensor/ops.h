@@ -118,6 +118,24 @@ Tensor GatherConcatLinear(const Tensor& x, const std::vector<int>& index,
                           const Tensor& feat, const Tensor& weight,
                           const Tensor& bias);
 
+// Fuses the edge scorer MLP_phi of the Prompt Generator (Eqs. 2-3),
+//   Sigmoid(Add(MatMul(LinearRelu(ConcatCols(GatherRows(x, src),
+//                                            GatherRows(x, dst)), w0, b0),
+//                      w1), b1)),
+// for x (R x d), w0 (2d x H), b0 (1 x H), w1 (H x 1) and b1 (1 x 1): row e
+// is the weight of edge (src[e], dst[e]). The x[src] half of layer 1 is
+// projected once per row of x, as in GatherConcatLinear; each edge copies
+// its projected row, resumes the same ascending-k accumulation over
+// x[dst[e]], and finishes the bias, ReLU, layer 2, bias and sigmoid in a
+// stack block of edges, so nothing edge-sized but the result is built.
+// Under autograd the post-ReLU rows (E x H) are kept for the backward,
+// which replays the chain's backward in order and gives w0, b0, w1 and b1
+// the chain's gradients bit for bit. x must not require a gradient: no dx
+// is computed.
+Tensor EdgeMlpSigmoid(const Tensor& x, const std::vector<int>& src,
+                      const std::vector<int>& dst, const Tensor& w0,
+                      const Tensor& b0, const Tensor& w1, const Tensor& b1);
+
 // Fuses LeakyRelu(Add(Add(GatherRows(s, src), GatherRows(t, dst)),
 // GatherRows(a, key)), negative_slope) for single-column s, t and a: row e
 // is LeakyRelu((s[src[e]] + t[dst[e]]) + a[key[e]]), in the chain's add
@@ -178,21 +196,22 @@ namespace internal {
 void GemmAccumulate(const float* a, const float* b, float* out, int rows,
                     int inner, int cols, bool skip_zeros = true);
 
-// Test hook for the autograd GEMM backward behind MatMul, LinearRelu and
-// GatherConcatLinear: da += g * b^T and db += a^T * g for a (rows x inner),
-// b (inner x cols) and g (rows x cols), through the same SIMD dispatch
-// the ops' backward functions take.
+// Test hook for the autograd GEMM backward behind MatMul, LinearRelu,
+// GatherConcatLinear and EdgeMlpSigmoid: da += g * b^T and db += a^T * g
+// for a (rows x inner), b (inner x cols) and g (rows x cols), through the
+// same SIMD dispatch the ops' backward functions take.
 void GemmGradAccumulate(const float* g, const float* a, const float* b,
                         float* da, float* db, int rows, int inner, int cols);
 
 // AVX2 variant of the GEMM row kernel (tensor/gemm_avx2.cc), dispatched
-// behind MatMul, LinearRelu and GatherConcatLinear when Avx2Enabled().
-// Each out element starts from its stored value and adds its products in
-// ascending k, mul then add without FMA contraction, skipping zero
-// operands when `skip_zeros` is set, so it is bitwise identical to the
-// scalar micro-kernel (pinned by tests/simd_kernels_test.cc and,
-// transitively, tests/fused_ops_test.cc and the golden pins, which hold
-// at any simd level). Lanes never reduce across each other:
+// behind MatMul, LinearRelu, GatherConcatLinear and EdgeMlpSigmoid when
+// Avx2Enabled(). Each out element starts from its stored value and adds
+// its products in ascending k, mul then add without FMA contraction,
+// skipping zero operands when `skip_zeros` is set, so it is bitwise
+// identical to the scalar micro-kernel (pinned by
+// tests/simd_kernels_test.cc and, transitively, tests/fused_ops_test.cc
+// and the golden pins, which hold at any simd level). Lanes never reduce
+// across each other:
 //   * cols >= 8: lanes on output columns. Per row and 256-k block, the k
 //     of the nonzero operands are compacted into a stack list without a
 //     branch, and each panel of up to 64 columns (8 registers; then 32,

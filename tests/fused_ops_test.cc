@@ -4,6 +4,8 @@
 // tests hold them to exactly that — EXPECT_EQ on floats, no tolerances.
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -16,11 +18,16 @@
 namespace gp {
 namespace {
 
+// Compares bit patterns, so -0 against +0 (or two NaN payloads) differs.
 void ExpectBitwiseEqual(const std::vector<float>& a,
                         const std::vector<float>& b) {
   ASSERT_EQ(a.size(), b.size());
   for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i], b[i]) << "index " << i;
+    uint32_t a_bits, b_bits;
+    std::memcpy(&a_bits, &a[i], sizeof(float));
+    std::memcpy(&b_bits, &b[i], sizeof(float));
+    EXPECT_EQ(a_bits, b_bits) << "index " << i << ": " << a[i] << " vs "
+                              << b[i];
   }
 }
 
@@ -318,6 +325,117 @@ TEST(FusedOpsTest, GatherConcatLinearCrossesKBlockBoundary) {
       4, 250, 20, 9, {1, 3, 1, 0, 2, 3}, 43));
   ExpectGatherConcatLinearMatchesChain(MakeGatherConcatInputs(
       4, 300, 4, 9, {2, 2, 0, 3, 1}, 47));
+}
+
+// EdgeMlpSigmoid against Sigmoid(Add(MatMul(LinearRelu(ConcatCols(
+// GatherRows(x, src), GatherRows(x, dst)), w0, b0), w1), b1)). As in the
+// generator, x carries no gradient and the parameters do. The loss runs the
+// op twice over the shared parameters, on the edges and on the reversed
+// edges, so each gradient sums two nodes' shares and the slot where each
+// fused node adds its share is pinned along with the values.
+struct EdgeMlpInputs {
+  Tensor x, w0, b0, w1, b1;
+  std::vector<int> src, dst;
+
+  EdgeMlpInputs Clone() const {
+    EdgeMlpInputs c = *this;
+    c.x = x.Clone();
+    for (Tensor* t : {&c.w0, &c.b0, &c.w1, &c.b1}) {
+      *t = t->Clone();
+      t->set_requires_grad(true);
+    }
+    return c;
+  }
+};
+
+// Random inputs with exact zeros and -0 in x, and b0 pushed far below zero
+// in every third hidden unit, so those units are dead on every edge and
+// layer 2 skips their zero operands. Edges read rows at random, so rows
+// repeat, and rows past `read_rows` are never read.
+EdgeMlpInputs MakeEdgeMlpInputs(int x_rows, int read_rows, int dim,
+                                int hidden, int num_edges, uint64_t seed) {
+  Rng rng(seed);
+  EdgeMlpInputs in;
+  in.x = Tensor::Randn(x_rows, dim, &rng);
+  std::vector<float>& xd = in.x.mutable_data();
+  for (size_t i = 0; i < xd.size(); i += 5) xd[i] = i % 2 ? -0.0f : 0.0f;
+  in.w0 = Tensor::Randn(2 * dim, hidden, &rng, 0.3f);
+  in.b0 = Tensor::Randn(1, hidden, &rng);
+  for (int j = 0; j < hidden; j += 3) in.b0.mutable_data()[j] = -1e4f;
+  in.w1 = Tensor::Randn(hidden, 1, &rng);
+  in.b1 = Tensor::Randn(1, 1, &rng);
+  for (int e = 0; e < num_edges; ++e) {
+    in.src.push_back(static_cast<int>(rng.UniformInt(read_rows)));
+    in.dst.push_back(static_cast<int>(rng.UniformInt(read_rows)));
+  }
+  return in;
+}
+
+void ExpectEdgeMlpSigmoidMatchesChain(const EdgeMlpInputs& base) {
+  auto chain = [](const EdgeMlpInputs& in, const std::vector<int>& src,
+                  const std::vector<int>& dst) {
+    Tensor pairs = ConcatCols(GatherRows(in.x, src), GatherRows(in.x, dst));
+    return Sigmoid(
+        Add(MatMul(LinearRelu(pairs, in.w0, in.b0), in.w1), in.b1));
+  };
+  auto fused = [](const EdgeMlpInputs& in, const std::vector<int>& src,
+                  const std::vector<int>& dst) {
+    return EdgeMlpSigmoid(in.x, src, dst, in.w0, in.b0, in.w1, in.b1);
+  };
+  auto run = [&base](const auto& op, std::vector<float>* forward) {
+    EdgeMlpInputs in = base.Clone();
+    {
+      NoGradGuard no_grad;
+      *forward = op(in, in.src, in.dst).data();
+    }
+    Tensor out = op(in, in.src, in.dst);
+    ExpectBitwiseEqual(out.data(), *forward);  // the same under autograd
+    Tensor reversed = op(in, in.dst, in.src);
+    Backward(Add(SumAll(Mul(out, out)), SumAll(reversed)));
+    return in;
+  };
+  std::vector<float> ref_fwd, fused_fwd;
+  const EdgeMlpInputs a = run(chain, &ref_fwd);
+  const EdgeMlpInputs b = run(fused, &fused_fwd);
+  ExpectBitwiseEqual(fused_fwd, ref_fwd);
+  ExpectBitwiseEqual(b.w0.grad(), a.w0.grad());
+  ExpectBitwiseEqual(b.b0.grad(), a.b0.grad());
+  ExpectBitwiseEqual(b.w1.grad(), a.w1.grad());
+  ExpectBitwiseEqual(b.b1.grad(), a.b1.grad());
+}
+
+TEST(FusedOpsTest, EdgeMlpSigmoidRepeatedAndUnreadRows) {
+  // 13 edges over rows 0-4 of 7; H = 12.
+  ExpectEdgeMlpSigmoidMatchesChain(MakeEdgeMlpInputs(7, 5, 5, 12, 13, 51));
+}
+
+TEST(FusedOpsTest, EdgeMlpSigmoidSpansSeveralBlocks) {
+  // 601 edges at d = 4, H = 16 run as one chunk of two stack blocks (409
+  // edges, then 192) at inference.
+  ExpectEdgeMlpSigmoidMatchesChain(
+      MakeEdgeMlpInputs(90, 80, 4, 16, 601, 53));
+}
+
+TEST(FusedOpsTest, EdgeMlpSigmoidGeneratorShape) {
+  // The generator's d = H = 64, over 1,237 edges in parallel chunks.
+  ExpectEdgeMlpSigmoidMatchesChain(
+      MakeEdgeMlpInputs(160, 150, 64, 64, 1237, 57));
+}
+
+TEST(FusedOpsTest, EdgeMlpSigmoidCrossesKBlockBoundary) {
+  // d = 300: the x[src] projection crosses the 256-wide k block, and the
+  // x[dst] half resumes inside the second one.
+  ExpectEdgeMlpSigmoidMatchesChain(MakeEdgeMlpInputs(9, 8, 300, 12, 21, 59));
+}
+
+TEST(FusedOpsTest, EdgeMlpSigmoidRejectsXThatRequiresGrad) {
+  EdgeMlpInputs in = MakeEdgeMlpInputs(4, 4, 3, 4, 5, 61);
+  in.x.set_requires_grad(true);
+  // Earlier cases started the thread pool; re-exec instead of forking it.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      EdgeMlpSigmoid(in.x, in.src, in.dst, in.w0, in.b0, in.w1, in.b1),
+      "no gradient for x");
 }
 
 // GatherAddLeakyRelu against LeakyRelu(Add(Add(GatherRows(s, src),
