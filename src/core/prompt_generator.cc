@@ -143,7 +143,7 @@ struct UniqueEdges {
 // Node ids get compact ids in first-seen order through an open-addressing
 // table sized from the row count. Edges are then grouped by compact source
 // with a counting sort, and a stamp per compact destination marks the ones
-// the current source already reaches. O(rows + edges), no hash map.
+// the current source already reaches. O(rows + edges), in flat arrays.
 UniqueEdges DedupEdges(const std::vector<int>& nodes,
                        const std::vector<int>& src,
                        const std::vector<int>& dst) {
