@@ -8,9 +8,11 @@
 // random-walk sampler's data graphs for node and edge items, (f) the
 // task graph's outputs at eval_manyway's shape, (g) the serving
 // daemon's replies to a chaos request log and its tenant snapshots after
-// it, and (h) GNN_D's center-row embeddings and gradients for every
-// architecture and depth, and (i) the Prompt Generator's embeddings and
-// parameter gradients over overlapping data graphs, for fixed seeds into
+// it, (h) GNN_D's center-row embeddings and gradients for every
+// architecture and depth, (i) the Prompt Generator's embeddings and
+// parameter gradients over overlapping data graphs, and (j) the selection
+// layer's and the task graph's parameter gradients at eval_manyway's
+// task-graph shape, for fixed seeds into
 // tests/golden/. Values are rendered with %.17g, so any change
 // to retrieval or scoring that shifts predictions by even one ULP fails
 // loudly. The selector goldens pin the exact scan that scores every
@@ -38,6 +40,7 @@
 #include "core/knn_retrieval.h"
 #include "core/pretrain.h"
 #include "core/prompt_generator.h"
+#include "core/selection_layer.h"
 #include "core/task_graph.h"
 #include "data/datasets.h"
 #include "gnn/encoder.h"
@@ -293,6 +296,16 @@ std::string RenderSamplerGolden() {
   return out.str();
 }
 
+uint32_t TensorCrc(const Tensor& t) {
+  return Crc32(t.data().data(), static_cast<size_t>(t.size()) * sizeof(float));
+}
+
+std::string GradCrc(const Tensor& t) {
+  if (t.grad().empty()) return "none";
+  return std::to_string(
+      Crc32(t.grad().data(), t.grad().size() * sizeof(float)));
+}
+
 // eval_manyway's task graph: d = 64, 123 prompts over 40 classes and 25
 // batches of 4 queries. The model is untrained, so its ReZero gates start
 // at 0 and its message biases at 0; both are set nonzero so the attention
@@ -300,10 +313,6 @@ std::string RenderSamplerGolden() {
 // batch renders a CRC-32 of the query scores and the label embeddings,
 // once under NoGradGuard (the inference path) and once with autograd on
 // (the training path, whose forward must give the same bits).
-uint32_t TensorCrc(const Tensor& t) {
-  return Crc32(t.data().data(), static_cast<size_t>(t.size()) * sizeof(float));
-}
-
 std::string RenderTaskGraphGolden() {
   const int dim = 64, ways = 40, num_prompts = 123, batches = 25, batch = 4;
   Rng rng(19);
@@ -331,6 +340,57 @@ std::string RenderTaskGraphGolden() {
           << "\n";
     }
   }
+  return out.str();
+}
+
+// The pretraining step's stage 2 and 3 at eval_manyway's task-graph shape
+// (d = 64, 123 prompts over 40 classes, 4 queries): the selection layer
+// weighs the prompts by their importance (G'_p = G_p * I_p) and the task
+// graph runs over them, with its gates and message biases set nonzero as
+// in RenderTaskGraphGolden. Renders the forward CRCs, then, after
+// Backward from a fixed weighted sum of the query scores and the label
+// embeddings, every selection-layer and task-graph parameter's grad and
+// the prompts' and queries' grads.
+std::string RenderTaskGraphGradsGolden() {
+  const int dim = 64, ways = 40, num_prompts = 123, num_queries = 4;
+  Rng rng(37);
+  SelectionLayerConfig sel_config;
+  sel_config.embedding_dim = dim;
+  const SelectionLayer selection(sel_config, &rng);
+  TaskGraphConfig config;
+  config.embedding_dim = dim;
+  TaskGraphNet net(config, &rng);
+  for (auto [name, param] : net.NamedParameters()) {
+    if (!name.ends_with("gate") && !name.ends_with("message/bias")) continue;
+    for (float& v : param.mutable_data()) v = rng.Normal();
+  }
+  const Tensor prompt_values = Tensor::Randn(num_prompts, dim, &rng);
+  const Tensor query_values = Tensor::Randn(num_queries, dim, &rng);
+  std::vector<int> labels(num_prompts);
+  for (int p = 0; p < num_prompts; ++p) labels[p] = p % ways;
+  Tensor prompts = Tensor::FromData(num_prompts, dim, prompt_values.data(),
+                                    /*requires_grad=*/true);
+  Tensor queries = Tensor::FromData(num_queries, dim, query_values.data(),
+                                    /*requires_grad=*/true);
+  const TaskGraphOutput o = net.Forward(selection.WeightedEmbeddings(prompts),
+                                        labels, queries, ways);
+  std::ostringstream out;
+  out << "query_scores crc32 " << TensorCrc(o.query_scores)
+      << " label_embeddings crc32 " << TensorCrc(o.label_embeddings) << "\n";
+  const Tensor score_weights =
+      Tensor::Randn(o.query_scores.rows(), o.query_scores.cols(), &rng);
+  const Tensor label_weights =
+      Tensor::Randn(o.label_embeddings.rows(), o.label_embeddings.cols(), &rng);
+  Backward(Add(SumAll(Mul(o.query_scores, score_weights)),
+               SumAll(Mul(o.label_embeddings, label_weights))));
+  for (const auto& [name, param] : selection.NamedParameters()) {
+    out << "grad selection/" << name << " crc32 " << GradCrc(param) << "\n";
+  }
+  for (const auto& [name, param] : net.NamedParameters()) {
+    out << "grad task_graph/" << name << " crc32 " << GradCrc(param) << "\n";
+  }
+  out << "grad prompts crc32 " << GradCrc(prompts) << "\n";
+  out << "grad queries crc32 " << GradCrc(queries) << "\n";
   return out.str();
 }
 
@@ -407,12 +467,6 @@ Tensor EncodeRows(const GnnEncoder& encoder, const Tensor& x,
   return encoder.Forward(
       GatherRows(x, plan.rows), plan,
       edge_weight.defined() ? GatherRows(edge_weight, plan.edges) : Tensor());
-}
-
-std::string GradCrc(const Tensor& t) {
-  if (t.grad().empty()) return "none";
-  return std::to_string(
-      Crc32(t.grad().data(), t.grad().size() * sizeof(float)));
 }
 
 std::string RenderEncoderRowsGolden() {
@@ -600,6 +654,10 @@ TEST(GoldenEvalTest, SelectorTopKManyWay) {
 
 TEST(GoldenEvalTest, TaskGraphManyWay) {
   CheckGolden("task_graph_manyway.golden", RenderTaskGraphGolden());
+}
+
+TEST(GoldenEvalTest, TaskGraphAndSelectionGradsMatchGolden) {
+  CheckGolden("task_graph_grads.golden", RenderTaskGraphGradsGolden());
 }
 
 TEST(GoldenEvalTest, PretrainLossesAndParametersMatchGolden) {

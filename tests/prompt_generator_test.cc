@@ -1,6 +1,7 @@
 #include "core/prompt_generator.h"
 
 #include <cstring>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -143,33 +144,55 @@ TEST_F(PromptGeneratorTest, InferenceDedupMatchesPerOccurrencePath) {
   // Subgraphs sampled around a few repeated items share nodes and edges.
   // Inference weighs each distinct edge once and scatters the weight back;
   // under autograd every occurrence is weighed. Both must give the same
-  // embeddings, bit for bit.
-  Rng rng(16);
-  PromptGenerator generator(SmallConfig(dataset_.graph.feature_dim()), &rng);
-  Rng sample_rng(17);
-  std::vector<Subgraph> subgraphs;
-  for (int i = 0; i < 12; ++i) {
-    subgraphs.push_back(generator.SampleForItem(
-        dataset_, dataset_.train_items_by_class[i % 3][0], &sample_rng));
-  }
-  const Tensor with_grad = generator.EmbedSubgraphs(view_, subgraphs);
-  ASSERT_TRUE(with_grad.requires_grad());
+  // embeddings, bit for bit, for every GNN_D and MLP_phi architecture,
+  // with and without a feature offset row, over two layers and two hops.
+  const int dim = dataset_.graph.feature_dim();
+  std::vector<float> offset_values(dim);
+  for (int c = 0; c < dim; ++c) offset_values[c] = 0.25f - 0.03f * c;
   Counter* edges = Telemetry().GetCounter("generator/recon_edges");
   Counter* unique = Telemetry().GetCounter("generator/recon_unique_edges");
-  const int64_t edges_before = edges->Value();
-  const int64_t unique_before = unique->Value();
-  Tensor no_grad;
-  {
-    NoGradGuard guard;
-    no_grad = generator.EmbedSubgraphs(view_, subgraphs);
+  for (GnnArch gnn : {GnnArch::kSage, GnnArch::kGcn, GnnArch::kGat}) {
+    for (ReconArch recon : {ReconArch::kMlp, ReconArch::kBilinear}) {
+      for (const bool offset : {false, true}) {
+        SCOPED_TRACE(std::string(GnnArchName(gnn)) + " " +
+                     ReconArchName(recon) +
+                     (offset ? " with offset" : " without offset"));
+        PromptGeneratorConfig config = SmallConfig(dim);
+        config.gnn.arch = gnn;
+        config.gnn.num_layers = 2;
+        config.sampler.num_hops = 2;
+        config.recon_arch = recon;
+        Rng rng(16);
+        PromptGenerator generator(config, &rng);
+        Rng sample_rng(17);
+        std::vector<Subgraph> subgraphs;
+        for (int i = 0; i < 12; ++i) {
+          subgraphs.push_back(generator.SampleForItem(
+              dataset_, dataset_.train_items_by_class[i % 3][0], &sample_rng));
+        }
+        const Tensor feature_offset =
+            offset ? Tensor::FromData(1, dim, offset_values) : Tensor();
+        const Tensor with_grad =
+            generator.EmbedSubgraphs(view_, subgraphs, feature_offset);
+        ASSERT_TRUE(with_grad.requires_grad());
+        const int64_t edges_before = edges->Value();
+        const int64_t unique_before = unique->Value();
+        Tensor no_grad;
+        {
+          NoGradGuard guard;
+          no_grad = generator.EmbedSubgraphs(view_, subgraphs, feature_offset);
+        }
+        // The union repeats edges, so the dedup has work to do.
+        EXPECT_LT(unique->Value() - unique_before,
+                  edges->Value() - edges_before);
+        ASSERT_EQ(no_grad.rows(), 12);
+        ASSERT_EQ(no_grad.data().size(), with_grad.data().size());
+        EXPECT_EQ(std::memcmp(no_grad.data().data(), with_grad.data().data(),
+                              sizeof(float) * no_grad.data().size()),
+                  0);
+      }
+    }
   }
-  // The union repeats edges, so the dedup has work to do.
-  EXPECT_LT(unique->Value() - unique_before, edges->Value() - edges_before);
-  ASSERT_EQ(no_grad.rows(), 12);
-  ASSERT_EQ(no_grad.data().size(), with_grad.data().size());
-  EXPECT_EQ(std::memcmp(no_grad.data().data(), with_grad.data().data(),
-                        sizeof(float) * no_grad.data().size()),
-            0);
 }
 
 TEST_F(PromptGeneratorTest, GradientsFlowThroughReconstruction) {
