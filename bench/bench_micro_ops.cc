@@ -29,6 +29,7 @@
 #include "core/lfu_cache.h"
 #include "core/task_graph.h"
 #include "data/datasets.h"
+#include "gnn/sage_conv.h"
 #include "graph/sampler.h"
 #include "nn/mlp.h"
 #include "obs/bench_report.h"
@@ -320,6 +321,52 @@ BENCHMARK(BM_EdgeMlpSigmoid)
     ->Args({1, 0})
     ->Args({0, 1})
     ->Args({1, 1});
+
+// GNN_D's first SAGE layer at eval_manyway's inference shape (d = 64):
+// 8,263 output rows over 24,886 weighted edges, from a packed union of
+// 15,000 rows that holds 1,125 distinct nodes. merged=1 reads one input row
+// per node, so SageConv projects its self term once per node and
+// GatherAddMatMul gathers it; merged=0 reads one input row per packed row
+// and gathers the output rows before projecting them. Both give the same
+// bits. per_row is the wall time per output row.
+void BM_SageFirstLayer(benchmark::State& state) {
+  const bool merged = state.range(0) == 1;
+  const int dim = 64, nodes = 1125, packed = 15000, num_out = 8263;
+  const int edges = 24886;
+  Rng rng(47);
+  SageConv conv(dim, dim, &rng);
+  const Tensor node_x = Tensor::Randn(nodes, dim, &rng);
+  std::vector<int> node_of(packed);
+  for (int r = 0; r < packed; ++r) {
+    node_of[r] = r < nodes ? r : static_cast<int>(rng.UniformInt(nodes));
+  }
+  GnnLayerPlan layer;
+  for (int i = 0; i < num_out; ++i) {
+    layer.self.push_back(merged ? node_of[i] : i);
+  }
+  for (int e = 0; e < edges; ++e) {
+    const int src = static_cast<int>(rng.UniformInt(packed));
+    layer.src.push_back(merged ? node_of[src] : src);
+    layer.dst.push_back(static_cast<int>(rng.UniformInt(num_out)));
+    layer.weight.push_back(e);
+  }
+  const Tensor x = merged ? node_x : GatherRows(node_x, node_of);
+  std::vector<float> w(edges);
+  for (float& v : w) v = 0.05f + 0.9f * rng.UniformFloat();
+  const Tensor edge_weight = Tensor::FromData(edges, 1, std::move(w));
+  NoGradGuard no_grad;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(conv.Forward(x, layer, edge_weight).raw());
+  }
+  state.counters["per_row"] = benchmark::Counter(
+      num_out, benchmark::Counter::kIsIterationInvariantRate |
+                   benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_SageFirstLayer)
+    ->UseRealTime()
+    ->ArgNames({"merged"})
+    ->Arg(0)
+    ->Arg(1);
 
 // A training-style step (MLP forward + backward) with the buffer pool on
 // vs off: the op graph churns dozens of same-shaped tensors per step, so

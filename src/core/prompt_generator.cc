@@ -132,56 +132,27 @@ PackedUnion PackSubgraphs(const std::vector<Subgraph>& subgraphs) {
   return packed;
 }
 
-// The distinct endpoint nodes and the distinct (u, v) edges of an edge list
-// over rows of x, where row r holds node nodes[r].
+// The distinct (u, v) edges of an edge list over compact node ids.
 struct UniqueEdges {
-  std::vector<int> rows;        // one row of x per distinct endpoint node
-  std::vector<int> src, dst;    // each unique edge's ends, indices into rows
+  std::vector<int> src, dst;    // each unique edge's ends
   std::vector<int> occurrence;  // the unique edge of each listed edge
 };
 
-// Node ids get compact ids in first-seen order through an open-addressing
-// table sized from the row count. Edges are then grouped by compact source
-// with a counting sort, and a stamp per compact destination marks the ones
-// the current source already reaches. O(rows + edges), in flat arrays.
-UniqueEdges DedupEdges(const std::vector<int>& nodes,
-                       const std::vector<int>& src,
+// Edges are grouped by source with a counting sort, and a stamp per
+// destination marks the ones the current source already reaches.
+// O(nodes + edges), in flat arrays.
+UniqueEdges DedupEdges(int num_nodes, const std::vector<int>& src,
                        const std::vector<int>& dst) {
   const size_t num_edges = src.size();
   UniqueEdges unique;
-  std::vector<int> compact(nodes.size(), -1);  // per row, once read
-  int bits = 4;
-  while ((size_t{1} << bits) < 2 * nodes.size()) ++bits;
-  const size_t mask = (size_t{1} << bits) - 1;
-  std::vector<int> slot(mask + 1, -1);  // the first row read of a node
-  auto compact_id = [&](int row) {
-    if (compact[row] < 0) {
-      const int node = nodes[row];
-      size_t s = (static_cast<uint32_t>(node) * 2654435761u) >> (32 - bits);
-      while (slot[s] >= 0 && nodes[slot[s]] != node) s = (s + 1) & mask;
-      if (slot[s] < 0) {
-        slot[s] = row;
-        compact[row] = static_cast<int>(unique.rows.size());
-        unique.rows.push_back(row);
-      } else {
-        compact[row] = compact[slot[s]];
-      }
-    }
-    return compact[row];
-  };
-  for (size_t e = 0; e < num_edges; ++e) {
-    compact_id(src[e]);
-    compact_id(dst[e]);
-  }
-  const int num_nodes = static_cast<int>(unique.rows.size());
-  // Edges of compact source s are by_source[first[s] .. first[s + 1]).
+  // Edges of source s are by_source[first[s] .. first[s + 1]).
   std::vector<int> first(num_nodes + 1, 0);
-  for (size_t e = 0; e < num_edges; ++e) ++first[compact[src[e]] + 1];
+  for (size_t e = 0; e < num_edges; ++e) ++first[src[e] + 1];
   for (int s = 0; s < num_nodes; ++s) first[s + 1] += first[s];
   std::vector<int> by_source(num_edges);
   std::vector<int> next(first.begin(), first.end() - 1);
   for (size_t e = 0; e < num_edges; ++e) {
-    by_source[next[compact[src[e]]]++] = static_cast<int>(e);
+    by_source[next[src[e]]++] = static_cast<int>(e);
   }
   std::vector<int> stamp(num_nodes, -1);  // last source to reach each node
   std::vector<int> edge_to(num_nodes);    // its unique edge from there
@@ -189,7 +160,7 @@ UniqueEdges DedupEdges(const std::vector<int>& nodes,
   for (int s = 0; s < num_nodes; ++s) {
     for (int i = first[s]; i < first[s + 1]; ++i) {
       const int e = by_source[i];
-      const int d = compact[dst[e]];
+      const int d = dst[e];
       if (stamp[d] != s) {
         stamp[d] = s;
         edge_to[d] = static_cast<int>(unique.src.size());
@@ -215,12 +186,20 @@ Tensor PromptGenerator::EmbedSubgraphs(const GraphView& view,
 
   // The readout reads only the center rows, so GNN_D computes their
   // receptive field alone, and only its rows' features and its first
-  // layer's edges are gathered and weighed.
+  // layer's edges are gathered and weighed. At inference every row of one
+  // node holds the same features (identical gathered row, identical
+  // broadcast offset), so the first layer reads one row per distinct node:
+  // a packed union repeats nodes heavily, the more so when a cross-request
+  // micro-batch packs many episodes over the same class pools. Under
+  // autograd each row keeps its own input row, since merging would
+  // reorder the gradient accumulation over repeated nodes.
   GnnPlan plan;
   {
     GP_TRACE_SPAN("generator/encode");
+    const std::vector<int> no_nodes;
     plan = encoder_->Plan(static_cast<int>(packed.nodes.size()), packed.src,
-                          packed.dst, packed.center_rows);
+                          packed.dst, packed.center_rows,
+                          GradEnabled() ? no_nodes : packed.nodes);
   }
   std::vector<int> nodes;
   nodes.reserve(plan.rows.size());
@@ -234,13 +213,10 @@ Tensor PromptGenerator::EmbedSubgraphs(const GraphView& view,
     GP_TRACE_SPAN("generator/reconstruct");
     if (!GradEnabled()) {
       // Inference: the Eq. 2-3 weight of an edge is a pure function of its
-      // two endpoint node ids (identical gathered feature rows, identical
-      // broadcast offset), and a packed union repeats the same graph edge
-      // across overlapping subgraphs — heavily so when a cross-request
-      // micro-batch packs many episodes over the same class pools. So
-      // MLP_phi reads one feature row per distinct endpoint node, projects
-      // its x_u half once, weighs each unique (u, v) once, and the weights
-      // are scattered to every occurrence: bitwise identical, because each
+      // two endpoint nodes, and the plan's edge ends are already one row
+      // of `features` per node. So MLP_phi projects each node's x_u half
+      // once, weighs each unique (u, v) once, and the weights are
+      // scattered to every occurrence: bitwise identical, because each
       // row's result is independent of which other rows share the matrix.
       // Under autograd the per-occurrence path is kept — deduplication
       // would reorder the gradient accumulation over repeated edges.
@@ -251,14 +227,12 @@ Tensor PromptGenerator::EmbedSubgraphs(const GraphView& view,
       static Counter* recon_nodes =
           Telemetry().GetCounter("generator/recon_nodes");
       const UniqueEdges unique =
-          DedupEdges(nodes, plan.edge_src, plan.edge_dst);
+          DedupEdges(features.rows(), plan.edge_src, plan.edge_dst);
       recon_edges->Add(static_cast<int64_t>(plan.edge_src.size()));
       recon_unique->Add(static_cast<int64_t>(unique.src.size()));
-      recon_nodes->Add(static_cast<int64_t>(unique.rows.size()));
-      edge_weight = GatherRows(
-          EdgeWeightsFor(GatherRows(features, unique.rows), unique.src,
-                         unique.dst),
-          unique.occurrence);
+      recon_nodes->Add(features.rows());
+      edge_weight = GatherRows(EdgeWeightsFor(features, unique.src, unique.dst),
+                               unique.occurrence);
     } else {
       edge_weight = EdgeWeightsFor(features, plan.edge_src, plan.edge_dst);
     }

@@ -46,8 +46,10 @@ GnnEncoder::GnnEncoder(const GnnEncoderConfig& config, Rng* rng)
 
 GnnPlan GnnEncoder::Plan(int num_rows, const std::vector<int>& src,
                          const std::vector<int>& dst,
-                         const std::vector<int>& rows) const {
+                         const std::vector<int>& rows,
+                         const std::vector<int>& nodes) const {
   CHECK_EQ(src.size(), dst.size());
+  CHECK(nodes.empty() || static_cast<int>(nodes.size()) == num_rows);
   const int num_layers = config_.num_layers;
   CHECK_LT(num_layers, 255);
   const int num_edges = static_cast<int>(src.size());
@@ -70,15 +72,38 @@ GnnPlan GnnEncoder::Plan(int num_rows, const std::vector<int>& src,
   }
 
   GnnPlan plan;
-  // Index of each row in the current layer's input and in its output.
+  // The rows the first layer reads, ascending, and the index of each row
+  // in the current layer's input and in its output.
+  std::vector<int> in_rows, out_rows;
   std::vector<int> in_index(num_rows), out_index(num_rows);
   int count = 0;
   for (int r = 0; r < num_rows; ++r) count += depth[r] > 0;
-  plan.rows.reserve(count);
+  in_rows.reserve(count);
   for (int r = 0; r < num_rows; ++r) {
-    if (depth[r] == 0) continue;
-    in_index[r] = static_cast<int>(plan.rows.size());
-    plan.rows.push_back(r);
+    if (depth[r] > 0) in_rows.push_back(r);
+  }
+  if (nodes.empty()) {
+    plan.rows = in_rows;
+    for (int i = 0; i < count; ++i) in_index[in_rows[i]] = i;
+  } else {
+    // Rows of one node share an input row, the node's first: ids in
+    // first-seen order through an open-addressing table over node ids.
+    int bits = 4;
+    while ((size_t{1} << bits) < 2 * in_rows.size()) ++bits;
+    const size_t mask = (size_t{1} << bits) - 1;
+    std::vector<int> slot(mask + 1, -1);  // input row of the node there
+    for (int r : in_rows) {
+      const int node = nodes[r];
+      size_t s = (static_cast<uint32_t>(node) * 2654435761u) >> (32 - bits);
+      while (slot[s] >= 0 && nodes[plan.rows[slot[s]]] != node) {
+        s = (s + 1) & mask;
+      }
+      if (slot[s] < 0) {
+        slot[s] = static_cast<int>(plan.rows.size());
+        plan.rows.push_back(r);
+      }
+      in_index[r] = slot[s];
+    }
   }
   count = 0;
   for (int e = 0; e < num_edges; ++e) count += depth[dst[e]] > 1;
@@ -98,9 +123,9 @@ GnnPlan GnnEncoder::Plan(int num_rows, const std::vector<int>& src,
     in_degree.assign(num_rows, 0);
     for (int d : dst) ++in_degree[d];
   }
+  const bool degrees = !in_degree.empty();
 
   plan.layers.resize(num_layers);
-  std::vector<int> in_rows = plan.rows, out_rows;
   for (int l = 0; l < num_layers; ++l) {
     GnnLayerPlan& layer = plan.layers[l];
     count = 0;
@@ -108,16 +133,14 @@ GnnPlan GnnEncoder::Plan(int num_rows, const std::vector<int>& src,
     out_rows.clear();
     out_rows.reserve(count);
     layer.self.reserve(count);
+    if (degrees) layer.self_degree.reserve(count);
     for (int r : in_rows) {
       if (depth[r] <= l + 1) continue;
       out_index[r] = static_cast<int>(out_rows.size());
       out_rows.push_back(r);
       layer.self.push_back(in_index[r]);
-    }
-    if (!in_degree.empty()) {
-      layer.degree.reserve(in_rows.size());
-      for (int r : in_rows) {
-        layer.degree.push_back(static_cast<float>(1 + in_degree[r]));
+      if (degrees) {
+        layer.self_degree.push_back(static_cast<float>(1 + in_degree[r]));
       }
     }
     count = 0;
@@ -125,12 +148,16 @@ GnnPlan GnnEncoder::Plan(int num_rows, const std::vector<int>& src,
     layer.src.reserve(count);
     layer.dst.reserve(count);
     layer.weight.reserve(count);
+    if (degrees) layer.src_degree.reserve(count);
     for (int k = 0; k < static_cast<int>(plan.edges.size()); ++k) {
       const int e = plan.edges[k];
       if (depth[dst[e]] <= l + 1) continue;
       layer.src.push_back(in_index[src[e]]);
       layer.dst.push_back(out_index[dst[e]]);
       layer.weight.push_back(k);
+      if (degrees) {
+        layer.src_degree.push_back(static_cast<float>(1 + in_degree[src[e]]));
+      }
     }
     std::swap(in_rows, out_rows);
     std::swap(in_index, out_index);

@@ -35,7 +35,9 @@ struct GnnEncoderConfig {
 // requested rows, and each earlier layer the rows the next one reads: its
 // own rows plus the sources of the edges into them.
 struct GnnPlan {
-  std::vector<int> rows;   // rows the first layer reads, ascending
+  // One row per first-layer input row, ascending: every row the first
+  // layer reads, or, when Plan was given node ids, each node's first one.
+  std::vector<int> rows;
   std::vector<int> edges;  // edges the first layer reads, in graph order
   // The ends of `edges` as indices into `rows`.
   std::vector<int> edge_src, edge_dst;
@@ -55,10 +57,16 @@ class GnnEncoder : public Module {
   // Plans a Forward call that returns the embeddings of `rows` (any order,
   // repeats allowed) of a graph with `num_rows` rows and the directed
   // edges src[e] -> dst[e]. Built from byte masks over the rows in
-  // O(num_layers * edges), with no hash map.
+  // O(num_layers * edges). `nodes`, when given, holds each row's node id,
+  // and the caller promises that rows of one node hold the same features:
+  // the first layer then reads one input row per distinct node (found
+  // through an open-addressing table over the ids), and plan.edge_src and
+  // plan.edge_dst are those rows' compact ids. Every output stays bitwise
+  // equal; gradients change accumulation order, so callers pass node ids
+  // only at inference.
   GnnPlan Plan(int num_rows, const std::vector<int>& src,
-               const std::vector<int>& dst,
-               const std::vector<int>& rows) const;
+               const std::vector<int>& dst, const std::vector<int>& rows,
+               const std::vector<int>& nodes = {}) const;
 
   // Embeds the planned rows: x holds one row per plan.rows entry, and
   // edge_weight, when defined, one weight per plan.edges entry. Returns

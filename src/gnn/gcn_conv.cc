@@ -14,15 +14,16 @@ GcnConv::GcnConv(int in_dim, int out_dim, Rng* rng) {
 Tensor GcnConv::Forward(const Tensor& x, const GnnLayerPlan& layer,
                         const Tensor& edge_weight) const {
   CHECK_EQ(layer.src.size(), layer.dst.size());
-  CHECK_EQ(static_cast<int>(layer.degree.size()), x.rows());
   const int num_out = layer.num_out();
-  const std::vector<float>& degree = layer.degree;  // constants for autograd
+  CHECK_EQ(static_cast<int>(layer.self_degree.size()), num_out);
+  CHECK_EQ(layer.src_degree.size(), layer.src.size());
+  // Constants for autograd.
+  const std::vector<float>& self_degree = layer.self_degree;
+  const std::vector<float>& src_degree = layer.src_degree;
 
   // Self term: x_i / (d_i + 1).
   std::vector<float> self_coeff(num_out);
-  for (int i = 0; i < num_out; ++i) {
-    self_coeff[i] = 1.0f / degree[layer.self[i]];
-  }
+  for (int i = 0; i < num_out; ++i) self_coeff[i] = 1.0f / self_degree[i];
   Tensor agg = RowScale(GatherRows(x, layer.self),
                         Tensor::FromData(num_out, 1, std::move(self_coeff)));
 
@@ -30,8 +31,8 @@ Tensor GcnConv::Forward(const Tensor& x, const GnnLayerPlan& layer,
     const int num_edges = static_cast<int>(layer.src.size());
     std::vector<float> norm(num_edges);
     for (int e = 0; e < num_edges; ++e) {
-      norm[e] = 1.0f / std::sqrt(degree[layer.src[e]] *
-                                 degree[layer.self[layer.dst[e]]]);
+      norm[e] =
+          1.0f / std::sqrt(src_degree[e] * self_degree[layer.dst[e]]);
     }
     Tensor coeff = Tensor::FromData(num_edges, 1, std::move(norm));
     if (edge_weight.defined()) {

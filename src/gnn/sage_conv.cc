@@ -15,8 +15,19 @@ SageConv::SageConv(int in_dim, int out_dim, Rng* rng) {
 Tensor SageConv::Forward(const Tensor& x, const GnnLayerPlan& layer,
                          const Tensor& edge_weight) const {
   CHECK_EQ(layer.src.size(), layer.dst.size());
-  Tensor out = self_->Forward(GatherRows(x, layer.self));
-  if (layer.src.empty()) return out;
+  // Self term. An input with fewer rows than the output (a first layer
+  // with one input row per node, GnnEncoder::Plan) is projected once per
+  // input row, and each output row reads its row of that; otherwise the
+  // output rows are gathered and projected. A GEMM row depends only on
+  // its own operands, so both give the same bits.
+  const bool project_inputs = x.rows() < layer.num_out();
+  const Tensor self_term =
+      self_->Forward(project_inputs ? x : GatherRows(x, layer.self));
+  const std::vector<int> own_rows;
+  const std::vector<int>& self_row = project_inputs ? layer.self : own_rows;
+  if (layer.src.empty()) {
+    return project_inputs ? GatherRows(self_term, self_row) : self_term;
+  }
 
   // Weighted mean over incoming messages, in one fused kernel (no
   // per-edge message matrix or ones column is materialised); epsilon
@@ -27,7 +38,9 @@ Tensor SageConv::Forward(const Tensor& x, const GnnLayerPlan& layer,
   Tensor mean = GatherScaleScatterMean(x, layer.src, layer.dst,
                                        layer.num_out(), edge_weight, 1e-6f,
                                        layer.weight);
-  return Add(out, neighbor_->Forward(mean));
+  // self[self_row] + mean * W_nbr, with the self rows added into the
+  // neighbour GEMM's output.
+  return GatherAddMatMul(self_term, self_row, mean, neighbor_->weight());
 }
 
 }  // namespace gp

@@ -25,7 +25,8 @@ class SageConv : public Module {
   // x: (input rows x in). Computes the rows and edges of `layer` (messages
   // flow src to dst) and returns (layer.num_out() x out). edge_weight:
   // (rows x 1) indexed by layer.weight, or undefined. The self projection
-  // runs on the output rows only.
+  // runs on the output rows, or on the input rows when there are fewer of
+  // them, and GatherAddMatMul adds it into the neighbour projection.
   Tensor Forward(const Tensor& x, const GnnLayerPlan& layer,
                  const Tensor& edge_weight) const;
 

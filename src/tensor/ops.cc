@@ -1595,6 +1595,72 @@ Tensor GatherAddLeakyRelu(const Tensor& s, const std::vector<int>& src,
       });
 }
 
+Tensor GatherAddMatMul(const Tensor& r, const std::vector<int>& index,
+                       const Tensor& a, const Tensor& w) {
+  CHECK_EQ(a.cols(), w.rows());
+  const int rows = a.rows();
+  const int inner = a.cols();
+  const int cols = w.cols();
+  const int r_rows = r.rows();
+  CHECK_EQ(r.cols(), cols);
+  const bool gathered = !index.empty();
+  CHECK_EQ(gathered ? static_cast<int>(index.size()) : r_rows, rows);
+  std::vector<float> out =
+      AcquireZeroedBuffer(static_cast<size_t>(rows) * cols);
+  const float* ad = a.data().data();
+  const float* wd = w.data().data();
+  const float* rd = r.data().data();
+  const int* idx = gathered ? index.data() : nullptr;
+  ParallelRange(rows, static_cast<int64_t>(inner) * cols,
+                [&](int64_t first, int64_t last) {
+                  GemmRowsDispatch<true>(ad, wd, out.data(), first, last,
+                                         inner, cols);
+                  // Add's elementwise sum, on the chain's two operands.
+                  for (int64_t i = first; i < last; ++i) {
+                    const int row = idx != nullptr ? idx[i] : static_cast<int>(i);
+                    DCHECK_GE(row, 0);
+                    DCHECK_LT(row, r_rows);
+                    const float* s = rd + static_cast<size_t>(row) * cols;
+                    float* o = out.data() + static_cast<size_t>(i) * cols;
+                    for (int j = 0; j < cols; ++j) o[j] = s[j] + o[j];
+                  }
+                });
+  auto pr = r.impl();
+  auto pa = a.impl();
+  auto pw = w.impl();
+  auto index_copy = gathered ? KeepForBackward(index) : nullptr;
+  return FinishOp(
+      rows, cols, std::move(out), {pr, pa, pw},
+      [pr, pa, pw, index_copy, rows, inner, cols](TensorImpl& node) {
+        const float* g = node.grad.data();
+        if (WantsGrad(pr)) {
+          // GatherRows's backward (Add's, without an index): scatter-add
+          // in row order.
+          pr->EnsureGrad();
+          const int* idx = index_copy ? index_copy->data() : nullptr;
+          for (int i = 0; i < rows; ++i) {
+            const int row = idx != nullptr ? idx[i] : i;
+            const float* gi = g + static_cast<size_t>(i) * cols;
+            float* d = pr->grad.data() + static_cast<size_t>(row) * cols;
+            for (int j = 0; j < cols; ++j) d[j] += gi[j];
+          }
+        }
+        if (WantsGrad(pa)) {
+          pa->EnsureGrad();
+          GemmGradA(g, pw->data.data(), pa->grad.data(), rows, inner, cols);
+        }
+        if (WantsGrad(pw)) {
+          pw->EnsureGrad();
+          const float* ad = pa->data.data();
+          GemmGradB(
+              [ad, inner](int i, int k) {
+                return ad[static_cast<size_t>(i) * inner + k];
+              },
+              g, pw->grad.data(), rows, inner, cols);
+        }
+      });
+}
+
 Tensor CachedOnesColumn(int rows) {
   CHECK_GE(rows, 0);
   // Thread-local so concurrent eval trials never share a mutable impl.

@@ -149,6 +149,18 @@ Tensor GatherAddLeakyRelu(const Tensor& s, const std::vector<int>& src,
                           const Tensor& a, const std::vector<int>& key,
                           float negative_slope);
 
+// Fuses Add(GatherRows(r, index), MatMul(a, w)) for a (R x K), w (K x C)
+// and r (any rows x C); an empty `index` reads row i of r, which then has
+// R rows (Add(r, MatMul(a, w))). Row i runs MatMul's blocked GEMM from
+// zero and then adds r[index[i]] into it, the two operands Add adds. The
+// backward scatter-adds the grad into r's grad in row order, as
+// GatherRows's does, then runs MatMul's backward into a's and w's grads.
+// The op lists its parents as [r, a, w], the order in which the chain's
+// graph search reaches them, so gradients are bitwise identical to the
+// chain's as long as neither r nor a is computed from the other.
+Tensor GatherAddMatMul(const Tensor& r, const std::vector<int>& index,
+                       const Tensor& a, const Tensor& w);
+
 // Thread-cached all-ones column (rows x 1). Callers must treat the result
 // as read-only: the same impl is shared until a different row count is
 // requested. Replaces per-call Tensor::Full(rows, 1, 1.0f) in hot loops.

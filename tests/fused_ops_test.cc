@@ -13,6 +13,7 @@
 #include "tensor/autograd.h"
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
+#include "util/cpuid.h"
 #include "util/rng.h"
 
 namespace gp {
@@ -528,6 +529,143 @@ TEST(FusedOpsTest, GatherAddLeakyReluOneKeyPerEdge) {
   }
   ExpectGatherAddLeakyReluMatchesChain(
       MakeLogitInputs(7, 24, src, dst, key, 59), 0.2f);
+}
+
+// GatherAddMatMul against Add(GatherRows(r, index), MatMul(a, w)), the
+// last step of a SAGE layer. As in the layer, r is the self projection and
+// a the weighted mean of one input x, so r and a share an ancestor and
+// x.grad sums the mean's share and then the self term's, in the chain's
+// order. Output rows without in-edges make all-zero rows of a, which the
+// GEMM's zero skip passes over. The loss also sends x and w through a
+// second op, so their grads sum two shares and the slot where the fused
+// node adds its share is pinned. Runs at both SIMD levels.
+struct SelfNeighborInputs {
+  Tensor x, ws, bs, w, edge_weight, other;
+  std::vector<int> self, src, dst;
+
+  SelfNeighborInputs Clone() const {
+    SelfNeighborInputs c = *this;
+    for (Tensor* t : {&c.x, &c.ws, &c.bs, &c.w, &c.edge_weight, &c.other}) {
+      *t = t->Clone();
+      t->set_requires_grad(true);
+    }
+    return c;
+  }
+};
+
+// x (x_rows x in), num_out output rows reading input row self[i], and
+// edges from random input rows into the first `reached` output rows.
+SelfNeighborInputs MakeSelfNeighborInputs(std::vector<int> self, int x_rows,
+                                          int in, int out, int reached,
+                                          int num_edges, uint64_t seed) {
+  Rng rng(seed);
+  SelfNeighborInputs f;
+  f.x = Tensor::Randn(x_rows, in, &rng);
+  f.ws = Tensor::Randn(in, out, &rng, 0.3f);
+  f.bs = Tensor::Randn(1, out, &rng);
+  f.w = Tensor::Randn(in, out, &rng, 0.3f);
+  f.edge_weight = Tensor::Randn(num_edges, 1, &rng);
+  f.other = Tensor::Randn(out, 2, &rng);
+  f.self = std::move(self);
+  for (int e = 0; e < num_edges; ++e) {
+    f.src.push_back(static_cast<int>(rng.UniformInt(x_rows)));
+    f.dst.push_back(static_cast<int>(rng.UniformInt(reached)));
+  }
+  return f;
+}
+
+// `gathered`: r holds one row per input row and the op reads r[self[i]];
+// otherwise r holds the gathered output rows and the index is empty.
+void ExpectGatherAddMatMulMatchesChainAtLevel(const SelfNeighborInputs& base,
+                                              bool gathered) {
+  struct Run {
+    SelfNeighborInputs in;
+    Tensor r, a;
+    std::vector<float> forward;
+  };
+  auto run = [&base, gathered](bool fused) {
+    Run run{base.Clone(), Tensor(), Tensor(), {}};
+    SelfNeighborInputs& in = run.in;
+    const int num_out = static_cast<int>(in.self.size());
+    run.r = Add(MatMul(gathered ? in.x : GatherRows(in.x, in.self), in.ws),
+                in.bs);
+    run.a = GatherScaleScatterMean(in.x, in.src, in.dst, num_out,
+                                   in.edge_weight, 1e-6f);
+    const std::vector<int> no_index;
+    const std::vector<int>& index = gathered ? in.self : no_index;
+    Tensor out = fused ? GatherAddMatMul(run.r, index, run.a, in.w)
+                       : Add(gathered ? GatherRows(run.r, index) : run.r,
+                             MatMul(run.a, in.w));
+    Tensor side = MatMul(MatMul(in.x, in.w), in.other);
+    Backward(Add(SumAll(Mul(out, out)), SumAll(Mul(side, side))));
+    run.forward = out.data();
+    return run;
+  };
+  const Run a = run(/*fused=*/false);
+  const Run b = run(/*fused=*/true);
+  ExpectBitwiseEqual(b.forward, a.forward);
+  ExpectBitwiseEqual(b.r.grad(), a.r.grad());
+  ExpectBitwiseEqual(b.a.grad(), a.a.grad());
+  ExpectBitwiseEqual(b.in.w.grad(), a.in.w.grad());
+  ExpectBitwiseEqual(b.in.x.grad(), a.in.x.grad());
+  ExpectBitwiseEqual(b.in.ws.grad(), a.in.ws.grad());
+  ExpectBitwiseEqual(b.in.bs.grad(), a.in.bs.grad());
+  ExpectBitwiseEqual(b.in.edge_weight.grad(), a.in.edge_weight.grad());
+  ExpectBitwiseEqual(b.in.other.grad(), a.in.other.grad());
+  // Without autograd the op builds no graph and gives the same bits.
+  NoGradGuard no_grad;
+  SelfNeighborInputs in = base.Clone();
+  const Tensor r = Add(
+      MatMul(gathered ? in.x : GatherRows(in.x, in.self), in.ws), in.bs);
+  const Tensor mean = GatherScaleScatterMean(
+      in.x, in.src, in.dst, static_cast<int>(in.self.size()),
+      in.edge_weight, 1e-6f);
+  const Tensor out =
+      GatherAddMatMul(r, gathered ? in.self : std::vector<int>(), mean, in.w);
+  EXPECT_FALSE(out.requires_grad());
+  ExpectBitwiseEqual(out.data(), a.forward);
+}
+
+void ExpectGatherAddMatMulMatchesChain(const SelfNeighborInputs& base,
+                                       bool gathered) {
+  const SimdLevel saved = ActiveSimdLevel();
+  for (SimdLevel level : {SimdLevel::kScalar, DetectedSimdLevel()}) {
+    SCOPED_TRACE(SimdLevelName(level));
+    SetSimdLevel(level);
+    ExpectGatherAddMatMulMatchesChainAtLevel(base, gathered);
+  }
+  SetSimdLevel(saved);
+}
+
+TEST(FusedOpsTest, GatherAddMatMulIndexRepeatsAndSkipsRows) {
+  // Nine output rows over six input rows: rows 4, 0 and 2 repeat, 1 and 3
+  // are never read. Output rows 6-8 have no in-edges. C = 7 < 8 puts the
+  // AVX2 GEMM's lanes on rows.
+  ExpectGatherAddMatMulMatchesChain(
+      MakeSelfNeighborInputs({4, 0, 4, 2, 2, 5, 0, 4, 2}, 6, 5, 7, 6, 14, 71),
+      /*gathered=*/true);
+}
+
+TEST(FusedOpsTest, GatherAddMatMulWithoutIndex) {
+  // r holds the output rows themselves; C = 12 runs a register panel and a
+  // scalar tail.
+  ExpectGatherAddMatMulMatchesChain(
+      MakeSelfNeighborInputs({3, 1, 4, 0, 6, 2}, 8, 5, 12, 4, 11, 73),
+      /*gathered=*/false);
+}
+
+TEST(FusedOpsTest, GatherAddMatMulLayerShape) {
+  // A merged first layer at d = 64: 700 output rows over 90 input rows in
+  // parallel chunks, the last 100 without in-edges.
+  Rng rng(75);
+  std::vector<int> self;
+  for (int i = 0; i < 700; ++i) {
+    self.push_back(static_cast<int>(rng.UniformInt(90)));
+  }
+  const SelfNeighborInputs in =
+      MakeSelfNeighborInputs(self, 90, 64, 64, 600, 2100, 77);
+  ExpectGatherAddMatMulMatchesChain(in, /*gathered=*/true);
+  ExpectGatherAddMatMulMatchesChain(in, /*gathered=*/false);
 }
 
 TEST(FusedOpsTest, GemmAccumulateSkipTogglesAgreeOnDenseInputs) {

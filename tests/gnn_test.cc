@@ -241,7 +241,9 @@ TEST(GnnPlanTest, EachLayerComputesWhatTheNextReads) {
   EXPECT_EQ(plan.layers[2].self, (std::vector<int>{0}));
   EXPECT_EQ(plan.layers[2].src, (std::vector<int>{1}));
   EXPECT_EQ(plan.layers[2].weight, (std::vector<int>{1}));
-  EXPECT_TRUE(plan.layers[0].degree.empty());  // SAGE reads no degrees
+  // SAGE reads no degrees.
+  EXPECT_TRUE(plan.layers[0].self_degree.empty());
+  EXPECT_TRUE(plan.layers[0].src_degree.empty());
   EXPECT_TRUE(plan.order.empty());
 }
 
@@ -254,7 +256,37 @@ TEST(GnnPlanTest, GcnDegreesCountTheWholeEdgeList) {
   const GnnPlan plan = GnnEncoder(config, &rng)
                            .Plan(3, {0, 1, 1, 2}, {1, 0, 2, 1}, {0});
   EXPECT_EQ(plan.rows, (std::vector<int>{0, 1}));
-  EXPECT_EQ(plan.layers[0].degree, (std::vector<float>{2.0f, 3.0f}));
+  EXPECT_EQ(plan.layers[0].self_degree, (std::vector<float>{2.0f}));
+  EXPECT_EQ(plan.layers[0].src_degree, (std::vector<float>{3.0f}));
+}
+
+TEST(GnnPlanTest, NodeIdsShareTheFirstLayerInput) {
+  // Rows 0-2 and 3-5 are two copies of the path a <- b -> c over nodes
+  // 7, 9, 4, and row 6 is a third copy of node 9 with an in-edge from
+  // row 0. One layer reads out rows 1, 4 and 6: the copies of node 9.
+  GnnEncoderConfig config;
+  config.arch = GnnArch::kGcn;
+  config.num_layers = 1;
+  Rng rng(20);
+  const std::vector<int> src = {1, 1, 4, 4, 0}, dst = {0, 2, 3, 5, 6};
+  const std::vector<int> nodes = {7, 9, 4, 7, 9, 4, 9};
+  const GnnPlan plan =
+      GnnEncoder(config, &rng).Plan(7, src, dst, {1, 4, 6}, nodes);
+  // Rows 0, 1, 3, 4 and 6 are read; 3 and 4 repeat nodes 7 and 9, and 6
+  // repeats node 9.
+  EXPECT_EQ(plan.rows, (std::vector<int>{0, 1}));
+  EXPECT_EQ(plan.edges, (std::vector<int>{4}));
+  EXPECT_EQ(plan.edge_src, (std::vector<int>{0}));
+  EXPECT_EQ(plan.edge_dst, (std::vector<int>{1}));
+  const GnnLayerPlan& layer = plan.layers[0];
+  EXPECT_EQ(layer.self, (std::vector<int>{1, 1, 1}));
+  EXPECT_EQ(layer.src, (std::vector<int>{0}));
+  EXPECT_EQ(layer.dst, (std::vector<int>{2}));
+  // The copies of node 9 differ in in-degree: rows 1 and 4 have none,
+  // row 6 has one.
+  EXPECT_EQ(layer.self_degree, (std::vector<float>{1.0f, 1.0f, 2.0f}));
+  EXPECT_EQ(layer.src_degree, (std::vector<float>{2.0f}));
+  EXPECT_TRUE(plan.order.empty());
 }
 
 TEST(GnnPlanTest, OrderFollowsTheRequest) {
@@ -317,6 +349,72 @@ TEST(GnnEncoderTest, ForwardOnRowsMatchesEveryRowBitwise) {
           ASSERT_EQ(trimmed.cols(), every.cols());
           EXPECT_EQ(std::memcmp(trimmed.data().data(), every.data().data(),
                                 every.data().size() * sizeof(float)),
+                    0);
+        }
+      }
+    }
+  }
+}
+
+// Rows that repeat a node's features may share the first layer's input
+// row (Plan with node ids, as the generator plans at inference): the
+// requested rows keep their bytes, for every architecture and depth, with
+// and without edge weights. The union's copies of a node differ in
+// in-degree, and the request repeats a row and is out of order.
+TEST(GnnEncoderTest, SharedNodeInputsMatchPerRowInputsBitwise) {
+  const int num_rows = 60, num_nodes = 8, in_dim = 5;
+  Rng rng(21);
+  std::vector<int> nodes(num_rows), src, dst;
+  for (int& n : nodes) n = 100 + 7 * static_cast<int>(rng.UniformInt(num_nodes));
+  for (int e = 0; e < 110; ++e) {
+    src.push_back(static_cast<int>(rng.UniformInt(num_rows)));
+    dst.push_back(static_cast<int>(rng.UniformInt(num_rows)));
+  }
+  const Tensor node_x = Tensor::Randn(num_nodes, in_dim, &rng);
+  std::vector<int> node_row(num_rows);
+  for (int r = 0; r < num_rows; ++r) node_row[r] = (nodes[r] - 100) / 7;
+  const Tensor x = GatherRows(node_x, node_row);
+  std::vector<float> weights(src.size());
+  for (float& w : weights) w = 0.1f + 0.8f * rng.UniformFloat();
+  const Tensor w_all =
+      Tensor::FromData(static_cast<int>(src.size()), 1, weights);
+  const std::vector<int> request = {41, 3, 17, 29, 3, 52, 8, 36, 11, 24};
+  for (GnnArch arch : {GnnArch::kSage, GnnArch::kGcn, GnnArch::kGat}) {
+    for (int layers = 1; layers <= 3; ++layers) {
+      for (const bool weighted : {false, true}) {
+        for (const bool grad : {false, true}) {
+          SCOPED_TRACE(std::string(GnnArchName(arch)) + " layers " +
+                       std::to_string(layers) + (weighted ? " w" : "") +
+                       (grad ? " grad" : ""));
+          std::optional<NoGradGuard> no_grad;
+          if (!grad) no_grad.emplace();
+          GnnEncoderConfig config;
+          config.arch = arch;
+          config.in_dim = in_dim;
+          config.hidden_dim = 9;
+          config.out_dim = 7;
+          config.num_layers = layers;
+          Rng init(22);
+          const GnnEncoder encoder(config, &init);
+          auto run = [&](const GnnPlan& plan) {
+            return encoder.Forward(
+                GatherRows(x, plan.rows), plan,
+                weighted ? GatherRows(w_all, plan.edges) : Tensor());
+          };
+          const GnnPlan per_row = encoder.Plan(num_rows, src, dst, request);
+          const GnnPlan shared =
+              encoder.Plan(num_rows, src, dst, request, nodes);
+          // One input row per node, fewer than the first layer writes.
+          EXPECT_LE(shared.rows.size(), static_cast<size_t>(num_nodes));
+          EXPECT_GT(shared.layers[0].num_out(),
+                    static_cast<int>(shared.rows.size()));
+          EXPECT_EQ(shared.edges, per_row.edges);
+          const Tensor expected = run(per_row);
+          const Tensor merged = run(shared);
+          ASSERT_EQ(merged.rows(), expected.rows());
+          ASSERT_EQ(merged.cols(), expected.cols());
+          EXPECT_EQ(std::memcmp(merged.data().data(), expected.data().data(),
+                                expected.data().size() * sizeof(float)),
                     0);
         }
       }
