@@ -17,7 +17,7 @@ constexpr int kNumBuckets = 32;
 // Per-thread parked buffers per bucket; small so worker caches stay lean.
 constexpr size_t kThreadCacheSlots = 8;
 // Shared overflow per bucket; catches cross-thread churn.
-constexpr size_t kGlobalSlots = 64;
+constexpr size_t kGlobalSlots = 128;
 
 bool g_pool_enabled = true;
 
