@@ -23,10 +23,8 @@ Tensor SageConv::Forward(const Tensor& x, const GnnLayerPlan& layer,
   const bool project_inputs = x.rows() < layer.num_out();
   const Tensor self_term =
       self_->Forward(project_inputs ? x : GatherRows(x, layer.self));
-  const std::vector<int> own_rows;
-  const std::vector<int>& self_row = project_inputs ? layer.self : own_rows;
   if (layer.src.empty()) {
-    return project_inputs ? GatherRows(self_term, self_row) : self_term;
+    return project_inputs ? GatherRows(self_term, layer.self) : self_term;
   }
 
   // Weighted mean over incoming messages, in one fused kernel (no
@@ -38,9 +36,11 @@ Tensor SageConv::Forward(const Tensor& x, const GnnLayerPlan& layer,
   Tensor mean = GatherScaleScatterMean(x, layer.src, layer.dst,
                                        layer.num_out(), edge_weight, 1e-6f,
                                        layer.weight);
-  // self[self_row] + mean * W_nbr, with the self rows added into the
-  // neighbour GEMM's output.
-  return GatherAddMatMul(self_term, self_row, mean, neighbor_->weight());
+  // self_term[self] + mean * W_nbr, with the self rows added into the
+  // neighbour GEMM's output; an empty index reads self_term's own rows.
+  const std::vector<int> own_rows;
+  return GatherAddMatMul(self_term, project_inputs ? layer.self : own_rows,
+                         mean, neighbor_->weight());
 }
 
 }  // namespace gp

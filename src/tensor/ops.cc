@@ -1617,7 +1617,8 @@ Tensor GatherAddMatMul(const Tensor& r, const std::vector<int>& index,
                                          inner, cols);
                   // Add's elementwise sum, on the chain's two operands.
                   for (int64_t i = first; i < last; ++i) {
-                    const int row = idx != nullptr ? idx[i] : static_cast<int>(i);
+                    const int row =
+                        idx != nullptr ? idx[i] : static_cast<int>(i);
                     DCHECK_GE(row, 0);
                     DCHECK_LT(row, r_rows);
                     const float* s = rd + static_cast<size_t>(row) * cols;

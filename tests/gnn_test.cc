@@ -365,7 +365,9 @@ TEST(GnnEncoderTest, SharedNodeInputsMatchPerRowInputsBitwise) {
   const int num_rows = 60, num_nodes = 8, in_dim = 5;
   Rng rng(21);
   std::vector<int> nodes(num_rows), src, dst;
-  for (int& n : nodes) n = 100 + 7 * static_cast<int>(rng.UniformInt(num_nodes));
+  for (int& n : nodes) {
+    n = 100 + 7 * static_cast<int>(rng.UniformInt(num_nodes));
+  }
   for (int e = 0; e < 110; ++e) {
     src.push_back(static_cast<int>(rng.UniformInt(num_rows)));
     dst.push_back(static_cast<int>(rng.UniformInt(num_rows)));
